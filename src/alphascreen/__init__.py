@@ -17,7 +17,6 @@ from .baselines import (
 from .errors import (
     AlignmentError,
     AlphascreenError,
-    AsymmetricMatrixError,
     DegenerateNormalizerError,
     DimensionError,
     NegativeControlError,
@@ -25,13 +24,12 @@ from .errors import (
     RankDeficientError,
 )
 from .estimation import (
-    AlphaFit,
     LatentFit,
+    PanelFit,
     bartlett_kernel,
     estimate_alpha,
     estimate_latent,
     long_run_variance,
-    ols_alpha_biased,
     regress_out_observed,
 )
 from .fdr import (
@@ -52,7 +50,7 @@ from .io import (
     save_factors_csv,
     save_returns_csv,
 )
-from .linalg import Projector, demean_columns, least_squares, settings, top_eigenpairs
+from .linalg import demean_columns, least_squares
 from .panels import FactorPanel, ReturnPanel, check_aligned
 from .simulation import (
     ArmaComponent,
@@ -67,13 +65,11 @@ from .simulation import (
     generate_panel,
     global_null_scenario,
     make_alpha,
-    run_study,
     run_study_detailed,
     sample_loadings,
     table1_lognormal_scenario,
     table1_normal_scenario,
     table2_garch_arma_scenario,
-    toeplitz_error_cov,
 )
 
 __version__ = "0.1.0"

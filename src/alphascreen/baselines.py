@@ -13,6 +13,9 @@ statistic providers feed it:
 
 ``bh_statistics`` additionally exposes the naive per-entity OLS t-test
 (no latent adjustment) as the plain-BH reference point.
+
+``sbh_from_fit`` and ``sn_from_fit`` read an existing ``PanelFit``;
+``sbh_statistics`` and ``sn_statistics`` fit the panel first.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DegenerateNormalizerError
-from .estimation import DEFAULT_MAX_RANK, _fit_pipeline
+from .estimation import PanelFit, estimate_alpha
 from .linalg import demean_columns, least_squares
 from .panels import FactorPanel, ReturnPanel, check_aligned
 
@@ -34,18 +37,26 @@ __all__ = [
     "normal_z",
     "bh_procedure",
     "bh_statistics",
+    "sbh_from_fit",
     "sbh_statistics",
+    "sn_from_fit",
     "sn_statistics",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class PValueResult:
-    """Per-entity statistics with two-sided p-values."""
+    """Per-entity statistics with two-sided p-values.
+
+    alpha_hat
+        The per-entity OLS intercepts behind ``bh_plain`` statistics;
+        None for the other methods, whose alphas come from a ``PanelFit``.
+    """
 
     p_values: np.ndarray
     statistics: np.ndarray
     method: str  # bh_plain | sbh_normal | sn_calibrated
+    alpha_hat: Optional[np.ndarray] = None
 
 
 def normal_z(alpha_hat, residual_variance, inflation, n_periods):
@@ -86,7 +97,9 @@ def bh_statistics(
     """Naive per-entity t-statistics of the OLS intercept on observed factors.
 
     Ignores latent structure and serial dependence entirely; serves as
-    the uncorrected baseline fed to ``bh_procedure``.
+    the uncorrected baseline fed to ``bh_procedure``.  With latent
+    confounders carrying a nonzero premium the intercepts, returned as
+    ``alpha_hat``, are biased and cross-sectionally dependent.
     """
     check_aligned(returns, factors)
     n = returns.n_periods
@@ -103,43 +116,32 @@ def bh_statistics(
     g_inv_00 = float(np.sum(np.linalg.inv(r)[0, :] ** 2))
     z = coef[0] / np.sqrt(sigma2 * g_inv_00)
     p = 2.0 * stats.norm.sf(np.abs(z))
-    return PValueResult(p_values=p, statistics=z, method="bh_plain")
+    return PValueResult(p_values=p, statistics=z, method="bh_plain", alpha_hat=coef[0])
 
 
-def sbh_statistics(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    rank: Optional[int] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
-    hac: bool = False,
-) -> PValueResult:
-    """Normal calibration of the three-step alphas.
+def sbh_from_fit(fit: PanelFit, factors: FactorPanel) -> PValueResult:
+    """Normal calibration of the three-step alphas of a fitted panel.
 
     The studentizer is the per-entity residual variance (sample second
-    moment of the residual row; the long-run variance when ``hac``)
-    inflated by ``1 + premium' cov(scores)^{-1} premium +
-    mean(F)' cov(F)^{-1} mean(F)`` with plug-in estimates of the latent
-    premium and score covariance, matching the i.i.d. asymptotic
-    variance of the estimator when risk premia are nonzero.
+    moment of the residual row) inflated by ``1 + premium'
+    cov(scores)^{-1} premium + mean(F)' cov(F)^{-1} mean(F)`` with
+    plug-in estimates of the latent premium and score covariance,
+    matching the i.i.d. asymptotic variance of the estimator when risk
+    premia are nonzero.  ``factors`` are the observed factors the fit
+    was made with.
     """
-    bundle = _fit_pipeline(returns, factors, rank, max_rank)
-    n = bundle.n_used
-    resid = bundle.residuals
-    if hac:
-        from .estimation import long_run_variance
-
-        var_e = long_run_variance(resid)
-    else:
-        var_e = np.mean(resid * resid, axis=1)
+    n = fit.n_periods
+    resid = fit.residuals
+    var_e = np.mean(resid * resid, axis=1)
     if np.any(var_e <= 0.0):
         raise DegenerateNormalizerError(
             "an entity has zero residual variance; cannot studentize"
         )
 
-    b = bundle.latent.loadings_hat
-    scores = (b.T @ bundle.latent.adjusted_returns) / b.shape[0]  # (r, n)
+    b = fit.latent.loadings_hat
+    scores = (b.T @ fit.latent.adjusted_returns) / b.shape[0]  # (r, n)
     score_cov = scores @ scores.T / n
-    premium = bundle.latent_premium
+    premium = fit.latent_premium
     f = factors.values
     f_centered = demean_columns(f)
     f_cov = f_centered.T @ f_centered / n
@@ -149,9 +151,18 @@ def sbh_statistics(
         + float(premium @ np.linalg.solve(score_cov, premium))
         + float(f_mean @ np.linalg.solve(f_cov, f_mean))
     )
-    z = normal_z(bundle.alpha_hat, var_e, inflation, n)
+    z = normal_z(fit.alpha_hat, var_e, inflation, n)
     p = 2.0 * stats.norm.sf(np.abs(z))
     return PValueResult(p_values=p, statistics=z, method="sbh_normal")
+
+
+def sbh_statistics(
+    returns: ReturnPanel,
+    factors: FactorPanel,
+    rank: Optional[int] = None,
+) -> PValueResult:
+    """Normal calibration of the three-step alphas; see :func:`sbh_from_fit`."""
+    return sbh_from_fit(estimate_alpha(returns, factors, rank=rank), factors)
 
 
 # --- self-normalized calibration -------------------------------------------
@@ -216,22 +227,25 @@ def sn_pvalues(statistics: np.ndarray, mc_paths: int = 10000) -> np.ndarray:
     return (1.0 + n_ge) / (table.size + 1.0)
 
 
-def sn_statistics(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    rank: Optional[int] = None,
-    mc_paths: int = 10000,
-    max_rank: int = DEFAULT_MAX_RANK,
-) -> PValueResult:
-    """Self-normalized test of each alpha after factor adjustment.
+def sn_from_fit(fit: PanelFit, mc_paths: int = 10000) -> PValueResult:
+    """Self-normalized test of each alpha of a fitted panel.
 
     The per-period alpha contributions (latent-projected adjusted
     returns) of each entity form the series whose mean is tested; the
     recursive partial-sum normalizer absorbs the unknown long-run
     variance without any bandwidth choice.
     """
-    bundle = _fit_pipeline(returns, factors, rank, max_rank)
-    contributions = bundle.residuals + bundle.alpha_hat[:, None]
+    contributions = fit.residuals + fit.alpha_hat[:, None]
     stat = sn_test_rows(contributions)
     p = sn_pvalues(stat, mc_paths=mc_paths)
     return PValueResult(p_values=p, statistics=stat, method="sn_calibrated")
+
+
+def sn_statistics(
+    returns: ReturnPanel,
+    factors: FactorPanel,
+    rank: Optional[int] = None,
+    mc_paths: int = 10000,
+) -> PValueResult:
+    """Self-normalized test of each alpha; see :func:`sn_from_fit`."""
+    return sn_from_fit(estimate_alpha(returns, factors, rank=rank), mc_paths=mc_paths)

@@ -16,13 +16,11 @@ import numpy as np
 
 from . import io
 from .io import fmt
-from .baselines import bh_procedure, bh_statistics, sbh_statistics, sn_statistics
 from .errors import AlignmentError, AlphascreenError
-from .estimation import estimate_alpha, ols_alpha_biased
-from .fdr import NegativeControlConfig, screen_alphas
 from .panels import check_aligned
 from .simulation import (
     METHODS,
+    PanelFits,
     SimulationScenario,
     generate_panel,
     replication_rng,
@@ -105,7 +103,7 @@ def main():
 
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(), help="scenario JSON file")
-@click.option("--method", default="yd", type=click.Choice(METHODS), show_default=True)
+@click.option("--method", default="yd", type=click.Choice(list(METHODS)), show_default=True)
 @click.option("--beta", default="0.05,0.1,0.15", show_default=True, help="comma-separated target FDR levels")
 @click.option("--reps", default=300, show_default=True, help="number of replications")
 @click.option("--rank", default=None, type=int, help="fix the latent rank instead of estimating it")
@@ -149,7 +147,7 @@ def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir)
 @main.command()
 @click.option("--returns", "returns_path", required=True, type=click.Path(), help="returns CSV")
 @click.option("--factors", "factors_path", required=True, type=click.Path(), help="observed factors CSV")
-@click.option("--method", default="yd", type=click.Choice(METHODS), show_default=True)
+@click.option("--method", default="yd", type=click.Choice(list(METHODS)), show_default=True)
 @click.option("--beta", default=0.1, type=float, show_default=True, help="target FDR level")
 @click.option("--rank", default=None, type=int)
 @click.option("--out", "output_dir", default=".", show_default=True)
@@ -169,45 +167,25 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
 
     out = _outdir(output_dir)
     n, p = returns.n_periods, returns.n_entities
+    spec = METHODS[method]
+    fits = PanelFits(returns, factors, rank=rank)
     try:
-        if method in ("yd", "yd_r", "yd_th"):
-            control = NegativeControlConfig(mode="threshold_rule") if method == "yd_th" else None
-            result = screen_alphas(
-                returns, factors, beta, rank=rank,
-                studentize=(method == "yd_r"), negative_control=control,
-            )
-            fit = estimate_alpha(returns, factors, rank=rank)
-            statistic = result.t_prod
-            rejected = result.rejected
-            cutoff = f"threshold={fmt(result.threshold)}"
-            rank_hat = fit.latent.rank_hat
-            alpha_hat = fit.alpha_hat
+        result = spec.statistic(fits)
+        rejected, cutoff_name, cutoff = spec.rule(result, beta)
+        if spec.latent:
+            alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
         else:
-            if method == "bh":
-                pv = bh_statistics(returns, factors)
-                alpha_hat = ols_alpha_biased(returns, factors)
-                rank_hat = ""
-            else:
-                fit = estimate_alpha(returns, factors, rank=rank)
-                alpha_hat = fit.alpha_hat
-                rank_hat = fit.latent.rank_hat
-                pv = (
-                    sbh_statistics(returns, factors, rank=rank)
-                    if method == "sbh"
-                    else sn_statistics(returns, factors, rank=rank)
-                )
-            rejected = bh_procedure(pv.p_values, beta)
-            p_cut = float(pv.p_values[rejected].max()) if rejected.size else 0.0
-            statistic = pv.statistics
-            cutoff = f"p_cutoff={fmt(p_cut)}"
+            alpha_hat, rank_hat = result.alpha_hat, ""
     except AlphascreenError as exc:
         raise click.ClickException(str(exc)) from None
 
     rej = set(np.atleast_1d(rejected).tolist())
     lines = ["entity_id,alpha_hat,statistic,rejected"]
     for i, eid in enumerate(returns.entity_ids):
-        lines.append(f"{eid},{fmt(alpha_hat[i])},{fmt(statistic[i])},{1 if i in rej else 0}")
-    lines.append(f"# method={method},beta={fmt(beta)},{cutoff},rank_hat={rank_hat},n={n},p={p}")
+        lines.append(f"{eid},{fmt(alpha_hat[i])},{fmt(result.statistics[i])},{1 if i in rej else 0}")
+    lines.append(
+        f"# method={method},beta={fmt(beta)},{cutoff_name}={fmt(cutoff)},rank_hat={rank_hat},n={n},p={p}"
+    )
     report = out / "selection.csv"
     report.write_text("\n".join(lines) + "\n")
     click.echo(f"{len(rej)} of {p} entities selected; report at {report}")

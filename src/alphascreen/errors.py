@@ -21,10 +21,6 @@ class RankDeficientError(AlphascreenError, ValueError):
         self.condition = condition
 
 
-class AsymmetricMatrixError(AlphascreenError, ValueError):
-    """An eigensolver input violates the symmetry contract."""
-
-
 class NoFactorStructureError(AlphascreenError, RuntimeError):
     """The adjusted-return spectrum carries no usable factor signal."""
 

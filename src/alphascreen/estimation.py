@@ -14,20 +14,18 @@ annihilates the factor columns exactly while preserving the intercept:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, NoFactorStructureError
-from .linalg import Projector, demean_columns, least_squares
+from .linalg import demean_columns, least_squares
 from .panels import FactorPanel, ReturnPanel, check_aligned
 
 __all__ = [
     "LatentFit",
-    "AlphaFit",
-    "ols_alpha_biased",
+    "PanelFit",
     "regress_out_observed",
     "estimate_latent",
     "estimate_alpha",
@@ -39,7 +37,8 @@ __all__ = [
 # degenerate tail of the adjusted-return spectrum.
 EIGENVALUE_FLOOR_REL = 1e-12
 
-DEFAULT_MAX_RANK = 10
+# Search cap of the eigenvalue-ratio rank choice.
+MAX_RANK = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,39 +68,6 @@ class LatentFit:
     eigen_ratio: Optional[float] = None
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaFit:
-    """Alphas plus everything the downstream tests need.
-
-    residuals
-        (p, n) fluctuation part of the latent-projected adjusted returns
-        (per-entity means, i.e. the alphas, subtracted).
-    long_run_variance
-        Kernel-weighted long-run variance of each residual row; None only
-        when explicitly skipped.
-    """
-
-    alpha_hat: np.ndarray
-    latent: LatentFit
-    observed_loadings_hat: np.ndarray
-    residuals: np.ndarray
-    n_used: int
-    long_run_variance: Optional[np.ndarray] = None
-
-
-def ols_alpha_biased(returns: ReturnPanel, factors: FactorPanel) -> np.ndarray:
-    """Per-entity OLS intercepts of returns on the observed factors.
-
-    Diagnostic baseline only: with latent confounders carrying a nonzero
-    premium these intercepts are biased and cross-sectionally dependent.
-    """
-    check_aligned(returns, factors)
-    n = returns.n_periods
-    design = np.column_stack([np.ones(n), factors.values])
-    coef = least_squares(design, returns.values.T)
-    return coef[0].copy()
-
-
 def regress_out_observed(
     returns: ReturnPanel, factors: FactorPanel
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +92,7 @@ def regress_out_observed(
 def estimate_latent(
     adjusted: np.ndarray,
     rank: Optional[int] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
+    max_rank: int = MAX_RANK,
 ) -> LatentFit:
     """Principal-component latent loadings from observed-factor-free returns.
 
@@ -197,58 +163,46 @@ def estimate_latent(
 
 
 @dataclass(frozen=True, eq=False)
-class _FitBundle:
-    """Internal pipeline state shared by the estimators built on Step III."""
+class PanelFit:
+    """Three-step fit of one panel or one chronological half.
 
-    observed_loadings: np.ndarray
-    adjusted: np.ndarray
+    Every statistic reads its fit from here, so a panel (or half) is
+    fitted once however many methods test it.
+
+    alpha_hat
+        (p,) alphas: time means of the latent-projected adjusted returns.
+    latent
+        The latent-loading estimate of the adjusted returns.
+    residuals
+        (p, n) fluctuation part of the latent-projected adjusted returns
+        (per-entity means, i.e. the alphas, subtracted).
+    mean_adjusted
+        (p,) time means of the observed-factor-free returns.
+    latent_premium
+        Coefficients of ``mean_adjusted`` regressed on the latent loadings.
+    observed_loadings
+        (p, r) coefficients of each return series on the demeaned
+        observed factors.
+    """
+
+    alpha_hat: np.ndarray
     latent: LatentFit
+    residuals: np.ndarray
     mean_adjusted: np.ndarray
     latent_premium: np.ndarray
-    alpha_hat: np.ndarray
-    residuals: np.ndarray
-    n_used: int
+    observed_loadings: np.ndarray
 
-
-def _fit_pipeline(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    rank: Optional[int],
-    max_rank: int,
-) -> _FitBundle:
-    n, r_o = returns.n_periods, factors.n_factors
-    observed_loadings, adjusted = regress_out_observed(returns, factors)
-    cap = min(int(max_rank), returns.n_entities, n - r_o - 1)
-    if cap < 1:
-        raise DimensionError("panel too short to carry any latent factor")
-    latent = estimate_latent(adjusted, rank=rank, max_rank=cap)
-    b = latent.loadings_hat
-    mean_adjusted = adjusted.mean(axis=1)
-    premium = least_squares(b, mean_adjusted)
-    complement = Projector(b, "complement")
-    projected = complement.apply(adjusted)
-    alpha_hat = projected.mean(axis=1)
-    residuals = projected - alpha_hat[:, None]
-    return _FitBundle(
-        observed_loadings=observed_loadings,
-        adjusted=adjusted,
-        latent=latent,
-        mean_adjusted=mean_adjusted,
-        latent_premium=premium,
-        alpha_hat=alpha_hat,
-        residuals=residuals,
-        n_used=n,
-    )
+    @property
+    def n_periods(self) -> int:
+        """Number of periods of the fitted panel."""
+        return self.residuals.shape[1]
 
 
 def estimate_alpha(
     returns: ReturnPanel,
     factors: FactorPanel,
     rank: Optional[int] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
-    lrv_bandwidth: Optional[float] = None,
-    kernel: Optional[Callable] = None,
-) -> AlphaFit:
+) -> PanelFit:
     """Full three-step alpha estimate.
 
     Parameters
@@ -256,22 +210,29 @@ def estimate_alpha(
     returns, factors
         Time-aligned panels.
     rank
-        Latent rank; estimated by the eigenvalue-ratio rule when None.
-    max_rank
-        Search cap for the automatic rank choice.
-    lrv_bandwidth, kernel
-        Passed to :func:`long_run_variance` for the per-entity long-run
-        variance of the residual rows (bandwidth defaults to n**0.2).
+        Latent rank; estimated by the eigenvalue-ratio rule over at most
+        ``MAX_RANK`` candidates when None.
     """
-    bundle = _fit_pipeline(returns, factors, rank, max_rank)
-    lrv = long_run_variance(bundle.residuals, bandwidth=lrv_bandwidth, kernel=kernel)
-    return AlphaFit(
-        alpha_hat=bundle.alpha_hat,
-        latent=bundle.latent,
-        observed_loadings_hat=bundle.observed_loadings,
-        residuals=bundle.residuals,
-        n_used=bundle.n_used,
-        long_run_variance=lrv,
+    n, r_o = returns.n_periods, factors.n_factors
+    observed_loadings, adjusted = regress_out_observed(returns, factors)
+    cap = min(MAX_RANK, returns.n_entities, n - r_o - 1)
+    if cap < 1:
+        raise DimensionError("panel too short to carry any latent factor")
+    latent = estimate_latent(adjusted, rank=rank, max_rank=cap)
+    b = latent.loadings_hat
+    mean_adjusted = adjusted.mean(axis=1)
+    # least_squares also checks the rank of b, so the QR below sees a full-rank basis.
+    premium = least_squares(b, mean_adjusted)
+    q, _ = np.linalg.qr(b)
+    projected = adjusted - q @ (q.T @ adjusted)
+    alpha_hat = projected.mean(axis=1)
+    return PanelFit(
+        alpha_hat=alpha_hat,
+        latent=latent,
+        residuals=projected - alpha_hat[:, None],
+        mean_adjusted=mean_adjusted,
+        latent_premium=premium,
+        observed_loadings=observed_loadings,
     )
 
 
@@ -284,16 +245,13 @@ def bartlett_kernel(x: np.ndarray) -> np.ndarray:
 def long_run_variance(
     residuals: np.ndarray,
     bandwidth: Optional[float] = None,
-    kernel: Optional[Callable] = None,
 ) -> np.ndarray:
-    """Kernel-weighted long-run variance of each residual row.
+    """Bartlett-kernel long-run variance of each residual row.
 
     Computes ``(1/n) sum_{t1,t2} k((t1-t2)/bandwidth) e_{t1} e_{t2}`` in
-    its O(n * bandwidth) lag-sum form.  The kernel must be even with
-    k(0) = 1 and vanish outside [-1, 1]; the built-in (and default) is
-    the Bartlett kernel, whose positive semidefiniteness guarantees a
-    nonnegative estimate.  Custom kernels that drive an estimate to zero
-    or below are floored at a small positive value with a warning.
+    its O(n * bandwidth) lag-sum form with the Bartlett kernel, whose
+    positive semidefiniteness guarantees a nonnegative estimate.
+    Estimates are floored at 1e-12 so they can divide.
 
     Parameters
     ----------
@@ -311,25 +269,13 @@ def long_run_variance(
     ell = float(bandwidth) if bandwidth is not None else float(n) ** 0.2
     if not 0.0 < ell < n:
         raise ValueError(f"bandwidth must lie in (0, {n}), got {ell}")
-    phi = kernel if kernel is not None else bartlett_kernel
-    custom = kernel is not None
 
     s2 = np.mean(e * e, axis=1)
     max_lag = min(n - 1, int(np.floor(ell)))
     for lag in range(1, max_lag + 1):
-        w = float(phi(lag / ell))
+        w = float(bartlett_kernel(lag / ell))
         if w == 0.0:
             continue
         s2 = s2 + 2.0 * w * np.sum(e[:, lag:] * e[:, :-lag], axis=1) / n
-
-    bad = s2 <= 0.0
-    if np.any(bad):
-        if custom:
-            warnings.warn(
-                f"{int(bad.sum())} long-run variance estimate(s) were not "
-                "positive under the supplied kernel; flooring at 1e-12",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        s2 = np.maximum(s2, 1e-12)
+    s2 = np.maximum(s2, 1e-12)
     return s2[0] if squeeze else s2

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DimensionError, NegativeControlError
-from .estimation import DEFAULT_MAX_RANK, _fit_pipeline, long_run_variance
+from .estimation import PanelFit, estimate_alpha, long_run_variance
 from .linalg import least_squares
 from .panels import FactorPanel, ReturnPanel, check_aligned
 
@@ -28,8 +28,11 @@ __all__ = [
     "FdrMetrics",
     "NegativeControlConfig",
     "chronological_split",
+    "fit_halves",
+    "split_from_fits",
     "split_statistics",
     "select_threshold",
+    "negative_control_from_fit",
     "negative_control_alpha",
     "evaluate",
     "fdp_power",
@@ -60,6 +63,11 @@ class SplitTestResult:
     threshold: Optional[float] = None
     rejected: Optional[np.ndarray] = None
     beta: Optional[float] = None
+
+    @property
+    def statistics(self) -> np.ndarray:
+        """The ranking statistic ``t_prod``, named as on ``PValueResult``."""
+        return self.t_prod
 
     def with_threshold(self, beta: float) -> "SplitTestResult":
         """Copy of this result with the level-``beta`` decision applied."""
@@ -154,16 +162,22 @@ def _combine_split_alphas(
     return t1, t2, t1 * t2
 
 
-def split_statistics(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    rank: Optional[int] = None,
+def fit_halves(
+    returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None
+) -> tuple[PanelFit, PanelFit]:
+    """One three-step fit of each chronological half."""
+    first, second = chronological_split(returns, factors)
+    return estimate_alpha(*first, rank=rank), estimate_alpha(*second, rank=rank)
+
+
+def split_from_fits(
+    halves: tuple[PanelFit, PanelFit],
     studentize: bool = False,
     negative_control: Optional[NegativeControlConfig] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
 ) -> SplitTestResult:
-    """Estimate alphas on each chronological half and form the products.
+    """Split statistics from the fits of the two chronological halves.
 
+    Each half alpha is scaled by the root of the full-sample length.
     With ``studentize`` each half statistic is divided by the square root
     of the long-run variance of that half's residual row.  With
     ``negative_control`` the half alphas are premium-corrected through
@@ -174,30 +188,33 @@ def split_statistics(
         raise ValueError(
             "studentize and negative_control cannot be combined"
         )
-    halves = chronological_split(returns, factors)
-    n_full = returns.n_periods
-
-    alphas, scales = [], []
-    for x_half, f_half in halves:
-        if negative_control is not None:
-            alphas.append(
-                negative_control_alpha(
-                    x_half, f_half, negative_control, rank=rank, max_rank=max_rank
-                )
-            )
-            scales.append(None)
-            continue
-        bundle = _fit_pipeline(x_half, f_half, rank, max_rank)
-        alphas.append(bundle.alpha_hat)
-        if studentize:
-            s2 = long_run_variance(bundle.residuals)
-            scales.append(np.sqrt(np.maximum(s2, 1e-12)))
-        else:
-            scales.append(None)
+    if negative_control is not None:
+        alphas = [negative_control_from_fit(fit, negative_control) for fit in halves]
+    else:
+        alphas = [fit.alpha_hat for fit in halves]
+    if studentize:
+        scales = [np.sqrt(long_run_variance(fit.residuals)) for fit in halves]
+    else:
+        scales = [None, None]
+    n_full = halves[0].n_periods + halves[1].n_periods
     t1, t2, t_prod = _combine_split_alphas(
         alphas[0], alphas[1], n_full, scales[0], scales[1]
     )
     return SplitTestResult(t1=t1, t2=t2, t_prod=t_prod, studentized=studentize)
+
+
+def split_statistics(
+    returns: ReturnPanel,
+    factors: FactorPanel,
+    rank: Optional[int] = None,
+    studentize: bool = False,
+    negative_control: Optional[NegativeControlConfig] = None,
+) -> SplitTestResult:
+    """Estimate alphas on each chronological half and form the products.
+
+    See :func:`split_from_fits` for the refinements.
+    """
+    return split_from_fits(fit_halves(returns, factors, rank), studentize, negative_control)
 
 
 def select_threshold(
@@ -230,13 +247,7 @@ def select_threshold(
     return threshold, rejected
 
 
-def negative_control_alpha(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    config: NegativeControlConfig,
-    rank: Optional[int] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
-) -> np.ndarray:
+def negative_control_from_fit(fit: PanelFit, config: NegativeControlConfig) -> np.ndarray:
     """Premium-corrected alpha estimate using a known-null control set.
 
     The latent risk premium is re-estimated from the control rows alone
@@ -244,19 +255,18 @@ def negative_control_alpha(
     adjusted return of every entity, instead of projecting the loadings
     out.  This removes the dense-alpha bias of the projection estimator.
     """
-    bundle = _fit_pipeline(returns, factors, rank, max_rank)
-    b = bundle.latent.loadings_hat
+    b = fit.latent.loadings_hat
     p = b.shape[0]
-    r_hat = bundle.latent.rank_hat
+    r_hat = fit.latent.rank_hat
 
     if config.mode == "explicit_set":
         control = np.asarray(sorted(set(config.explicit_indices)), dtype=int)
         if control.size and (control[0] < 0 or control[-1] >= p):
             raise NegativeControlError("explicit control indices out of range")
     else:
-        n = returns.n_periods
+        n = fit.n_periods
         gamma = config.gamma_scale * math.log(n) / math.sqrt(n)
-        control = np.flatnonzero(np.abs(bundle.alpha_hat) <= gamma)
+        control = np.flatnonzero(np.abs(fit.alpha_hat) <= gamma)
         if control.size == 0:
             raise NegativeControlError(
                 f"threshold rule left no control entities at gamma={gamma:.4g}; "
@@ -267,8 +277,18 @@ def negative_control_alpha(
             f"control set of size {control.size} cannot identify {r_hat} premia; "
             f"need at least {r_hat + 1} entities"
         )
-    premium = least_squares(b[control], bundle.mean_adjusted[control])
-    return bundle.mean_adjusted - b @ premium
+    premium = least_squares(b[control], fit.mean_adjusted[control])
+    return fit.mean_adjusted - b @ premium
+
+
+def negative_control_alpha(
+    returns: ReturnPanel,
+    factors: FactorPanel,
+    config: NegativeControlConfig,
+    rank: Optional[int] = None,
+) -> np.ndarray:
+    """Premium-corrected alphas of one panel; see :func:`negative_control_from_fit`."""
+    return negative_control_from_fit(estimate_alpha(returns, factors, rank=rank), config)
 
 
 def fdp_power(rejected: Iterable[int], truth: Iterable[int], n_entities: int) -> FdrMetrics:
@@ -298,7 +318,6 @@ def screen_alphas(
     rank: Optional[int] = None,
     studentize: bool = False,
     negative_control: Optional[NegativeControlConfig] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
 ) -> SplitTestResult:
     """Split statistics plus the level-``beta`` decision in one call."""
     stats = split_statistics(
@@ -307,6 +326,5 @@ def screen_alphas(
         rank=rank,
         studentize=studentize,
         negative_control=negative_control,
-        max_rank=max_rank,
     )
     return stats.with_threshold(beta)

@@ -26,9 +26,6 @@ __all__ = [
     "save_returns_csv",
     "load_factors_csv",
     "save_factors_csv",
-    "write_alpha_report",
-    "write_screen_report",
-    "write_pvalue_report",
     "write_metrics_report",
 ]
 
@@ -118,43 +115,6 @@ def save_factors_csv(panel: FactorPanel, path):
     lines = ["period," + ",".join(str(name) for name in panel.names)]
     for t, row in zip(panel.time_index, panel.values):
         lines.append(str(t) + "," + ",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_alpha_report(entity_ids, alpha_hat, long_run_variance, path):
-    """Per-entity alpha estimates: ``entity_id,alpha_hat,long_run_var``."""
-    lines = ["entity_id,alpha_hat,long_run_var"]
-    lrv = long_run_variance if long_run_variance is not None else [""] * len(entity_ids)
-    for eid, a, s2 in zip(entity_ids, alpha_hat, lrv):
-        lines.append(f"{eid},{fmt(a)},{fmt(s2)}" if s2 != "" else f"{eid},{fmt(a)},")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_screen_report(entity_ids, result, path):
-    """Split-statistic screening report plus a metadata comment line."""
-    lines = ["entity_id,t1,t2,t_prod,rejected"]
-    rejected = set(np.atleast_1d(result.rejected).tolist()) if result.rejected is not None else set()
-    for i, eid in enumerate(entity_ids):
-        flag = 1 if i in rejected else 0
-        lines.append(
-            f"{eid},{fmt(result.t1[i])},{fmt(result.t2[i])},{fmt(result.t_prod[i])},{flag}"
-        )
-    threshold = fmt(result.threshold) if result.threshold is not None else ""
-    beta = fmt(result.beta) if result.beta is not None else ""
-    lines.append(f"# threshold={threshold},beta={beta}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_pvalue_report(entity_ids, pvalue_result, rejected, beta, path):
-    """Calibrated-baseline report: statistics, p-values and decisions."""
-    lines = ["entity_id,statistic,p_value,rejected"]
-    rej = set(np.atleast_1d(rejected).tolist())
-    for i, eid in enumerate(entity_ids):
-        flag = 1 if i in rej else 0
-        lines.append(
-            f"{eid},{fmt(pvalue_result.statistics[i])},{fmt(pvalue_result.p_values[i])},{flag}"
-        )
-    lines.append(f"# method={pvalue_result.method},beta={fmt(beta)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,45 +1,22 @@
 """Dense linear-algebra primitives used throughout the estimation pipeline.
 
-Everything here is deterministic and pure.  The solvers deliberately go
-through orthogonal factorizations (QR / symmetric eigendecomposition);
-normal equations are never formed explicitly.
+Everything here is deterministic and pure.  The solver deliberately goes
+through an orthogonal (QR) factorization; normal equations are never
+formed explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 
-from .errors import AsymmetricMatrixError, DimensionError, RankDeficientError
+from .errors import DimensionError, RankDeficientError
 
-__all__ = [
-    "Settings",
-    "settings",
-    "demean_columns",
-    "least_squares",
-    "top_eigenpairs",
-    "Projector",
-]
+__all__ = ["RANK_RTOL", "demean_columns", "least_squares"]
 
-
-@dataclass
-class Settings:
-    """Library-wide numerical tolerances.
-
-    rank_rtol
-        Relative singular-value cutoff below which a design matrix is
-        declared rank deficient.
-    symmetry_rtol
-        Maximum relative asymmetry admitted by the symmetric eigensolver.
-    """
-
-    rank_rtol: float = 1e-10
-    symmetry_rtol: float = 1e-10
-
-
-settings = Settings()
+# Relative singular-value cutoff below which a design matrix is declared
+# rank deficient.
+RANK_RTOL = 1e-10
 
 
 def demean_columns(matrix: np.ndarray) -> np.ndarray:
@@ -73,9 +50,9 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     Raises
     ------
     RankDeficientError
-        If the smallest singular value falls below
-        ``settings.rank_rtol`` times the largest.  The estimated
-        condition number is attached to the exception.
+        If the smallest singular value falls below ``RANK_RTOL`` times
+        the largest.  The estimated condition number is attached to the
+        exception.
     """
     a = np.asarray(design, dtype=float)
     b = np.asarray(response, dtype=float)
@@ -88,7 +65,7 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     if a.shape[0] < a.shape[1]:
         raise DimensionError("design has fewer rows than columns")
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= settings.rank_rtol * sv[0]:
+    if sv[-1] <= RANK_RTOL * sv[0]:
         cond = sv[0] / sv[-1] if sv[-1] > 0 else float("inf")
         raise RankDeficientError(
             f"design is numerically rank deficient (condition ~ {cond:.3e})",
@@ -96,78 +73,3 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
         )
     q, r = np.linalg.qr(a)
     return scipy.linalg.solve_triangular(r, q.T @ b)
-
-
-def top_eigenpairs(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest ``k`` eigenvalues and eigenvectors of a symmetric matrix.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Eigenvalues sorted in descending order, shape (k,); the matching
-        orthonormal eigenvectors as columns, shape (m, k).
-    """
-    s = np.asarray(matrix, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionError("eigensolver input must be square")
-    m = s.shape[0]
-    if not 1 <= k <= m:
-        raise DimensionError(f"k must lie in [1, {m}], got {k}")
-    scale = np.abs(s).max()
-    if scale > 0 and np.abs(s - s.T).max() > settings.symmetry_rtol * scale:
-        raise AsymmetricMatrixError(
-            "input violates the symmetry contract of top_eigenpairs"
-        )
-    evals, evecs = np.linalg.eigh(0.5 * (s + s.T))
-    order = np.argsort(evals)[::-1][:k]
-    return evals[order].copy(), evecs[:, order].copy()
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector onto (or against) the column span of a basis.
-
-    The projector is applied as a composed operation ``Q (Q' x)`` with an
-    orthonormalized basis; the dense n-by-n matrix is never formed.
-
-    kind
-        ``"onto"`` projects into the span, ``"complement"`` annihilates it.
-    """
-
-    basis: np.ndarray
-    kind: str = "onto"
-    _q: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("onto", "complement"):
-            raise ValueError(f"unknown projector kind {self.kind!r}")
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis[:, None]
-        if basis.size == 0:
-            raise DimensionError("projector basis must be non-empty")
-        sv = np.linalg.svd(basis, compute_uv=False)
-        if sv[-1] <= settings.rank_rtol * sv[0]:
-            raise RankDeficientError(
-                "projector basis is rank deficient",
-                condition=sv[0] / sv[-1] if sv[-1] > 0 else float("inf"),
-            )
-        q, _ = np.linalg.qr(basis)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_q", q)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply the projector to a vector or to each column of a matrix."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self._q.shape[0]:
-            raise DimensionError(
-                f"projector acts on length-{self._q.shape[0]} vectors, "
-                f"got leading dimension {x.shape[0]}"
-            )
-        onto = self._q @ (self._q.T @ x)
-        return onto if self.kind == "onto" else x - onto
-
-    def complement(self) -> "Projector":
-        """The projector onto the orthogonal complement of the same basis."""
-        other = "complement" if self.kind == "onto" else "onto"
-        return Projector(self.basis, other)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DimensionError
-from .linalg import demean_columns, settings
+from .linalg import RANK_RTOL, demean_columns
 
 __all__ = ["ReturnPanel", "FactorPanel", "check_aligned"]
 
@@ -105,7 +105,7 @@ class FactorPanel:
             )
         _check_strictly_increasing(self.time_index, "factor panel")
         sv = np.linalg.svd(demean_columns(arr), compute_uv=False)
-        if sv[-1] <= settings.rank_rtol * sv[0]:
+        if sv[-1] <= RANK_RTOL * sv[0]:
             raise DimensionError(
                 "factor columns are linearly dependent after demeaning"
             )

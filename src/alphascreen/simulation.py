@@ -20,17 +20,20 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .baselines import bh_procedure, bh_statistics, sbh_statistics, sn_statistics
+from .baselines import bh_procedure, bh_statistics, sbh_from_fit, sn_from_fit
+from .estimation import PanelFit, estimate_alpha
 from .fdr import (
     NegativeControlConfig,
     fdp_power,
+    fit_halves,
     select_threshold,
-    split_statistics,
+    split_from_fits,
 )
 from .panels import FactorPanel, ReturnPanel
 
@@ -39,16 +42,16 @@ __all__ = [
     "SimulationScenario",
     "PopulationOracle",
     "MetricsReport",
+    "Method",
     "METHODS",
+    "PanelFits",
     "make_alpha",
     "sample_loadings",
-    "toeplitz_error_cov",
     "Ar1CorrelationFactor",
     "garch_factors",
     "arma_mixture_errors",
     "assemble_panel",
     "generate_panel",
-    "run_study",
     "run_study_detailed",
     "table1_normal_scenario",
     "table1_lognormal_scenario",
@@ -57,8 +60,6 @@ __all__ = [
     "global_null_scenario",
     "dense_alpha_scenario",
 ]
-
-METHODS = ("yd", "yd_r", "yd_th", "bh", "sbh", "sn")
 
 ARMA_BURN_IN = 200
 GARCH_BURN_IN = 500
@@ -395,11 +396,6 @@ class Ar1CorrelationFactor:
         return lfilter([1.0], [1.0, -self.rho], x, axis=0)
 
 
-def toeplitz_error_cov(p: int, rho: float) -> Ar1CorrelationFactor:
-    """Square-root factor of the entity covariance ``rho^|i-j|``."""
-    return Ar1CorrelationFactor(size=p, rho=rho)
-
-
 def _garch_series(
     n: int, omega: float, a1: float, b1: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -521,7 +517,7 @@ def generate_panel(
         factors = garch_factors(n, r, scenario.garch_params, scenario.factor_cov, rng)
         raw_errors = arma_mixture_errors(n, p, scenario.arma_mixture, rng=rng)
 
-    errors = toeplitz_error_cov(p, scenario.error_cov_rho).apply(raw_errors)
+    errors = Ar1CorrelationFactor(p, scenario.error_cov_rho).apply(raw_errors)
     sigma_e = np.ones(p)
     if scenario.hetero_variances:
         lo, hi = scenario.hetero_range
@@ -574,40 +570,87 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     )
 
 
-def _method_rows(returns, factors, truth, method, betas, sn_paths, rank=None):
-    p = returns.n_entities
-    rows = []
-    if method in ("yd", "yd_r", "yd_th"):
-        control = NegativeControlConfig(mode="threshold_rule") if method == "yd_th" else None
-        stats = split_statistics(
-            returns, factors, rank=rank,
-            studentize=(method == "yd_r"), negative_control=control,
-        )
-        for beta in betas:
-            _, rejected = select_threshold(stats.t_prod, beta)
-            m = fdp_power(rejected, truth, p)
-            rows.append((method, beta, m.fdp, m.power))
-        return rows
-    if method == "bh":
-        pv = bh_statistics(returns, factors)
-    elif method == "sbh":
-        pv = sbh_statistics(returns, factors, rank=rank)
-    elif method == "sn":
-        pv = sn_statistics(returns, factors, rank=rank, mc_paths=sn_paths)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    for beta in betas:
-        m = fdp_power(bh_procedure(pv.p_values, beta), truth, p)
-        rows.append((method, beta, m.fdp, m.power))
-    return rows
+class PanelFits:
+    """The fits of one panel that the methods share, each made at most once.
+
+    ``full`` fits the whole panel and ``halves`` each chronological
+    half.  Both are made on first use, so a method list that needs only
+    one of them never makes the other.
+    """
+
+    def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
+        self.returns = returns
+        self.factors = factors
+        self.rank = rank
+
+    @cached_property
+    def full(self) -> PanelFit:
+        return estimate_alpha(self.returns, self.factors, rank=self.rank)
+
+    @cached_property
+    def halves(self) -> tuple[PanelFit, PanelFit]:
+        return fit_halves(self.returns, self.factors, self.rank)
 
 
-def _replication_rows(scenario, replication, methods, betas, sn_paths, rank=None):
+def _threshold_rule(result, beta):
+    threshold, rejected = select_threshold(result.t_prod, beta)
+    return rejected, "threshold", threshold
+
+
+def _bh_rule(result, beta):
+    rejected = bh_procedure(result.p_values, beta)
+    p_cutoff = float(result.p_values[rejected].max()) if rejected.size else 0.0
+    return rejected, "p_cutoff", p_cutoff
+
+
+class Method(NamedTuple):
+    """One screening method: a statistic of shared fits and a decision rule.
+
+    statistic
+        ``statistic(fits)`` on a :class:`PanelFits`; returns a
+        ``SplitTestResult`` or a ``PValueResult``.
+    rule
+        ``rule(result, beta)`` returns ``(rejected, cutoff_name, cutoff)``:
+        ``select_threshold`` with its ``threshold``, or ``bh_procedure``
+        with ``p_cutoff``, the largest rejected p-value (0 when none).
+    latent
+        False for a method that fits no latent model; its result then
+        carries its own ``alpha_hat`` and it has no latent rank.
+    """
+
+    statistic: Callable
+    rule: Callable
+    latent: bool = True
+
+
+# The one place where method names are defined and dispatched.
+METHODS = {
+    "yd": Method(lambda fits: split_from_fits(fits.halves), _threshold_rule),
+    "yd_r": Method(lambda fits: split_from_fits(fits.halves, studentize=True), _threshold_rule),
+    "yd_th": Method(
+        lambda fits: split_from_fits(
+            fits.halves, negative_control=NegativeControlConfig(mode="threshold_rule")
+        ),
+        _threshold_rule,
+    ),
+    "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, latent=False),
+    "sbh": Method(lambda fits: sbh_from_fit(fits.full, fits.factors), _bh_rule),
+    "sn": Method(lambda fits: sn_from_fit(fits.full), _bh_rule),
+}
+
+
+def _replication_rows(scenario, replication, methods, betas, rank=None):
     rng = replication_rng(scenario.seed, replication)
     returns, factors, truth, _ = generate_panel(scenario, rng)
+    fits = PanelFits(returns, factors, rank=rank)
     rows = []
-    for method in methods:
-        rows.extend(_method_rows(returns, factors, truth, method, betas, sn_paths, rank=rank))
+    for name in methods:
+        method = METHODS[name]
+        result = method.statistic(fits)
+        for beta in betas:
+            rejected = method.rule(result, beta)[0]
+            m = fdp_power(rejected, truth, returns.n_entities)
+            rows.append((name, beta, m.fdp, m.power))
     return rows
 
 
@@ -617,14 +660,15 @@ def run_study_detailed(
     betas: Sequence[float],
     replications: int,
     parallelism: int = 1,
-    sn_paths: int = 10000,
     rank: Optional[int] = None,
 ) -> tuple[list[MetricsReport], list[tuple], list[tuple]]:
     """Replication study returning reports, per-replication rows and failures.
 
     Replication ``k`` always runs on the generator stream derived from
     ``(scenario.seed, k)``, so results are identical for every
-    ``parallelism`` degree.  A failing replication is recorded and
+    ``parallelism`` degree.  Within a replication the methods share one
+    fit of each chronological half and one of the full panel
+    (:class:`PanelFits`).  A failing replication is recorded and
     skipped; the study continues.
 
     Returns
@@ -638,7 +682,7 @@ def run_study_detailed(
     methods = list(methods)
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     betas = [float(b) for b in betas]
     for b in betas:
         if not 0.0 < b < 1.0:
@@ -651,7 +695,7 @@ def run_study_detailed(
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             futures = {
                 pool.submit(
-                    _replication_rows, scenario, rep, methods, betas, sn_paths, rank
+                    _replication_rows, scenario, rep, methods, betas, rank
                 ): rep
                 for rep in range(replications)
             }
@@ -664,7 +708,7 @@ def run_study_detailed(
     else:
         for rep in range(replications):
             try:
-                per_rep[rep] = _replication_rows(scenario, rep, methods, betas, sn_paths, rank)
+                per_rep[rep] = _replication_rows(scenario, rep, methods, betas, rank)
             except Exception as exc:  # noqa: BLE001 - per-replication isolation
                 failures.append((rep, repr(exc)))
     runtime = time.perf_counter() - start
@@ -714,23 +758,6 @@ def run_study_detailed(
                 )
             )
     return reports, detail_rows, failures
-
-
-def run_study(
-    scenario: SimulationScenario,
-    methods: Sequence[str],
-    betas: Sequence[float],
-    replications: int,
-    parallelism: int = 1,
-    sn_paths: int = 10000,
-    rank: Optional[int] = None,
-) -> list[MetricsReport]:
-    """Replication study aggregated to one report per (method, level)."""
-    reports, _, _ = run_study_detailed(
-        scenario, methods, betas, replications,
-        parallelism=parallelism, sn_paths=sn_paths, rank=rank,
-    )
-    return reports
 
 
 # --- built-in scenarios ------------------------------------------------------

@@ -1,0 +1,54 @@
+import pytest
+
+import alphascreen.baselines
+import alphascreen.fdr
+import alphascreen.simulation
+from alphascreen.baselines import bh_procedure, bh_statistics, sbh_statistics, sn_statistics
+from alphascreen.estimation import estimate_alpha
+from alphascreen.fdr import NegativeControlConfig, select_threshold, split_statistics
+
+
+def _split(**kwargs):
+    def rejected(returns, factors, beta):
+        return select_threshold(split_statistics(returns, factors, **kwargs).t_prod, beta)[1]
+
+    return rejected
+
+
+def _bh(statistic):
+    def rejected(returns, factors, beta):
+        return bh_procedure(statistic(returns, factors).p_values, beta)
+
+    return rejected
+
+
+# Per method, the rejected indices from its public panel-level statistic
+# and decision rule, refitting the panel on every call: the plain
+# reference for the shared-fit method registry.
+REFERENCE_REJECTED = {
+    "yd": _split(),
+    "yd_r": _split(studentize=True),
+    "yd_th": _split(negative_control=NegativeControlConfig(mode="threshold_rule")),
+    "bh": _bh(bh_statistics),
+    "sbh": _bh(sbh_statistics),
+    "sn": _bh(sn_statistics),
+}
+
+
+@pytest.fixture()
+def reference_rejected():
+    return REFERENCE_REJECTED
+
+
+@pytest.fixture()
+def fitted_lengths(monkeypatch):
+    """Period count of every panel or half fitted by ``estimate_alpha``."""
+    lengths = []
+
+    def counting(returns, factors, rank=None):
+        lengths.append(returns.n_periods)
+        return estimate_alpha(returns, factors, rank=rank)
+
+    for module in (alphascreen.baselines, alphascreen.fdr, alphascreen.simulation):
+        monkeypatch.setattr(module, "estimate_alpha", counting)
+    return lengths

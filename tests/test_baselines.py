@@ -87,14 +87,6 @@ class TestNormalCalibration:
         assert np.allclose(result.p_values, 2.0 * stats.norm.sf(np.abs(result.statistics)))
         assert np.all((result.p_values >= 0) & (result.p_values <= 1))
 
-    def test_sbh_hac_variant_differs_under_serial_dependence(self):
-        sc = a.SimulationScenario(n=120, p=60, pi=0.1, nu=0.5, seed=3, temporal_mode="garch_arma")
-        rng = a.simulation.replication_rng(sc.seed, 0)
-        X, F, _, _ = a.generate_panel(sc, rng)
-        plain = sbh_statistics(X, F)
-        hac = sbh_statistics(X, F, hac=True)
-        assert not np.allclose(plain.statistics, hac.statistics)
-
     def test_sbh_mildly_anticonservative_under_normal_design(self):
         # normal i.i.d. design: the plug-in normal calibration runs a little
         # above the nominal level (roughly 7-8 percent at a 5 percent target)

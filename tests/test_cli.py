@@ -7,6 +7,7 @@ from click.testing import CliRunner
 import alphascreen as a
 from alphascreen.cli import main
 from alphascreen.io import load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv
+from alphascreen.simulation import METHODS
 
 
 @pytest.fixture()
@@ -103,26 +104,53 @@ class TestAnalyze:
         save_factors_csv(F, fpath)
         return rpath, fpath, X, F, truth
 
-    def test_round_trip_matches_in_process(self, runner, tmp_path):
+    @pytest.mark.parametrize("method", ["yd", "yd_r", "yd_th", "bh", "sbh", "sn"])
+    def test_round_trip_matches_in_process(self, runner, tmp_path, method, reference_rejected):
         rpath, fpath, X, F, _ = self.make_panel_files(tmp_path)
         out = tmp_path / "out"
         result = runner.invoke(
             main,
             ["analyze", "--returns", str(rpath), "--factors", str(fpath),
-             "--method", "yd", "--beta", "0.2", "--out", str(out)],
+             "--method", method, "--beta", "0.2", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         lines = read(out / "selection.csv").splitlines()
         assert lines[0] == "entity_id,alpha_hat,statistic,rejected"
-        assert lines[-1].startswith("# method=yd")
+        assert lines[-1].startswith(f"# method={method},")
         cli_rejected = {
             row.split(",")[0] for row in lines[1:-1] if row.split(",")[3] == "1"
         }
-        expected = a.screen_alphas(
-            load_returns_csv(rpath), load_factors_csv(fpath), beta=0.2
+        returns, factors = load_returns_csv(rpath), load_factors_csv(fpath)
+        expected = reference_rejected[method](returns, factors, 0.2)
+        assert cli_rejected == {X.entity_ids[i] for i in expected}
+        rank_hat = "" if method == "bh" else a.estimate_alpha(returns, factors).latent.rank_hat
+        assert f",rank_hat={rank_hat}," in lines[-1]
+
+    # Periods of each panel or half that analyze fits on the 60-period panel:
+    # split methods fit both halves, plus the panel for the alpha_hat
+    # column; bh fits no latent model.
+    FITTED_LENGTHS = {
+        "yd": [30, 30, 60], "yd_r": [30, 30, 60], "yd_th": [30, 30, 60],
+        "bh": [], "sbh": [60], "sn": [60],
+    }
+
+    @pytest.mark.parametrize("method", list(FITTED_LENGTHS))
+    def test_fits_each_half_and_the_panel_at_most_once(
+        self, runner, tmp_path, fitted_lengths, method
+    ):
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
+        result = runner.invoke(
+            main,
+            ["analyze", "--returns", str(rpath), "--factors", str(fpath),
+             "--method", method, "--out", str(tmp_path / "out")],
         )
-        expected_ids = {X.entity_ids[i] for i in expected.rejected}
-        assert cli_rejected == expected_ids
+        assert result.exit_code == 0, result.output
+        assert sorted(fitted_lengths) == self.FITTED_LENGTHS[method]
+
+    def test_method_choices_come_from_the_registry(self):
+        for command in ("simulate", "analyze"):
+            option = next(o for o in main.commands[command].params if o.name == "method")
+            assert list(option.type.choices) == list(METHODS)
 
     def test_misaligned_factors_exit_2_names_period(self, runner, tmp_path):
         rpath, fpath, _, F, _ = self.make_panel_files(tmp_path)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from alphascreen.baselines import bh_statistics
 from alphascreen.errors import NoFactorStructureError
 from alphascreen.estimation import (
     bartlett_kernel,
     estimate_alpha,
     estimate_latent,
     long_run_variance,
-    ols_alpha_biased,
     regress_out_observed,
 )
-from alphascreen.linalg import Projector, demean_columns
+from alphascreen.linalg import demean_columns
 from alphascreen.panels import FactorPanel, ReturnPanel
 
 
@@ -37,13 +37,17 @@ def simulate_confounded(
     return returns, fac, b_o, b_c
 
 
+def ols_intercepts(returns, factors):
+    return bh_statistics(returns, factors).alpha_hat
+
+
 class TestOlsAlphaBiased:
     def test_pure_intercept_model(self):
         rng = np.random.default_rng(0)
         c = np.array([0.5, -1.0, 2.0])
         values = np.tile(c[:, None], (1, 12))
         returns, fac = make_panels(values, rng.standard_normal((12, 2)))
-        assert np.allclose(ols_alpha_biased(returns, fac), c, atol=1e-10)
+        assert np.allclose(ols_intercepts(returns, fac), c, atol=1e-10)
 
     def test_noiseless_without_confounders(self):
         rng = np.random.default_rng(1)
@@ -52,7 +56,7 @@ class TestOlsAlphaBiased:
         b = rng.standard_normal((p, r))
         f = rng.standard_normal((n, r))
         returns, fac = make_panels(alpha[:, None] + b @ f.T, f)
-        assert np.abs(ols_alpha_biased(returns, fac) - alpha).max() < 1e-10
+        assert np.abs(ols_intercepts(returns, fac) - alpha).max() < 1e-10
 
     def test_bias_equals_latent_premium_effect(self):
         # with latent factors carrying premium mu, the naive intercept
@@ -63,7 +67,7 @@ class TestOlsAlphaBiased:
         returns, fac, _, b_c = simulate_confounded(
             n, p, r_o=2, r_c=2, alpha=alpha, mu_latent=mu, noise_sd=0.1, seed=7
         )
-        biased = ols_alpha_biased(returns, fac)
+        biased = ols_intercepts(returns, fac)
         expected_bias = b_c @ mu
         assert np.abs(biased - expected_bias).max() < 0.05 * np.abs(expected_bias).max()
 
@@ -181,8 +185,9 @@ class TestEstimateAlpha:
         )
         fit = estimate_alpha(returns, fac, rank=2)
         _, adjusted = regress_out_observed(returns, fac)
-        flipped = Projector(-fit.latent.loadings_hat, "complement")
-        alpha_flipped = flipped.apply(adjusted).mean(axis=1)
+        b = -fit.latent.loadings_hat
+        dense = np.eye(p) - b @ np.linalg.solve(b.T @ b, b.T)
+        alpha_flipped = (dense @ adjusted).mean(axis=1)
         assert np.allclose(alpha_flipped, fit.alpha_hat, atol=1e-10)
 
     def test_residuals_have_zero_row_means(self):
@@ -206,6 +211,25 @@ class TestEstimateAlpha:
         b = fit.latent.loadings_hat
         projected = b.T @ (fit.residuals + fit.alpha_hat[:, None])
         assert np.abs(projected).max() < 1e-8 * np.abs(fit.residuals).max() * p
+
+    def test_projection_matches_dense_reference(self):
+        # alphas, residuals and premium against I - B(B'B)^{-1}B' formed explicitly
+        rng = np.random.default_rng(18)
+        n, p = 50, 30
+        returns, fac, _, _ = simulate_confounded(
+            n, p, r_o=2, r_c=2, alpha=rng.standard_normal(p) * 0.2,
+            mu_latent=np.array([0.4, -0.3]), noise_sd=1.0, seed=19,
+        )
+        fit = estimate_alpha(returns, fac, rank=2)
+        _, adjusted = regress_out_observed(returns, fac)
+        b = fit.latent.loadings_hat
+        projected = (np.eye(p) - b @ np.linalg.solve(b.T @ b, b.T)) @ adjusted
+        alpha = projected.mean(axis=1)
+        assert np.allclose(fit.alpha_hat, alpha, atol=1e-10)
+        assert np.allclose(fit.residuals, projected - alpha[:, None], atol=1e-10)
+        assert np.allclose(fit.mean_adjusted, adjusted.mean(axis=1), atol=1e-12)
+        premium = np.linalg.lstsq(b, adjusted.mean(axis=1), rcond=None)[0]
+        assert np.allclose(fit.latent_premium, premium, atol=1e-10)
 
     def test_subspace_recovery_on_strong_factors(self):
         hits = 0
@@ -256,14 +280,20 @@ class TestLongRunVariance:
         x = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
         assert np.allclose(bartlett_kernel(x), [0.0, 0.0, 0.5, 1.0, 0.5, 0.0, 0.0])
 
-    def test_non_psd_custom_kernel_floors_with_warning(self):
-        def truncated(x):
-            return np.where(np.abs(x) <= 1.0, 1.0, 0.0)
+    def test_matches_double_sum_reference(self):
+        # (1/n) sum_{t1,t2} k((t1-t2)/bandwidth) e_t1 e_t2, formed explicitly
+        rng = np.random.default_rng(21)
+        n = 80
+        rows = rng.standard_normal((5, n))
+        lags = np.subtract.outer(np.arange(n), np.arange(n))
+        for bandwidth in (0.5, 2.4, n**0.2, 10.0):
+            weights = bartlett_kernel(lags / bandwidth)
+            expected = np.einsum("it,ts,is->i", rows, weights, rows) / n
+            out = long_run_variance(rows, bandwidth=bandwidth)
+            assert np.allclose(out, expected, rtol=1e-12, atol=0.0)
 
-        row = np.resize([1.0, -1.0], 60)
-        with pytest.warns(RuntimeWarning, match="flooring"):
-            out = long_run_variance(row, bandwidth=1.5, kernel=truncated)
-        assert out > 0.0
+    def test_zero_row_is_floored(self):
+        assert np.all(long_run_variance(np.zeros((2, 30))) == 1e-12)
 
     def test_bandwidth_bounds(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from alphascreen.fdr import (
     _combine_split_alphas,
     chronological_split,
     evaluate,
+    fit_halves,
     fdp_power,
     negative_control_alpha,
     screen_alphas,
@@ -95,6 +96,16 @@ class TestSplitStatistics:
             meds.append(res.t_prod[truth[0]])
         med = float(np.median(meds))
         assert 9.0 <= med <= 30.0
+
+    def test_half_alphas_scaled_by_full_length(self):
+        # odd n: the halves have 30 and 31 periods, both scaled by sqrt(61)
+        rng = np.random.default_rng(10)
+        returns, fac = make_panels(rng.standard_normal((20, 61)), rng.standard_normal((61, 2)))
+        halves = fit_halves(returns, fac)
+        res = split_statistics(returns, fac)
+        assert [h.n_periods for h in halves] == [30, 31]
+        assert np.array_equal(res.t1, math.sqrt(61) * halves[0].alpha_hat)
+        assert np.array_equal(res.t2, math.sqrt(61) * halves[1].alpha_hat)
 
     def test_studentize_and_control_exclusive(self):
         rng = np.random.default_rng(6)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
 
-from alphascreen.errors import AsymmetricMatrixError, DimensionError, RankDeficientError
-from alphascreen.linalg import Projector, demean_columns, least_squares, top_eigenpairs
+from alphascreen.errors import DimensionError, RankDeficientError
+from alphascreen.linalg import demean_columns, least_squares
 
 
 class TestDemeanColumns:
@@ -66,89 +65,3 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             least_squares(np.ones((5, 1)), np.ones(4))
-
-
-class TestTopEigenpairs:
-    def test_diagonal(self):
-        vals, vecs = top_eigenpairs(np.diag([3.0, 2.0, 1.0]), 2)
-        assert np.allclose(vals, [3.0, 2.0])
-        assert np.allclose(np.abs(vecs), np.eye(3)[:, :2])
-
-    def test_rank_one(self):
-        u = np.array([2.0, 1.0, 0.0])  # squared norm 5
-        vals, vecs = top_eigenpairs(np.outer(u, u), 1)
-        assert np.allclose(vals[0], 5.0)
-        assert np.allclose(np.abs(vecs[:, 0]), np.abs(u) / np.sqrt(5.0))
-
-    def test_full_spectrum_reconstruction(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((10, 10))
-        s = a + a.T
-        vals, vecs = top_eigenpairs(s, 10)
-        recon = (vecs * vals) @ vecs.T
-        assert np.abs(recon - s).max() < 1e-7 * np.abs(s).max()
-
-    def test_descending_and_orthonormal(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 8))
-        vals, vecs = top_eigenpairs(a @ a.T, 5)
-        assert np.all(np.diff(vals) <= 1e-12)
-        assert np.abs(vecs.T @ vecs - np.eye(5)).max() < 1e-8
-
-    def test_eigen_residual(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((12, 12))
-        s = 0.5 * (a + a.T)
-        vals, vecs = top_eigenpairs(s, 4)
-        for lam, v in zip(vals, vecs.T):
-            assert np.abs(s @ v - lam * v).max() < 1e-7 * np.abs(s).max()
-
-    def test_asymmetric_rejected(self):
-        s = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(AsymmetricMatrixError):
-            top_eigenpairs(s, 1)
-
-    def test_orthogonal_conjugation_invariance(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((6, 6))
-        s = a + a.T
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        vals1, _ = top_eigenpairs(s, 6)
-        vals2, _ = top_eigenpairs(q @ s @ q.T, 6)
-        assert np.abs(vals1 - vals2).max() < 1e-8 * np.abs(vals1).max()
-
-
-class TestProjector:
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @hyp_settings(max_examples=25, deadline=None)
-    def test_complementarity_and_idempotence(self, seed):
-        rng = np.random.default_rng(seed)
-        basis = rng.standard_normal((12, 3))
-        onto = Projector(basis, "onto")
-        comp = Projector(basis, "complement")
-        x = rng.standard_normal(12)
-        scale = max(np.abs(x).max(), 1e-12)
-        assert np.abs(onto.apply(x) + comp.apply(x) - x).max() < 1e-10 * scale
-        assert np.abs(onto.apply(onto.apply(x)) - onto.apply(x)).max() < 1e-10 * scale
-        assert np.abs(comp.apply(comp.apply(x)) - comp.apply(x)).max() < 1e-10 * scale
-
-    def test_complement_annihilates_basis(self):
-        rng = np.random.default_rng(13)
-        basis = rng.standard_normal((9, 2))
-        comp = Projector(basis, "complement")
-        assert np.abs(comp.apply(basis)).max() < 1e-10 * np.abs(basis).max()
-
-    def test_complement_constructor(self):
-        rng = np.random.default_rng(14)
-        basis = rng.standard_normal((7, 2))
-        p = Projector(basis, "onto")
-        x = rng.standard_normal(7)
-        assert np.allclose(p.complement().apply(x), x - p.apply(x))
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            Projector(np.ones((4, 1)), "sideways")
-
-    def test_rank_deficient_basis(self):
-        with pytest.raises(RankDeficientError):
-            Projector(np.ones((5, 2)), "onto")

@@ -7,9 +7,6 @@ from alphascreen.io import (
     load_returns_csv,
     save_factors_csv,
     save_returns_csv,
-    write_alpha_report,
-    write_pvalue_report,
-    write_screen_report,
 )
 from alphascreen.panels import FactorPanel, ReturnPanel, check_aligned
 
@@ -126,60 +123,3 @@ class TestCsvRoundTrip:
         path.write_text("time,f1\n1,0.5\n")
         with pytest.raises(ValueError, match="header"):
             load_factors_csv(path)
-
-
-class TestReports:
-    def test_alpha_report_layout(self, tmp_path):
-        path = tmp_path / "alphas.csv"
-        write_alpha_report(["a", "b"], [0.1, -0.2], [1.5, 2.5], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "entity_id,alpha_hat,long_run_var"
-        assert lines[1] == "a,0.1,1.5"
-        assert lines[2] == "b,-0.2,2.5"
-
-    def test_alpha_report_without_variances(self, tmp_path):
-        path = tmp_path / "alphas.csv"
-        write_alpha_report(["a"], [0.25], None, path)
-        assert path.read_text().splitlines()[1] == "a,0.25,"
-
-
-    def test_screen_report_with_metadata_line(self, tmp_path):
-        import alphascreen as a
-
-        t1 = np.array([1.0, -2.0])
-        res = a.SplitTestResult(
-            t1=t1, t2=np.array([3.0, 1.0]), t_prod=np.array([3.0, -2.0]),
-            studentized=False, threshold=3.0, rejected=np.array([0]), beta=0.5,
-        )
-        path = tmp_path / "screen.csv"
-        write_screen_report(["a", "b"], res, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "entity_id,t1,t2,t_prod,rejected"
-        assert lines[1].startswith("a,") and lines[1].endswith(",1")
-        assert lines[2].endswith(",0")
-        assert lines[3] == "# threshold=3.0,beta=0.5"
-
-    def test_screen_report_before_thresholding(self, tmp_path):
-        import alphascreen as a
-
-        res = a.SplitTestResult(
-            t1=np.array([1.0]), t2=np.array([2.0]), t_prod=np.array([2.0]),
-            studentized=True,
-        )
-        path = tmp_path / "screen.csv"
-        write_screen_report(["a"], res, path)
-        assert path.read_text().splitlines()[-1] == "# threshold=,beta="
-
-    def test_pvalue_report_layout(self, tmp_path):
-        import alphascreen as a
-
-        pv = a.PValueResult(
-            p_values=np.array([0.01, 0.8]), statistics=np.array([2.5, 0.3]),
-            method="sbh_normal",
-        )
-        path = tmp_path / "pv.csv"
-        write_pvalue_report(["a", "b"], pv, np.array([0]), 0.1, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "entity_id,statistic,p_value,rejected"
-        assert lines[1] == "a,2.5,0.01,1"
-        assert lines[-1] == "# method=sbh_normal,beta=0.1"

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import alphascreen as a
+from alphascreen.errors import DimensionError
 from alphascreen.simulation import (
+    METHODS,
+    Ar1CorrelationFactor,
     ArmaComponent,
     SimulationScenario,
     _assign_components,
@@ -15,10 +18,8 @@ from alphascreen.simulation import (
     generate_panel,
     make_alpha,
     replication_rng,
-    run_study,
     run_study_detailed,
     sample_loadings,
-    toeplitz_error_cov,
 )
 
 
@@ -73,18 +74,18 @@ class TestToeplitzFactor:
     def test_rho_zero_is_identity(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((50, 3))
-        assert np.array_equal(toeplitz_error_cov(50, 0.0).apply(z), z)
+        assert np.array_equal(Ar1CorrelationFactor(50, 0.0).apply(z), z)
 
     def test_implied_factor_squares_to_toeplitz(self):
         p, rho = 6, 0.5
-        fac = toeplitz_error_cov(p, rho)
+        fac = Ar1CorrelationFactor(p, rho)
         implied = fac.apply(np.eye(p))
         target = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
         assert np.allclose(implied @ implied.T, target, atol=1e-12)
 
     def test_empirical_neighbor_correlations(self):
         rng = np.random.default_rng(5)
-        e = toeplitz_error_cov(100_000, 0.5).apply(rng.standard_normal((100_000, 4)))
+        e = Ar1CorrelationFactor(100_000, 0.5).apply(rng.standard_normal((100_000, 4)))
         flat1 = (e[:-1] * e[1:]).mean()
         flat2 = (e[:-2] * e[2:]).mean()
         assert abs(flat1 - 0.5) < 0.02
@@ -92,7 +93,7 @@ class TestToeplitzFactor:
 
     def test_rho_bounds(self):
         with pytest.raises(ValueError):
-            toeplitz_error_cov(10, 1.0)
+            Ar1CorrelationFactor(10, 1.0)
 
 
 class TestGarch:
@@ -274,8 +275,8 @@ class TestRunStudy:
 
     def test_deterministic_across_parallelism(self):
         sc = self.small_scenario()
-        serial = run_study(sc, ["yd"], [0.2], replications=6, parallelism=1)
-        parallel = run_study(sc, ["yd"], [0.2], replications=6, parallelism=2)
+        serial = run_study_detailed(sc, ["yd"], [0.2], replications=6, parallelism=1)
+        parallel = run_study_detailed(sc, ["yd"], [0.2], replications=6, parallelism=2)
         assert serial == parallel
 
     def test_detail_rows_shape(self):
@@ -289,7 +290,7 @@ class TestRunStudy:
     def test_single_replication_flags_zero_sd(self):
         sc = self.small_scenario()
         with pytest.warns(RuntimeWarning, match="single-replication"):
-            reports = run_study(sc, ["yd"], [0.2], replications=1)
+            reports, _, _ = run_study_detailed(sc, ["yd"], [0.2], replications=1)
         assert reports[0].sd_fdr == 0.0 and reports[0].sd_power == 0.0
 
     def test_replication_failure_is_isolated(self, monkeypatch):
@@ -311,4 +312,36 @@ class TestRunStudy:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
-            run_study(self.small_scenario(), ["nope"], [0.1], 2)
+            run_study_detailed(self.small_scenario(), ["nope"], [0.1], 2)
+
+    def test_detail_rows_match_per_method_reference(self, reference_rejected):
+        # the shared-fit runner against each method's public panel-level
+        # statistic and decision rule, refitting the panel every time
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
+        betas = [0.1, 0.2]
+        _, detail, failures = run_study_detailed(sc, list(reference_rejected), betas, 3)
+        assert failures == []
+        expected = []
+        for rep in range(3):
+            X, F, truth, _ = generate_panel(sc, replication_rng(sc.seed, rep))
+            for method, rejected in reference_rejected.items():
+                for beta in betas:
+                    m = a.fdp_power(rejected(X, F, beta), truth, sc.p)
+                    expected.append((method, beta, rep, m.fdp, m.power))
+        assert detail == expected
+
+    def test_one_fit_per_half_and_one_full_fit(self, fitted_lengths):
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
+        run_study_detailed(sc, list(METHODS), [0.1, 0.2], 2)
+        assert sorted(fitted_lengths) == [30] * 4 + [60] * 2  # per replication: two halves, one panel
+
+    def test_fits_only_what_the_methods_need(self):
+        # rank 40 exceeds the 26 usable eigenvalues of a 30-period half, so
+        # any half fit fails; the full-panel methods must never make one
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=32)
+        _, detail, failures = run_study_detailed(sc, ["bh", "sbh"], [0.1], 2, rank=40)
+        assert failures == [] and len(detail) == 4
+        with pytest.warns(RuntimeWarning, match="2 of 2 replications failed"):
+            _, detail, failures = run_study_detailed(sc, ["yd"], [0.1], 2, rank=40)
+        assert detail == [] and len(failures) == 2
+        assert all(DimensionError.__name__ in message for _, message in failures)
