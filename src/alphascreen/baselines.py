@@ -39,7 +39,9 @@ __all__ = [
     "bh_statistics",
     "sbh_from_fit",
     "sbh_statistics",
+    "SN_MC_PATHS",
     "sn_from_fit",
+    "sn_limit_tables",
     "sn_statistics",
 ]
 
@@ -167,8 +169,11 @@ def sbh_statistics(
 
 # --- self-normalized calibration -------------------------------------------
 
+SN_MC_PATHS = 10000
 _SN_TABLE_SEED = 714025
 _SN_GRID = 1000
+_SN_CHUNK_PATHS = 250
+# (paths, grid) -> table; a study's pool workers receive the parent's entries.
 _sn_table_cache: dict = {}
 
 
@@ -178,23 +183,36 @@ def _sn_limit_table(mc_paths: int, grid: int = _SN_GRID) -> np.ndarray:
     The limit is W(1)^2 over the integrated squared Brownian bridge,
     discretized on ``grid`` points.  Built once per (paths, grid) pair
     from a fixed internal seed and cached, so repeated calls see the
-    identical table.
+    identical table.  Paths are drawn and reduced ``_SN_CHUNK_PATHS``
+    rows at a time, in the order of one ``(paths, grid)`` draw, which
+    keeps the temporaries small and the table bit-identical to a
+    one-shot build.
     """
     key = (int(mc_paths), int(grid))
     table = _sn_table_cache.get(key)
     if table is None:
+        paths, grid = key
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=_SN_TABLE_SEED, spawn_key=key)
         )
-        increments = rng.standard_normal((key[0], key[1])) / math.sqrt(key[1])
-        w = np.cumsum(increments, axis=1)
-        w1 = w[:, -1]
-        frac = np.arange(1, key[1] + 1) / key[1]
-        bridge = w - frac[None, :] * w1[:, None]
-        v = np.mean(bridge * bridge, axis=1)
-        table = np.sort(w1 * w1 / v)
+        frac = np.arange(1, grid + 1) / grid
+        ratios = np.empty(paths)
+        for start in range(0, paths, _SN_CHUNK_PATHS):
+            rows = min(_SN_CHUNK_PATHS, paths - start)
+            increments = rng.standard_normal((rows, grid)) / math.sqrt(grid)
+            w = np.cumsum(increments, axis=1)
+            w1 = w[:, -1]
+            bridge = w - frac[None, :] * w1[:, None]
+            v = np.mean(bridge * bridge, axis=1)
+            ratios[start:start + rows] = w1 * w1 / v
+        table = np.sort(ratios)
         _sn_table_cache[key] = table
     return table
+
+
+def sn_limit_tables(mc_paths) -> dict:
+    """The cache entries of the SN limit tables for each path count, built if missing."""
+    return {(int(m), _SN_GRID): _sn_limit_table(m) for m in mc_paths}
 
 
 def sn_test_rows(rows: np.ndarray) -> np.ndarray:
@@ -217,7 +235,7 @@ def sn_test_rows(rows: np.ndarray) -> np.ndarray:
     return n * mean * mean / v
 
 
-def sn_pvalues(statistics: np.ndarray, mc_paths: int = 10000) -> np.ndarray:
+def sn_pvalues(statistics: np.ndarray, mc_paths: int = SN_MC_PATHS) -> np.ndarray:
     """Upper-tail p-values of self-normalized statistics under the limit law."""
     if mc_paths < 1000:
         raise ValueError("mc_paths must be at least 1000")
@@ -227,7 +245,7 @@ def sn_pvalues(statistics: np.ndarray, mc_paths: int = 10000) -> np.ndarray:
     return (1.0 + n_ge) / (table.size + 1.0)
 
 
-def sn_from_fit(fit: PanelFit, mc_paths: int = 10000) -> PValueResult:
+def sn_from_fit(fit: PanelFit, mc_paths: int = SN_MC_PATHS) -> PValueResult:
     """Self-normalized test of each alpha of a fitted panel.
 
     The per-period alpha contributions (latent-projected adjusted
@@ -245,7 +263,7 @@ def sn_statistics(
     returns: ReturnPanel,
     factors: FactorPanel,
     rank: Optional[int] = None,
-    mc_paths: int = 10000,
+    mc_paths: int = SN_MC_PATHS,
 ) -> PValueResult:
     """Self-normalized test of each alpha; see :func:`sn_from_fit`."""
     return sn_from_fit(estimate_alpha(returns, factors, rank=rank), mc_paths=mc_paths)

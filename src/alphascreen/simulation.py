@@ -15,18 +15,29 @@ through the scenario.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy
 from scipy.signal import lfilter
 
-from .baselines import bh_procedure, bh_statistics, sbh_from_fit, sn_from_fit
+from . import baselines
+from .baselines import (
+    SN_MC_PATHS,
+    bh_procedure,
+    bh_statistics,
+    sbh_from_fit,
+    sn_from_fit,
+    sn_limit_tables,
+)
 from .estimation import PanelFit, estimate_alpha
 from .fdr import (
     NegativeControlConfig,
@@ -616,11 +627,15 @@ class Method(NamedTuple):
     latent
         False for a method that fits no latent model; its result then
         carries its own ``alpha_hat`` and it has no latent rank.
+    sn_paths
+        Path count of the SN limit table the statistic reads, if any; a
+        parallel study builds that table once, before its pool starts.
     """
 
     statistic: Callable
     rule: Callable
     latent: bool = True
+    sn_paths: Optional[int] = None
 
 
 # The one place where method names are defined and dispatched.
@@ -635,8 +650,49 @@ METHODS = {
     ),
     "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, latent=False),
     "sbh": Method(lambda fits: sbh_from_fit(fits.full, fits.factors), _bh_rule),
-    "sn": Method(lambda fits: sn_from_fit(fits.full), _bh_rule),
+    "sn": Method(
+        lambda fits: sn_from_fit(fits.full, mc_paths=SN_MC_PATHS), _bh_rule, sn_paths=SN_MC_PATHS
+    ),
 }
+
+
+# numpy and scipy wheels each bundle an OpenBLAS in ``<package>.libs``;
+# numpy's has 64-bit integers and a ``64_`` symbol suffix.
+_OPENBLAS_DIRS = tuple(
+    Path(package.__file__).parent.with_name(f"{package.__name__}.libs") for package in (np, scipy)
+)
+
+
+def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
+    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS found."""
+    controls = []
+    for path in sorted(p for d in _OPENBLAS_DIRS for p in d.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+def _init_worker(sn_tables: dict) -> None:
+    """Start-up of a study pool worker.
+
+    Caps each bundled OpenBLAS at one thread, so that the workers do not
+    oversubscribe the cores, and installs the SN limit tables the parent
+    built, so that no worker builds one again.  Without a bundled
+    OpenBLAS the BLAS settings are left alone.
+    """
+    for set_threads, _ in _openblas_thread_controls():
+        set_threads(1)
+    baselines._sn_table_cache.update(sn_tables)
 
 
 def _replication_rows(scenario, replication, methods, betas, rank=None):
@@ -671,6 +727,11 @@ def run_study_detailed(
     (:class:`PanelFits`).  A failing replication is recorded and
     skipped; the study continues.
 
+    A parallel study runs ``min(parallelism, replications)`` pool
+    workers, each with one BLAS thread and the SN limit tables built
+    once here (see :func:`_init_worker`); a serial study keeps the
+    caller's BLAS settings.
+
     Returns
     -------
     (reports, detail_rows, failures)
@@ -691,8 +752,14 @@ def run_study_detailed(
     start = time.perf_counter()
     per_rep: list = [None] * replications
     failures: list[tuple] = []
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, replications)
+    if workers > 1:
+        sn_paths = {METHODS[m].sn_paths for m in methods} - {None}
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(sn_limit_tables(sn_paths),),
+        ) as pool:
             futures = {
                 pool.submit(
                     _replication_rows, scenario, rep, methods, betas, rank

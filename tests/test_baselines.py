@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import alphascreen as a
+import alphascreen.baselines
 from alphascreen.baselines import (
     _sn_limit_table,
     bh_procedure,
@@ -15,6 +18,19 @@ from alphascreen.baselines import (
 )
 from alphascreen.errors import DegenerateNormalizerError
 from alphascreen.panels import FactorPanel, ReturnPanel
+
+
+def one_shot_sn_table(mc_paths, grid=1000):
+    """The SN limit table drawn and reduced in one (paths, grid) block: the
+    plain reference for the chunked build."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=714025, spawn_key=(mc_paths, grid)))
+    increments = rng.standard_normal((mc_paths, grid)) / math.sqrt(grid)
+    w = np.cumsum(increments, axis=1)
+    w1 = w[:, -1]
+    frac = np.arange(1, grid + 1) / grid
+    bridge = w - frac[None, :] * w1[:, None]
+    v = np.mean(bridge * bridge, axis=1)
+    return np.sort(w1 * w1 / v)
 
 
 def make_panels(values, factors):
@@ -121,6 +137,12 @@ class TestSelfNormalized:
         assert t1 is t2
         assert t1.size == 2000
         assert np.all(np.diff(t1) >= 0)
+
+    @pytest.mark.parametrize("mc_paths", [2000, 1001])
+    def test_chunked_limit_table_equals_one_shot_build(self, mc_paths, monkeypatch):
+        # 1001 paths leave a final chunk of one path
+        monkeypatch.setattr(alphascreen.baselines, "_sn_table_cache", {})
+        assert np.array_equal(_sn_limit_table(mc_paths), one_shot_sn_table(mc_paths))
 
     def test_mc_paths_floor(self):
         with pytest.raises(ValueError):

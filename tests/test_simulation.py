@@ -1,7 +1,12 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 import alphascreen as a
+import alphascreen.baselines as baselines
+import alphascreen.simulation as sim
 from alphascreen.errors import DimensionError
 from alphascreen.simulation import (
     METHODS,
@@ -275,9 +280,26 @@ class TestRunStudy:
 
     def test_deterministic_across_parallelism(self):
         sc = self.small_scenario()
-        serial = run_study_detailed(sc, ["yd"], [0.2], replications=6, parallelism=1)
-        parallel = run_study_detailed(sc, ["yd"], [0.2], replications=6, parallelism=2)
+        serial = run_study_detailed(sc, list(METHODS), [0.2], replications=6, parallelism=1)
+        parallel = run_study_detailed(sc, list(METHODS), [0.2], replications=6, parallelism=2)
+        assert serial[2] == []
         assert serial == parallel
+
+    def test_pool_size_and_sn_tables_follow_the_study(self, monkeypatch):
+        pools = []
+
+        def recording(max_workers, **kwargs):
+            pools.append((max_workers, set(kwargs["initargs"][0])))
+            return ProcessPoolExecutor(max_workers, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording)
+        sc = self.small_scenario()
+        run_study_detailed(sc, ["yd"], [0.2], replications=2, parallelism=8)
+        run_study_detailed(sc, ["bh", "sn"], [0.2], replications=3, parallelism=2)
+        with pytest.warns(RuntimeWarning, match="single-replication"):
+            run_study_detailed(sc, ["sn"], [0.2], replications=1, parallelism=8)
+        sn_key = (METHODS["sn"].sn_paths, baselines._SN_GRID)
+        assert pools == [(2, set()), (2, {sn_key})]
 
     def test_detail_rows_shape(self):
         sc = self.small_scenario()
@@ -345,3 +367,46 @@ class TestRunStudy:
             _, detail, failures = run_study_detailed(sc, ["yd"], [0.1], 2, rank=40)
         assert detail == [] and len(failures) == 2
         assert all(DimensionError.__name__ in message for _, message in failures)
+
+
+def _thread_counts():
+    return [get() for _, get in sim._openblas_thread_controls()]
+
+
+def _worker_probe(key):
+    """Run in a pool worker: whether the SN table was installed before any
+    call, the table the worker then uses, and each OpenBLAS thread count."""
+    installed = key in baselines._sn_table_cache
+    return installed, baselines._sn_limit_table(*key), _thread_counts()
+
+
+class TestPoolWorker:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_one_blas_thread_and_the_parents_sn_table(self, start_method, monkeypatch):
+        key = (1000, baselines._SN_GRID)
+        table = baselines._sn_limit_table(*key)
+        # the parent forgets its table, so a forked worker inherits none
+        monkeypatch.setattr(baselines, "_sn_table_cache", {})
+        parent_threads = _thread_counts()
+        with ProcessPoolExecutor(
+            1,
+            mp_context=multiprocessing.get_context(start_method),
+            initializer=sim._init_worker,
+            initargs=({key: table},),
+        ) as pool:
+            installed, worker_table, worker_threads = pool.submit(_worker_probe, key).result(timeout=120)
+        assert installed
+        assert np.array_equal(worker_table, table)
+        assert worker_threads == [1, 1]  # numpy's and scipy's bundled OpenBLAS
+        assert _thread_counts() == parent_threads  # the parent keeps its settings
+
+    def test_initializer_without_openblas_is_a_no_op(self, tmp_path, monkeypatch):
+        before = _thread_counts()
+        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
+        monkeypatch.setattr(sim, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
+        monkeypatch.setattr(baselines, "_sn_table_cache", {})
+        assert sim._openblas_thread_controls() == []
+        sim._init_worker({})
+        assert baselines._sn_table_cache == {}
+        monkeypatch.undo()
+        assert _thread_counts() == before
