@@ -23,6 +23,7 @@ from .simulation import (
     PanelFits,
     SimulationScenario,
     generate_panel,
+    one_blas_thread,
     replication_rng,
     run_study_detailed,
     table1_lognormal_scenario,
@@ -170,12 +171,13 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     spec = METHODS[method]
     fits = PanelFits(returns, factors, rank=rank)
     try:
-        result = spec.statistic(fits)
-        rejected, cutoff_name, cutoff = spec.rule(result, beta)
-        if spec.latent:
-            alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
-        else:
-            alpha_hat, rank_hat = result.alpha_hat, ""
+        with one_blas_thread():
+            result = spec.statistic(fits)
+            rejected, cutoff_name, cutoff = spec.rule(result, beta)
+            if spec.latent:
+                alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
+            else:
+                alpha_hat, rank_hat = result.alpha_hat, ""
     except AlphascreenError as exc:
         raise click.ClickException(str(exc)) from None
 

@@ -20,6 +20,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -682,13 +683,35 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
     return controls
 
 
+@contextmanager
+def one_blas_thread():
+    """Run the block with each bundled OpenBLAS at one thread.
+
+    numpy and scipy each start their own OpenBLAS thread pool, and the
+    two pools contend for the cores when calls into both alternate, as
+    they do in every fit.  Each library's thread count is saved and
+    restored on exit, also when the block raises.  Without a bundled
+    OpenBLAS nothing is done.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
+
+
 def _init_worker(sn_tables: dict) -> None:
     """Start-up of a study pool worker.
 
-    Caps each bundled OpenBLAS at one thread, so that the workers do not
-    oversubscribe the cores, and installs the SN limit tables the parent
-    built, so that no worker builds one again.  Without a bundled
-    OpenBLAS the BLAS settings are left alone.
+    Caps each bundled OpenBLAS at one thread for the life of the worker,
+    as :func:`one_blas_thread` does for a serial study, so that the
+    workers do not oversubscribe the cores, and installs the SN limit
+    tables the parent built, so that no worker builds one again.
+    Without a bundled OpenBLAS the BLAS settings are left alone.
     """
     for set_threads, _ in _openblas_thread_controls():
         set_threads(1)
@@ -727,10 +750,12 @@ def run_study_detailed(
     (:class:`PanelFits`).  A failing replication is recorded and
     skipped; the study continues.
 
-    A parallel study runs ``min(parallelism, replications)`` pool
-    workers, each with one BLAS thread and the SN limit tables built
-    once here (see :func:`_init_worker`); a serial study keeps the
-    caller's BLAS settings.
+    Every replication runs its BLAS at one thread.  A parallel study
+    runs ``min(parallelism, replications)`` pool workers, each capped
+    for its lifetime and given the SN limit tables built once here (see
+    :func:`_init_worker`).  A serial study caps the caller's BLAS for
+    the loop only (see :func:`one_blas_thread`) and restores its thread
+    counts afterwards.
 
     Returns
     -------
@@ -773,11 +798,12 @@ def run_study_detailed(
                 except Exception as exc:  # noqa: BLE001 - per-replication isolation
                     failures.append((rep, repr(exc)))
     else:
-        for rep in range(replications):
-            try:
-                per_rep[rep] = _replication_rows(scenario, rep, methods, betas, rank)
-            except Exception as exc:  # noqa: BLE001 - per-replication isolation
-                failures.append((rep, repr(exc)))
+        with one_blas_thread():
+            for rep in range(replications):
+                try:
+                    per_rep[rep] = _replication_rows(scenario, rep, methods, betas, rank)
+                except Exception as exc:  # noqa: BLE001 - per-replication isolation
+                    failures.append((rep, repr(exc)))
     runtime = time.perf_counter() - start
 
     if failures:

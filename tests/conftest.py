@@ -52,3 +52,17 @@ def fitted_lengths(monkeypatch):
     for module in (alphascreen.baselines, alphascreen.fdr, alphascreen.simulation):
         monkeypatch.setattr(module, "estimate_alpha", counting)
     return lengths
+
+
+@pytest.fixture()
+def caller_blas_threads():
+    """Set each bundled OpenBLAS to two threads, so that a cap to one shows
+    and a count left at one is caught; the process's own counts come back
+    after the test.  Yields the counts set."""
+    controls = alphascreen.simulation._openblas_thread_controls()
+    saved = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(2)
+    yield [2] * len(controls)
+    for (set_threads, _), count in zip(controls, saved):
+        set_threads(count)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from click.testing import CliRunner
 import alphascreen as a
 from alphascreen.cli import main
 from alphascreen.io import load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv
-from alphascreen.simulation import METHODS
+from alphascreen.simulation import METHODS, _openblas_thread_controls
 
 
 @pytest.fixture()
@@ -146,6 +150,39 @@ class TestAnalyze:
         )
         assert result.exit_code == 0, result.output
         assert sorted(fitted_lengths) == self.FITTED_LENGTHS[method]
+
+    def test_selection_independent_of_the_environments_blas_threads(self, tmp_path):
+        """``selection.csv`` is the same byte for byte whether the environment
+        caps OpenBLAS at one thread or leaves its thread count unset.  On a
+        1-CPU host OpenBLAS starts one thread either way, so there this
+        check cannot tell the two cases apart."""
+        scenario = a.SimulationScenario(n=200, p=1000, pi=0.1, nu=0.3, seed=33)
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path, scenario)
+        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(a.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        selections = []
+        for i, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / f"out{i}"
+            subprocess.run(
+                [sys.executable, "-m", "alphascreen.cli", "analyze", "--returns", str(rpath),
+                 "--factors", str(fpath), "--method", "yd", "--out", str(out)],
+                env={**env, **extra}, check=True, capture_output=True, timeout=120,
+            )
+            selections.append((out / "selection.csv").read_bytes())
+        assert selections[0] == selections[1]
+
+    def test_leaves_the_callers_blas_threads(self, runner, tmp_path, caller_blas_threads):
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
+        result = runner.invoke(
+            main,
+            ["analyze", "--returns", str(rpath), "--factors", str(fpath),
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 0, result.output
+        assert [get() for _, get in _openblas_thread_controls()] == caller_blas_threads
 
     def test_method_choices_come_from_the_registry(self):
         for command in ("simulate", "analyze"):

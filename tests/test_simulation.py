@@ -380,6 +380,63 @@ def _worker_probe(key):
     return installed, baselines._sn_limit_table(*key), _thread_counts()
 
 
+class _Interrupt(BaseException):
+    """Escapes the per-replication isolation, as an interrupt would."""
+
+
+class TestSerialBlasThreads:
+    def probe(self, monkeypatch, raises=None):
+        """Add a method ``probe`` that records the BLAS thread counts each
+        replication runs at, then computes ``yd`` or raises."""
+        seen = []
+
+        def statistic(fits):
+            seen.append(_thread_counts())
+            if raises is not None:
+                raise raises
+            return METHODS["yd"].statistic(fits)
+
+        probe = METHODS["yd"]._replace(statistic=statistic)
+        monkeypatch.setattr(sim, "METHODS", {**METHODS, "probe": probe})
+        return seen
+
+    def test_one_thread_in_every_replication_then_the_callers_count(
+        self, monkeypatch, caller_blas_threads
+    ):
+        seen = self.probe(monkeypatch)
+        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+        _, _, failures = run_study_detailed(sc, ["probe"], [0.2], replications=3)
+        assert failures == []
+        assert seen == [[1, 1]] * 3  # numpy's and scipy's bundled OpenBLAS
+        assert _thread_counts() == caller_blas_threads
+
+    @pytest.mark.parametrize(
+        "raises", [RuntimeError("isolated"), _Interrupt()], ids=["isolated", "escaping"]
+    )
+    def test_callers_count_restored_when_a_replication_raises(
+        self, monkeypatch, caller_blas_threads, raises
+    ):
+        seen = self.probe(monkeypatch, raises=raises)
+        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+        expected = (
+            pytest.raises(_Interrupt)
+            if isinstance(raises, _Interrupt)
+            else pytest.warns(RuntimeWarning, match="2 of 2 replications failed")
+        )
+        with expected:
+            run_study_detailed(sc, ["probe"], [0.2], replications=2)
+        assert seen and all(counts == [1, 1] for counts in seen)
+        assert _thread_counts() == caller_blas_threads
+
+    def test_no_op_without_openblas(self, tmp_path, monkeypatch, caller_blas_threads):
+        controls = sim._openblas_thread_controls()
+        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
+        monkeypatch.setattr(sim, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
+        with sim.one_blas_thread():
+            assert [get() for _, get in controls] == caller_blas_threads
+        assert [get() for _, get in controls] == caller_blas_threads
+
+
 class TestPoolWorker:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_one_blas_thread_and_the_parents_sn_table(self, start_method, monkeypatch):
