@@ -9,7 +9,10 @@ statistic providers feed it:
   plug-in premium terms of the i.i.d. asymptotic variance).
 * ``sn_statistics`` — self-normalized statistics whose normalizer is
   built from recursive partial sums of the residual row, calibrated
-  against the simulated law of the limiting Brownian functional.
+  against the simulated law of the limiting Brownian functional (Shao
+  2010).  That law depends on nothing but a fixed seed, so its table
+  ships with the package as ``sn_limit_table.npy`` and every process
+  loads it on first use.
 
 ``bh_statistics`` additionally exposes the naive per-entity OLS t-test
 (no latent adjustment) as the plain-BH reference point.
@@ -20,8 +23,10 @@ statistic providers feed it:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -41,7 +46,6 @@ __all__ = [
     "sbh_statistics",
     "SN_MC_PATHS",
     "sn_from_fit",
-    "sn_limit_tables",
     "sn_statistics",
 ]
 
@@ -170,49 +174,28 @@ def sbh_statistics(
 # --- self-normalized calibration -------------------------------------------
 
 SN_MC_PATHS = 10000
-_SN_TABLE_SEED = 714025
-_SN_GRID = 1000
-_SN_CHUNK_PATHS = 250
-# (paths, grid) -> table; a study's pool workers receive the parent's entries.
-_sn_table_cache: dict = {}
+_SN_TABLE_FILE = Path(__file__).with_name("sn_limit_table.npy")
 
 
-def _sn_limit_table(mc_paths: int, grid: int = _SN_GRID) -> np.ndarray:
+@functools.cache
+def _sn_limit_table() -> np.ndarray:
     """Sorted Monte-Carlo draws of the limiting self-normalized ratio.
 
     The limit is W(1)^2 over the integrated squared Brownian bridge,
-    discretized on ``grid`` points.  Built once per (paths, grid) pair
-    from a fixed internal seed and cached, so repeated calls see the
-    identical table.  Paths are drawn and reduced ``_SN_CHUNK_PATHS``
-    rows at a time, in the order of one ``(paths, grid)`` draw, which
-    keeps the temporaries small and the table bit-identical to a
-    one-shot build.
+    discretized on 1000 points; the table holds ``SN_MC_PATHS`` draws
+    from a fixed seed.  It ships as package data and is loaded on first
+    use, read-only; ``tests/test_baselines.py`` rebuilds it and checks
+    the shipped file.
     """
-    key = (int(mc_paths), int(grid))
-    table = _sn_table_cache.get(key)
-    if table is None:
-        paths, grid = key
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=_SN_TABLE_SEED, spawn_key=key)
-        )
-        frac = np.arange(1, grid + 1) / grid
-        ratios = np.empty(paths)
-        for start in range(0, paths, _SN_CHUNK_PATHS):
-            rows = min(_SN_CHUNK_PATHS, paths - start)
-            increments = rng.standard_normal((rows, grid)) / math.sqrt(grid)
-            w = np.cumsum(increments, axis=1)
-            w1 = w[:, -1]
-            bridge = w - frac[None, :] * w1[:, None]
-            v = np.mean(bridge * bridge, axis=1)
-            ratios[start:start + rows] = w1 * w1 / v
-        table = np.sort(ratios)
-        _sn_table_cache[key] = table
+    table = np.load(_SN_TABLE_FILE)
+    table.flags.writeable = False
     return table
 
 
-def sn_limit_tables(mc_paths) -> dict:
-    """The cache entries of the SN limit tables for each path count, built if missing."""
-    return {(int(m), _SN_GRID): _sn_limit_table(m) for m in mc_paths}
+def _check_mc_paths(mc_paths: int) -> None:
+    # Only the shipped table exists; the keyword remains for callers that name it.
+    if mc_paths != SN_MC_PATHS:
+        raise ValueError(f"mc_paths must be {SN_MC_PATHS}, the size of the shipped table")
 
 
 def sn_test_rows(rows: np.ndarray) -> np.ndarray:
@@ -236,16 +219,19 @@ def sn_test_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def sn_pvalues(statistics: np.ndarray, mc_paths: int = SN_MC_PATHS) -> np.ndarray:
-    """Upper-tail p-values of self-normalized statistics under the limit law."""
-    if mc_paths < 1000:
-        raise ValueError("mc_paths must be at least 1000")
-    table = _sn_limit_table(mc_paths)
+    """Upper-tail p-values of self-normalized statistics under the limit law.
+
+    The law is the shipped table of ``SN_MC_PATHS`` draws; ``mc_paths``
+    must equal that size.
+    """
+    _check_mc_paths(mc_paths)
+    table = _sn_limit_table()
     stat = np.asarray(statistics, dtype=float)
     n_ge = table.size - np.searchsorted(table, stat, side="left")
     return (1.0 + n_ge) / (table.size + 1.0)
 
 
-def sn_from_fit(fit: PanelFit, mc_paths: int = SN_MC_PATHS) -> PValueResult:
+def sn_from_fit(fit: PanelFit) -> PValueResult:
     """Self-normalized test of each alpha of a fitted panel.
 
     The per-period alpha contributions (latent-projected adjusted
@@ -255,7 +241,7 @@ def sn_from_fit(fit: PanelFit, mc_paths: int = SN_MC_PATHS) -> PValueResult:
     """
     contributions = fit.residuals + fit.alpha_hat[:, None]
     stat = sn_test_rows(contributions)
-    p = sn_pvalues(stat, mc_paths=mc_paths)
+    p = sn_pvalues(stat)
     return PValueResult(p_values=p, statistics=stat, method="sn_calibrated")
 
 
@@ -265,5 +251,9 @@ def sn_statistics(
     rank: Optional[int] = None,
     mc_paths: int = SN_MC_PATHS,
 ) -> PValueResult:
-    """Self-normalized test of each alpha; see :func:`sn_from_fit`."""
-    return sn_from_fit(estimate_alpha(returns, factors, rank=rank), mc_paths=mc_paths)
+    """Self-normalized test of each alpha; see :func:`sn_from_fit`.
+
+    ``mc_paths`` must equal ``SN_MC_PATHS``, as in :func:`sn_pvalues`.
+    """
+    _check_mc_paths(mc_paths)
+    return sn_from_fit(estimate_alpha(returns, factors, rank=rank))

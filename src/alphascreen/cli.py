@@ -230,11 +230,12 @@ def replicate_table(table, nu, reps, seed, threads, output_dir):
     rows = []
     for label, nu_val, scenario in _table_scenarios(table, nus, seed):
         try:
-            reports, _, _ = run_study_detailed(
+            reports, _, failures = run_study_detailed(
                 scenario, _TABLE_METHODS, _TABLE_BETAS, reps, parallelism=threads
             )
         except AlphascreenError as exc:
             raise click.ClickException(str(exc)) from None
+        click.echo(f"{label} nu={nu_val:g}: {len(failures)} of {reps} replications failed", err=True)
         by_method: dict = {}
         for r in reports:
             by_method.setdefault(r.method, []).append(r)

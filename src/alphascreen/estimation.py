@@ -50,9 +50,6 @@ class LatentFit:
         so its largest-magnitude entry is positive.
     rank_hat
         Number of latent factors retained.
-    eigenvalues
-        Descending spectrum of the adjusted-return outer product (computed
-        through the n-by-n Gram matrix, which shares the nonzero part).
     adjusted_returns
         (p, n) observed-factor-free returns, additionally demeaned over
         time; this is the matrix whose principal components are taken.
@@ -63,7 +60,6 @@ class LatentFit:
 
     loadings_hat: np.ndarray
     rank_hat: int
-    eigenvalues: np.ndarray
     adjusted_returns: np.ndarray
     eigen_ratio: Optional[float] = None
 
@@ -156,7 +152,6 @@ def estimate_latent(
     return LatentFit(
         loadings_hat=loadings,
         rank_hat=rank,
-        eigenvalues=evals,
         adjusted_returns=centered,
         eigen_ratio=eigen_ratio,
     )
@@ -180,9 +175,6 @@ class PanelFit:
         (p,) time means of the observed-factor-free returns.
     latent_premium
         Coefficients of ``mean_adjusted`` regressed on the latent loadings.
-    observed_loadings
-        (p, r) coefficients of each return series on the demeaned
-        observed factors.
     """
 
     alpha_hat: np.ndarray
@@ -190,7 +182,6 @@ class PanelFit:
     residuals: np.ndarray
     mean_adjusted: np.ndarray
     latent_premium: np.ndarray
-    observed_loadings: np.ndarray
 
     @property
     def n_periods(self) -> int:
@@ -214,7 +205,7 @@ def estimate_alpha(
         ``MAX_RANK`` candidates when None.
     """
     n, r_o = returns.n_periods, factors.n_factors
-    observed_loadings, adjusted = regress_out_observed(returns, factors)
+    _, adjusted = regress_out_observed(returns, factors)
     cap = min(MAX_RANK, returns.n_entities, n - r_o - 1)
     if cap < 1:
         raise DimensionError("panel too short to carry any latent factor")
@@ -232,7 +223,6 @@ def estimate_alpha(
         residuals=projected - alpha_hat[:, None],
         mean_adjusted=mean_adjusted,
         latent_premium=premium,
-        observed_loadings=observed_loadings,
     )
 
 

@@ -225,12 +225,10 @@ def select_threshold(
     Candidate cutoffs are the distinct magnitudes of the nonzero
     statistics; the criterion is piecewise constant between order
     statistics, so nothing is lost by the restriction.  Returns
-    ``(+inf, empty)`` when no cutoff qualifies.  The degenerate level
-    ``beta = 1`` is admitted (any cutoff with at least one rejection
-    qualifies); useful levels lie strictly below 1.
+    ``(+inf, empty)`` when no cutoff qualifies.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
     t = np.asarray(t_prod, dtype=float).ravel()
     candidates = np.unique(np.abs(t[t != 0.0]))
     if candidates.size == 0:

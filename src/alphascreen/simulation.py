@@ -30,15 +30,7 @@ import numpy as np
 import scipy
 from scipy.signal import lfilter
 
-from . import baselines
-from .baselines import (
-    SN_MC_PATHS,
-    bh_procedure,
-    bh_statistics,
-    sbh_from_fit,
-    sn_from_fit,
-    sn_limit_tables,
-)
+from .baselines import bh_procedure, bh_statistics, sbh_from_fit, sn_from_fit
 from .estimation import PanelFit, estimate_alpha
 from .fdr import (
     NegativeControlConfig,
@@ -628,15 +620,11 @@ class Method(NamedTuple):
     latent
         False for a method that fits no latent model; its result then
         carries its own ``alpha_hat`` and it has no latent rank.
-    sn_paths
-        Path count of the SN limit table the statistic reads, if any; a
-        parallel study builds that table once, before its pool starts.
     """
 
     statistic: Callable
     rule: Callable
     latent: bool = True
-    sn_paths: Optional[int] = None
 
 
 # The one place where method names are defined and dispatched.
@@ -651,9 +639,7 @@ METHODS = {
     ),
     "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, latent=False),
     "sbh": Method(lambda fits: sbh_from_fit(fits.full, fits.factors), _bh_rule),
-    "sn": Method(
-        lambda fits: sn_from_fit(fits.full, mc_paths=SN_MC_PATHS), _bh_rule, sn_paths=SN_MC_PATHS
-    ),
+    "sn": Method(lambda fits: sn_from_fit(fits.full), _bh_rule),
 }
 
 
@@ -704,32 +690,20 @@ def one_blas_thread():
             set_threads(count)
 
 
-def _init_worker(sn_tables: dict) -> None:
-    """Start-up of a study pool worker.
-
-    Caps each bundled OpenBLAS at one thread for the life of the worker,
-    as :func:`one_blas_thread` does for a serial study, so that the
-    workers do not oversubscribe the cores, and installs the SN limit
-    tables the parent built, so that no worker builds one again.
-    Without a bundled OpenBLAS the BLAS settings are left alone.
-    """
-    for set_threads, _ in _openblas_thread_controls():
-        set_threads(1)
-    baselines._sn_table_cache.update(sn_tables)
-
-
 def _replication_rows(scenario, replication, methods, betas, rank=None):
-    rng = replication_rng(scenario.seed, replication)
-    returns, factors, truth, _ = generate_panel(scenario, rng)
-    fits = PanelFits(returns, factors, rank=rank)
-    rows = []
-    for name in methods:
-        method = METHODS[name]
-        result = method.statistic(fits)
-        for beta in betas:
-            rejected = method.rule(result, beta)[0]
-            m = fdp_power(rejected, truth, returns.n_entities)
-            rows.append((name, beta, m.fdp, m.power))
+    """``(method, beta, fdp, power)`` rows of one replication, run at one BLAS thread."""
+    with one_blas_thread():
+        rng = replication_rng(scenario.seed, replication)
+        returns, factors, truth, _ = generate_panel(scenario, rng)
+        fits = PanelFits(returns, factors, rank=rank)
+        rows = []
+        for name in methods:
+            method = METHODS[name]
+            result = method.statistic(fits)
+            for beta in betas:
+                rejected = method.rule(result, beta)[0]
+                m = fdp_power(rejected, truth, returns.n_entities)
+                rows.append((name, beta, m.fdp, m.power))
     return rows
 
 
@@ -750,12 +724,10 @@ def run_study_detailed(
     (:class:`PanelFits`).  A failing replication is recorded and
     skipped; the study continues.
 
-    Every replication runs its BLAS at one thread.  A parallel study
-    runs ``min(parallelism, replications)`` pool workers, each capped
-    for its lifetime and given the SN limit tables built once here (see
-    :func:`_init_worker`).  A serial study caps the caller's BLAS for
-    the loop only (see :func:`one_blas_thread`) and restores its thread
-    counts afterwards.
+    Every replication runs its BLAS at one thread and restores the
+    thread counts of its process afterwards (see :func:`one_blas_thread`),
+    whether it runs in the caller or in one of the
+    ``min(parallelism, replications)`` pool workers of a parallel study.
 
     Returns
     -------
@@ -779,12 +751,7 @@ def run_study_detailed(
     failures: list[tuple] = []
     workers = min(parallelism, replications)
     if workers > 1:
-        sn_paths = {METHODS[m].sn_paths for m in methods} - {None}
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(sn_limit_tables(sn_paths),),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
                     _replication_rows, scenario, rep, methods, betas, rank
@@ -798,12 +765,11 @@ def run_study_detailed(
                 except Exception as exc:  # noqa: BLE001 - per-replication isolation
                     failures.append((rep, repr(exc)))
     else:
-        with one_blas_thread():
-            for rep in range(replications):
-                try:
-                    per_rep[rep] = _replication_rows(scenario, rep, methods, betas, rank)
-                except Exception as exc:  # noqa: BLE001 - per-replication isolation
-                    failures.append((rep, repr(exc)))
+        for rep in range(replications):
+            try:
+                per_rep[rep] = _replication_rows(scenario, rep, methods, betas, rank)
+            except Exception as exc:  # noqa: BLE001 - per-replication isolation
+                failures.append((rep, repr(exc)))
     runtime = time.perf_counter() - start
 
     if failures:

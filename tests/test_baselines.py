@@ -1,4 +1,6 @@
 import math
+from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy import stats
 import alphascreen as a
 import alphascreen.baselines
 from alphascreen.baselines import (
+    SN_MC_PATHS,
     _sn_limit_table,
     bh_procedure,
     bh_statistics,
@@ -20,10 +23,39 @@ from alphascreen.errors import DegenerateNormalizerError
 from alphascreen.panels import FactorPanel, ReturnPanel
 
 
+SN_TABLE_SEED = 714025
+SN_CHUNK_PATHS = 250
+
+
+def sn_table_rng(mc_paths, grid):
+    return np.random.default_rng(np.random.SeedSequence(entropy=SN_TABLE_SEED, spawn_key=(mc_paths, grid)))
+
+
+def chunked_sn_table(mc_paths, grid=1000):
+    """The build of the shipped SN limit table: sorted draws of W(1)^2 over
+    the integrated squared Brownian bridge on ``grid`` points.  Paths are
+    drawn and reduced ``SN_CHUNK_PATHS`` rows at a time, in the order of one
+    ``(paths, grid)`` draw, so the temporaries stay at chunk size.  To
+    regenerate the file: ``np.save(alphascreen.baselines._SN_TABLE_FILE,
+    chunked_sn_table(SN_MC_PATHS))``."""
+    rng = sn_table_rng(mc_paths, grid)
+    frac = np.arange(1, grid + 1) / grid
+    ratios = np.empty(mc_paths)
+    for start in range(0, mc_paths, SN_CHUNK_PATHS):
+        rows = min(SN_CHUNK_PATHS, mc_paths - start)
+        increments = rng.standard_normal((rows, grid)) / math.sqrt(grid)
+        w = np.cumsum(increments, axis=1)
+        w1 = w[:, -1]
+        bridge = w - frac[None, :] * w1[:, None]
+        v = np.mean(bridge * bridge, axis=1)
+        ratios[start:start + rows] = w1 * w1 / v
+    return np.sort(ratios)
+
+
 def one_shot_sn_table(mc_paths, grid=1000):
     """The SN limit table drawn and reduced in one (paths, grid) block: the
     plain reference for the chunked build."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=714025, spawn_key=(mc_paths, grid)))
+    rng = sn_table_rng(mc_paths, grid)
     increments = rng.standard_normal((mc_paths, grid)) / math.sqrt(grid)
     w = np.cumsum(increments, axis=1)
     w1 = w[:, -1]
@@ -132,21 +164,38 @@ class TestSelfNormalized:
             sn_test_rows(np.full((1, 50), 3.0))
 
     def test_limit_table_cached_and_deterministic(self):
-        t1 = _sn_limit_table(2000)
-        t2 = _sn_limit_table(2000)
+        t1 = _sn_limit_table()
+        t2 = _sn_limit_table()
         assert t1 is t2
-        assert t1.size == 2000
+        assert t1.size == SN_MC_PATHS and t1.dtype == np.float64
         assert np.all(np.diff(t1) >= 0)
+        assert not t1.flags.writeable  # every caller shares the one table
 
     @pytest.mark.parametrize("mc_paths", [2000, 1001])
-    def test_chunked_limit_table_equals_one_shot_build(self, mc_paths, monkeypatch):
+    def test_chunked_limit_table_equals_one_shot_build(self, mc_paths):
         # 1001 paths leave a final chunk of one path
-        monkeypatch.setattr(alphascreen.baselines, "_sn_table_cache", {})
-        assert np.array_equal(_sn_limit_table(mc_paths), one_shot_sn_table(mc_paths))
+        assert np.array_equal(chunked_sn_table(mc_paths), one_shot_sn_table(mc_paths))
+
+    def test_shipped_table_is_the_chunked_build(self):
+        shipped = np.load(alphascreen.baselines._SN_TABLE_FILE)
+        assert np.array_equal(shipped, chunked_sn_table(SN_MC_PATHS))
+        assert np.array_equal(_sn_limit_table(), shipped)
+
+    def test_shipped_table_is_declared_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        config = tomllib.loads((root / "pyproject.toml").read_text())
+        patterns = config["tool"]["setuptools"]["package-data"]["alphascreen"]
+        table = alphascreen.baselines._SN_TABLE_FILE
+        name = table.relative_to(Path(alphascreen.__file__).parent).as_posix()
+        assert any(fnmatch(name, pattern) for pattern in patterns)
 
     def test_mc_paths_floor(self):
+        # only the shipped table exists: any other path count is refused
         with pytest.raises(ValueError):
             sn_pvalues(np.array([1.0]), mc_paths=10)
+        with pytest.raises(ValueError):
+            sn_pvalues(np.array([1.0]), mc_paths=2 * SN_MC_PATHS)
 
     def test_size_calibration_on_iid_rows(self):
         rng = np.random.default_rng(5)
@@ -160,7 +209,9 @@ class TestSelfNormalized:
         sc = a.SimulationScenario(n=100, p=80, pi=0.1, nu=1.0, seed=6)
         rng = a.simulation.replication_rng(sc.seed, 0)
         X, F, truth, _ = a.generate_panel(sc, rng)
-        result = sn_statistics(X, F, mc_paths=2000)
+        with pytest.raises(ValueError):
+            sn_statistics(X, F, mc_paths=2000)
+        result = sn_statistics(X, F)
         assert result.method == "sn_calibrated"
         # strong signals should concentrate the smallest p-values on the truth
         top = np.argsort(result.p_values)[: truth.size]

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import alphascreen as a
+from alphascreen import simulation
 from alphascreen.cli import main
 from alphascreen.io import load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv
 from alphascreen.simulation import METHODS, _openblas_thread_controls
@@ -267,3 +268,24 @@ class TestReplicateTable:
         assert len(lines) == 1 + 15
         yd_rows = [l for l in lines[1:] if l.split(",")[2] == "yd"]
         assert all(l.split(",")[9] != "" for l in yd_rows)  # reference present
+
+    def test_failed_replications_are_counted(self, tmp_path, monkeypatch):
+        original = simulation._replication_rows
+
+        def flaky(scenario, replication, *args, **kwargs):
+            if replication == 1:
+                raise RuntimeError("synthetic failure")
+            return original(scenario, replication, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "_replication_rows", flaky)
+        with pytest.warns(RuntimeWarning, match="1 of 3 replications failed"):
+            result = CliRunner().invoke(
+                main,
+                ["replicate-table", "1", "--reps", "3", "--threads", "1", "--out", str(tmp_path)],
+            )
+        assert result.exit_code == 0, result.output
+        assert "1-normal nu=0.3: 1 of 3 replications failed" in result.stderr
+        assert "1-lognormal nu=0.3: 1 of 3 replications failed" in result.stderr
+        rows = [line.split(",") for line in read(tmp_path / "table_1.csv").splitlines()[1:]]
+        assert len(rows) == 2 * 5 * 3  # blocks x methods x levels
+        assert {row[8] for row in rows} == {"2"}  # the replications column counts survivors

@@ -119,11 +119,15 @@ class TestSplitStatistics:
 
 class TestSelectThreshold:
     def test_hand_oracle_two_values(self):
-        # at the degenerate level 1: cutoff 1 gives (1+1)/1 = 2 > 1,
-        # cutoff 2 gives (1+0)/1 = 1 <= 1
-        threshold, rejected = select_threshold(np.array([2.0, -1.0]), beta=1.0)
-        assert threshold == 2.0
-        assert rejected.tolist() == [0]
+        # level 0.5: cutoff 1 gives (1+0)/2 = 0.5 <= 0.5, so both are rejected
+        threshold, rejected = select_threshold(np.array([2.0, 1.0]), beta=0.5)
+        assert threshold == 1.0
+        assert rejected.tolist() == [0, 1]
+        # cutoff 1 gives (1+1)/1 = 2 and cutoff 2 gives (1+0)/1 = 1, both
+        # above any level below 1
+        threshold, rejected = select_threshold(np.array([2.0, -1.0]), beta=0.99)
+        assert math.isinf(threshold)
+        assert rejected.size == 0
 
     def test_hand_oracle_five_values(self):
         t = np.array([3.0, -1.0, 2.0, -2.5, 5.0])
@@ -152,6 +156,8 @@ class TestSelectThreshold:
     def test_beta_bounds(self):
         with pytest.raises(ValueError):
             select_threshold(np.array([1.0]), beta=0.0)
+        with pytest.raises(ValueError):
+            select_threshold(np.array([1.0]), beta=1.0)
         with pytest.raises(ValueError):
             select_threshold(np.array([1.0]), beta=1.0001)
 

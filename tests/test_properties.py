@@ -1,0 +1,73 @@
+"""Invariants the method promises, checked on random inputs against plain
+reference code."""
+
+import numpy as np
+from hypothesis import given, settings as hyp_settings, strategies as st
+
+from alphascreen.baselines import bh_procedure
+from alphascreen.estimation import estimate_alpha
+from alphascreen.fdr import fit_halves, split_from_fits
+from alphascreen.panels import ReturnPanel
+from alphascreen.simulation import SimulationScenario, generate_panel, replication_rng
+
+# Permuting entities reorders the sums behind the Gram matrix and the
+# projections, so results agree to rounding, not bit for bit: within this
+# fraction of the largest magnitude.
+PERMUTATION_RTOL = 1e-9
+
+
+def permuted_panel(seed, perm_seed):
+    scenario = SimulationScenario(n=60, p=40, pi=0.2, nu=0.8, seed=seed)
+    returns, factors, _, _ = generate_panel(scenario, replication_rng(seed, 0))
+    perm = np.random.default_rng(perm_seed).permutation(returns.n_entities)
+    permuted = ReturnPanel(
+        returns.values[perm], [returns.entity_ids[i] for i in perm], returns.time_index
+    )
+    return returns, permuted, factors, perm
+
+
+def assert_permuted(permuted, original, perm):
+    scale = np.abs(original).max()
+    np.testing.assert_allclose(permuted, original[perm], rtol=0.0, atol=PERMUTATION_RTOL * scale)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@hyp_settings(max_examples=20, deadline=None)
+def test_alpha_hat_is_entity_permutation_equivariant(seed, perm_seed):
+    returns, permuted, factors, perm = permuted_panel(seed, perm_seed)
+    fit = estimate_alpha(returns, factors)
+    fit_permuted = estimate_alpha(permuted, factors)
+    assert fit_permuted.latent.rank_hat == fit.latent.rank_hat
+    assert_permuted(fit_permuted.alpha_hat, fit.alpha_hat, perm)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.booleans())
+@hyp_settings(max_examples=20, deadline=None)
+def test_t_prod_is_entity_permutation_equivariant(seed, perm_seed, studentize):
+    returns, permuted, factors, perm = permuted_panel(seed, perm_seed)
+    t_prod = split_from_fits(fit_halves(returns, factors), studentize=studentize).t_prod
+    t_permuted = split_from_fits(fit_halves(permuted, factors), studentize=studentize).t_prod
+    assert_permuted(t_permuted, t_prod, perm)
+
+
+def brute_force_bh(p_values, beta):
+    """Reject every p-value at or below p_(k), for the largest k with
+    p_(k) <= k * beta / m, found by a plain loop."""
+    p_sorted = sorted(p_values)
+    m = len(p_sorted)
+    k_hat = 0
+    for k in range(1, m + 1):
+        if p_sorted[k - 1] <= k * beta / m:
+            k_hat = k
+    if k_hat == 0:
+        return []
+    return [i for i, p in enumerate(p_values) if p <= p_sorted[k_hat - 1]]
+
+
+@given(
+    st.lists(st.sampled_from([0.0, 1e-4, 0.01, 0.02, 0.05, 1.0]) | st.floats(0.0, 1.0), max_size=40),
+    st.floats(0.001, 0.999),
+)
+@hyp_settings(max_examples=200, deadline=None)
+def test_bh_procedure_matches_brute_force(p_values, beta):
+    assert bh_procedure(np.array(p_values), beta).tolist() == brute_force_bh(p_values, beta)

@@ -285,11 +285,11 @@ class TestRunStudy:
         assert serial[2] == []
         assert serial == parallel
 
-    def test_pool_size_and_sn_tables_follow_the_study(self, monkeypatch):
+    def test_pool_size_follows_the_study(self, monkeypatch):
         pools = []
 
         def recording(max_workers, **kwargs):
-            pools.append((max_workers, set(kwargs["initargs"][0])))
+            pools.append((max_workers, kwargs))
             return ProcessPoolExecutor(max_workers, **kwargs)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", recording)
@@ -298,8 +298,7 @@ class TestRunStudy:
         run_study_detailed(sc, ["bh", "sn"], [0.2], replications=3, parallelism=2)
         with pytest.warns(RuntimeWarning, match="single-replication"):
             run_study_detailed(sc, ["sn"], [0.2], replications=1, parallelism=8)
-        sn_key = (METHODS["sn"].sn_paths, baselines._SN_GRID)
-        assert pools == [(2, set()), (2, {sn_key})]
+        assert pools == [(2, {}), (2, {})]  # workers need no start-up hook
 
     def test_detail_rows_shape(self):
         sc = self.small_scenario()
@@ -373,11 +372,19 @@ def _thread_counts():
     return [get() for _, get in sim._openblas_thread_controls()]
 
 
-def _worker_probe(key):
-    """Run in a pool worker: whether the SN table was installed before any
-    call, the table the worker then uses, and each OpenBLAS thread count."""
-    installed = key in baselines._sn_table_cache
-    return installed, baselines._sn_limit_table(*key), _thread_counts()
+def _worker_probe(scenario):
+    """Run in a pool worker: the OpenBLAS thread counts one ``sn``
+    replication computes at, and the SN table the worker loaded for it."""
+    seen = []
+
+    def statistic(fits):
+        seen.append(_thread_counts())
+        return METHODS["sn"].statistic(fits)
+
+    sim.METHODS = {**METHODS, "probe": METHODS["sn"]._replace(statistic=statistic)}
+    assert baselines._sn_limit_table.cache_info().currsize == 0  # nothing loaded yet
+    sim._replication_rows(scenario, 0, ["probe"], [0.2])
+    return seen, baselines._sn_limit_table()
 
 
 class _Interrupt(BaseException):
@@ -439,31 +446,12 @@ class TestSerialBlasThreads:
 
 class TestPoolWorker:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_one_blas_thread_and_the_parents_sn_table(self, start_method, monkeypatch):
-        key = (1000, baselines._SN_GRID)
-        table = baselines._sn_limit_table(*key)
-        # the parent forgets its table, so a forked worker inherits none
-        monkeypatch.setattr(baselines, "_sn_table_cache", {})
-        parent_threads = _thread_counts()
-        with ProcessPoolExecutor(
-            1,
-            mp_context=multiprocessing.get_context(start_method),
-            initializer=sim._init_worker,
-            initargs=({key: table},),
-        ) as pool:
-            installed, worker_table, worker_threads = pool.submit(_worker_probe, key).result(timeout=120)
-        assert installed
+    def test_one_blas_thread_and_the_parents_sn_table(self, start_method, caller_blas_threads):
+        table = baselines._sn_limit_table()
+        baselines._sn_limit_table.cache_clear()  # so a forked worker inherits no table
+        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(start_method)) as pool:
+            seen, worker_table = pool.submit(_worker_probe, sc).result(timeout=120)
+        assert seen == [[1, 1]]  # numpy's and scipy's bundled OpenBLAS
         assert np.array_equal(worker_table, table)
-        assert worker_threads == [1, 1]  # numpy's and scipy's bundled OpenBLAS
-        assert _thread_counts() == parent_threads  # the parent keeps its settings
-
-    def test_initializer_without_openblas_is_a_no_op(self, tmp_path, monkeypatch):
-        before = _thread_counts()
-        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
-        monkeypatch.setattr(sim, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
-        monkeypatch.setattr(baselines, "_sn_table_cache", {})
-        assert sim._openblas_thread_controls() == []
-        sim._init_worker({})
-        assert baselines._sn_table_cache == {}
-        monkeypatch.undo()
-        assert _thread_counts() == before
+        assert _thread_counts() == caller_blas_threads  # the parent keeps its settings
