@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DegenerateNormalizerError
 from .estimation import PanelFit, estimate_alpha
@@ -78,6 +78,32 @@ def normal_z(alpha_hat, residual_variance, inflation, n_periods):
     )
 
 
+# A row whose residual sum of squares is at most this fraction of its total
+# sum of squares about its mean is fitted exactly up to rounding: its
+# residual standard deviation is below 1e-10 of the row's.
+DEGENERATE_RSS_RTOL = 1e-20
+
+
+def _check_residual_variation(rss: np.ndarray, rows: np.ndarray, message: str) -> None:
+    """Raise ``DegenerateNormalizerError(message)`` if a row's fit left only rounding.
+
+    ``rss`` holds the residual sums of squares of the (p, n) ``rows``.  A
+    row counts as fitted exactly when ``rss`` is at most
+    ``DEGENERATE_RSS_RTOL`` times its total sum of squares about its
+    mean, or when the row is constant and so has no such total.
+    """
+    # The total about the mean is at most the sum of squares about zero, so
+    # rows above that bound pass without the slower exact test.
+    suspect = rss <= DEGENERATE_RSS_RTOL * np.einsum("ij,ij->i", rows, rows)
+    if not suspect.any():
+        return
+    rows = rows[suspect]
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    tss = np.einsum("ij,ij->i", centered, centered)
+    if np.any((rss[suspect] <= DEGENERATE_RSS_RTOL * tss) | (np.ptp(rows, axis=1) == 0.0)):
+        raise DegenerateNormalizerError(message)
+
+
 def bh_procedure(p_values: np.ndarray, beta: float) -> np.ndarray:
     """Step-up rule: reject the k smallest p-values where k is the largest
     index with p_(k) <= k * beta / m.  Returns sorted rejected indices."""
@@ -114,18 +140,19 @@ def bh_statistics(
     coef = least_squares(design, returns.values.T)
     resid = returns.values - (design @ coef).T
     rss = np.sum(resid * resid, axis=1)
+    _check_residual_variation(
+        rss, returns.values, "an entity has no OLS residual variance beyond rounding"
+    )
     sigma2 = rss / (n - k)
-    if np.any(sigma2 <= 0.0):
-        raise DegenerateNormalizerError("an entity has zero OLS residual variance")
     # Var(intercept) = sigma^2 * [(D'D)^{-1}]_{00}, via the QR of the design.
     q, r = np.linalg.qr(design)
     g_inv_00 = float(np.sum(np.linalg.inv(r)[0, :] ** 2))
     z = coef[0] / np.sqrt(sigma2 * g_inv_00)
-    p = 2.0 * stats.norm.sf(np.abs(z))
+    p = 2.0 * special.ndtr(-np.abs(z))
     return PValueResult(p_values=p, statistics=z, method="bh_plain", alpha_hat=coef[0])
 
 
-def sbh_from_fit(fit: PanelFit, factors: FactorPanel) -> PValueResult:
+def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Normal calibration of the three-step alphas of a fitted panel.
 
     The studentizer is the per-entity residual variance (sample second
@@ -133,16 +160,17 @@ def sbh_from_fit(fit: PanelFit, factors: FactorPanel) -> PValueResult:
     cov(scores)^{-1} premium + mean(F)' cov(F)^{-1} mean(F)`` with
     plug-in estimates of the latent premium and score covariance,
     matching the i.i.d. asymptotic variance of the estimator when risk
-    premia are nonzero.  ``factors`` are the observed factors the fit
-    was made with.
+    premia are nonzero.  ``returns`` and ``factors`` are the panels the
+    fit was made with.
     """
     n = fit.n_periods
     resid = fit.residuals
     var_e = np.mean(resid * resid, axis=1)
-    if np.any(var_e <= 0.0):
-        raise DegenerateNormalizerError(
-            "an entity has zero residual variance; cannot studentize"
-        )
+    _check_residual_variation(
+        n * var_e,
+        returns.values,
+        "an entity has no residual variance beyond rounding; cannot studentize",
+    )
 
     b = fit.latent.loadings_hat
     scores = (b.T @ fit.latent.adjusted_returns) / b.shape[0]  # (r, n)
@@ -158,7 +186,7 @@ def sbh_from_fit(fit: PanelFit, factors: FactorPanel) -> PValueResult:
         + float(f_mean @ np.linalg.solve(f_cov, f_mean))
     )
     z = normal_z(fit.alpha_hat, var_e, inflation, n)
-    p = 2.0 * stats.norm.sf(np.abs(z))
+    p = 2.0 * special.ndtr(-np.abs(z))
     return PValueResult(p_values=p, statistics=z, method="sbh_normal")
 
 
@@ -168,7 +196,7 @@ def sbh_statistics(
     rank: Optional[int] = None,
 ) -> PValueResult:
     """Normal calibration of the three-step alphas; see :func:`sbh_from_fit`."""
-    return sbh_from_fit(estimate_alpha(returns, factors, rank=rank), factors)
+    return sbh_from_fit(estimate_alpha(returns, factors, rank=rank), returns, factors)
 
 
 # --- self-normalized calibration -------------------------------------------

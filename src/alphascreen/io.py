@@ -10,6 +10,17 @@ reports
     plain comma-separated tables; screening reports carry a trailing
     ``#``-prefixed metadata line (threshold, level, ...) that CSV readers
     can skip with ``comment='#'``.
+
+Reading
+-------
+Both loaders share one reader that reads the file once.  A plain file
+(no quote character, exactly as many commas on every body line as in
+the header, no field over the csv field size limit) is parsed by
+numpy's C reader.  Anything else, including every cell numpy refuses,
+falls back to the per-cell ``csv``/``float()`` parser, which alone
+writes error messages and also accepts the tokens numpy refuses, such
+as ``1_0`` and quoted cells.  Both paths accept the same files and read
+the same values.
 """
 
 from __future__ import annotations
@@ -59,31 +70,68 @@ def _parse_cell(token: str, row: int, column: int, path) -> float:
         ) from None
 
 
-def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+def _parse_table(lines: list[str], path, header: str):
+    """Per-cell parse of a table file's lines; the source of every error message.
+
+    Returns the header cells after the first, the stripped first-column
+    cells and the (rows, columns) float values.  ``header`` is the
+    expected header, such as ``"period,f1,..."``; its first cell must
+    open the file.
+    """
+    rows = [row for row in csv.reader(lines) if row]
     if not rows:
         raise ValueError(f"{path}: file is empty")
-    return rows
+    head = rows[0]
+    if len(head) < 2 or head[0] != header.split(",")[0]:
+        raise ValueError(f"{path}: expected header '{header}'")
+    n = len(head) - 1
+    first_column, values = [], []
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != n + 1:
+            raise ValueError(f"{path}: row {i} has {len(row) - 1} cells, expected {n}")
+        first_column.append(row[0].strip())
+        values.append([_parse_cell(tok, i, j + 1, path) for j, tok in enumerate(row[1:])])
+    return head[1:], first_column, np.array(values, dtype=float)
+
+
+def _fast_table(lines: list[str], header: str):
+    """``_parse_table``'s result through numpy's C reader, or None.
+
+    None leaves the file to the per-cell parser: it is not plain (see the
+    module docstring) or numpy refuses a cell.  numpy reads a subset of
+    the number tokens ``float()`` reads, to the same doubles;
+    ``comments=None`` keeps ``#`` an ordinary character.
+    """
+    # Lines come from universal-newline splitting, so \r and \n occur only at the end.
+    rows = [stripped for stripped in (line.rstrip("\r\n") for line in lines) if stripped]
+    if len(rows) < 2 or any('"' in row for row in rows):
+        return None
+    head = rows[0].split(",")
+    n = len(head) - 1
+    body = rows[1:]
+    if n < 1 or head[0] != header.split(",")[0] or any(row.count(",") != n for row in body):
+        return None
+    limit = csv.field_size_limit()
+    if any(len(row) > limit and max(map(len, row.split(","))) > limit for row in rows):
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", usecols=range(1, n + 1), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return head[1:], [row.partition(",")[0].strip() for row in body], values
+
+
+def _read_table(path, header: str):
+    """Read a returns or factors file once; see :func:`_parse_table`."""
+    with open(path, newline="") as handle:
+        lines = handle.readlines()
+    return _fast_table(lines, header) or _parse_table(lines, path, header)
 
 
 def load_returns_csv(path) -> ReturnPanel:
     """Read a returns panel; header row holds the time index."""
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2 or header[0] != "entity_id":
-        raise ValueError(f"{path}: expected header 'entity_id,t1,t2,...'")
-    time_index = [_parse_period(tok) for tok in header[1:]]
-    n = len(time_index)
-    entity_ids, values = [], []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != n + 1:
-            raise ValueError(
-                f"{path}: row {i} has {len(row) - 1} cells, expected {n}"
-            )
-        entity_ids.append(row[0].strip())
-        values.append([_parse_cell(tok, i, j + 1, path) for j, tok in enumerate(row[1:])])
-    return ReturnPanel(np.array(values, dtype=float), entity_ids, time_index)
+    periods, entity_ids, values = _read_table(path, "entity_id,t1,t2,...")
+    return ReturnPanel(values, entity_ids, [_parse_period(tok) for tok in periods])
 
 
 def save_returns_csv(panel: ReturnPanel, path):
@@ -95,20 +143,9 @@ def save_returns_csv(panel: ReturnPanel, path):
 
 def load_factors_csv(path) -> FactorPanel:
     """Read observed factors; one row per period."""
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2 or header[0] != "period":
-        raise ValueError(f"{path}: expected header 'period,f1,...'")
-    names = [tok.strip() for tok in header[1:]]
-    time_index, values = [], []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(names) + 1:
-            raise ValueError(
-                f"{path}: row {i} has {len(row) - 1} cells, expected {len(names)}"
-            )
-        time_index.append(_parse_period(row[0]))
-        values.append([_parse_cell(tok, i, j + 1, path) for j, tok in enumerate(row[1:])])
-    return FactorPanel(np.array(values, dtype=float), names, time_index)
+    names, periods, values = _read_table(path, "period,f1,...")
+    names = [name.strip() for name in names]
+    return FactorPanel(values, names, [_parse_period(tok) for tok in periods])
 
 
 def save_factors_csv(panel: FactorPanel, path):

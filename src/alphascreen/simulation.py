@@ -28,7 +28,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy
-from scipy.signal import lfilter
 
 from .baselines import bh_procedure, bh_statistics, sbh_from_fit, sn_from_fit
 from .estimation import PanelFit, estimate_alpha
@@ -105,6 +104,8 @@ class ArmaComponent:
 
     def stationary_sd(self) -> float:
         """Standard deviation of the stationary process with these coefficients."""
+        from scipy.signal import lfilter  # scipy.signal imports scipy.stats: keep both off import
+
         ma_poly, ar_poly = self.polynomials()
         impulse = np.zeros(ARMA_BURN_IN)
         impulse[0] = 1.0
@@ -393,11 +394,10 @@ class Ar1CorrelationFactor:
         if self.rho == 0.0:
             return z.copy()
         x = z * math.sqrt(1.0 - self.rho**2)
-        if z.ndim == 1:
-            x[0] = z[0]
-        else:
-            x[0, :] = z[0, :]
-        return lfilter([1.0], [1.0, -self.rho], x, axis=0)
+        x[0] = z[0]
+        for i in range(1, self.size):
+            x[i] += self.rho * x[i - 1]
+        return x
 
 
 def _garch_series(
@@ -465,6 +465,8 @@ def arma_mixture_errors(
     """
     if rng is None:
         raise ValueError("an explicit random generator is required")
+    from scipy.signal import lfilter  # see ArmaComponent.stationary_sd
+
     mixture = tuple(mixture)
     assign = _assign_components(p, mixture, rng)
     sds = [c.stationary_sd() for c in mixture]
@@ -638,7 +640,7 @@ METHODS = {
         _threshold_rule,
     ),
     "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, latent=False),
-    "sbh": Method(lambda fits: sbh_from_fit(fits.full, fits.factors), _bh_rule),
+    "sbh": Method(lambda fits: sbh_from_fit(fits.full, fits.returns, fits.factors), _bh_rule),
     "sn": Method(lambda fits: sn_from_fit(fits.full), _bh_rule),
 }
 

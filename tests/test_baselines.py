@@ -132,7 +132,7 @@ class TestNormalCalibration:
         X, F, _, _ = a.generate_panel(sc, rng)
         result = sbh_statistics(X, F)
         assert result.method == "sbh_normal"
-        assert np.allclose(result.p_values, 2.0 * stats.norm.sf(np.abs(result.statistics)))
+        assert np.array_equal(result.p_values, 2.0 * stats.norm.sf(np.abs(result.statistics)))
         assert np.all((result.p_values >= 0) & (result.p_values <= 1))
 
     def test_sbh_mildly_anticonservative_under_normal_design(self):
@@ -156,6 +156,46 @@ class TestNormalCalibration:
         result = bh_statistics(X, F)
         assert result.method == "bh_plain"
         assert result.p_values.shape == (50,)
+
+
+def noiseless_panel(kind, n=40, p=6, seed=3):
+    """Noiseless panels: a pure intercept, plus observed factors, plus one
+    latent factor carrying a premium.  OLS on the observed factors fits the
+    first two up to rounding, the three-step fit all three."""
+    rng = np.random.default_rng(seed)
+    f_o = rng.standard_normal((n, 2))
+    alpha = rng.standard_normal(p)
+    values = np.tile(alpha[:, None], (1, n))
+    if kind != "intercept":
+        values = values + rng.standard_normal((p, 2)) @ f_o.T
+    if kind == "latent":
+        values = values + rng.standard_normal((p, 1)) @ (0.5 + rng.standard_normal((n, 1))).T
+    periods = list(range(1, n + 1))
+    return (
+        ReturnPanel(values, [f"e{i}" for i in range(p)], periods),
+        FactorPanel(f_o, ["f1", "f2"], periods),
+    )
+
+
+class TestDegenerateResidualVariance:
+    @pytest.mark.parametrize("kind", ["intercept", "observed"])
+    def test_bh_refuses_a_noiseless_panel(self, kind):
+        with pytest.raises(DegenerateNormalizerError, match="beyond rounding"):
+            bh_statistics(*noiseless_panel(kind))
+
+    def test_sbh_refuses_a_noiseless_panel(self):
+        with pytest.raises(DegenerateNormalizerError, match="beyond rounding"):
+            sbh_statistics(*noiseless_panel("latent"))
+
+    def test_small_noise_is_not_rounding(self):
+        # residual SD 1e-6 of the row's: far above the 1e-10 of the tolerance
+        returns, factors = noiseless_panel("latent")
+        rng = np.random.default_rng(9)
+        scale = returns.values.std(axis=1, keepdims=True)
+        noisy = returns.values + 1e-6 * scale * rng.standard_normal(returns.values.shape)
+        returns = ReturnPanel(noisy, returns.entity_ids, returns.time_index)
+        assert np.all(np.isfinite(bh_statistics(returns, factors).statistics))
+        assert np.all(np.isfinite(sbh_statistics(returns, factors).statistics))
 
 
 class TestSelfNormalized:

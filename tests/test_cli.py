@@ -289,3 +289,22 @@ class TestReplicateTable:
         rows = [line.split(",") for line in read(tmp_path / "table_1.csv").splitlines()[1:]]
         assert len(rows) == 2 * 5 * 3  # blocks x methods x levels
         assert {row[8] for row in rows} == {"2"}  # the replications column counts survivors
+
+
+class TestImport:
+    def test_leaves_scipy_stats_and_signal_unimported(self):
+        """Each CLI call imports the package in a fresh process; ``scipy.stats``
+        (which ``scipy.signal`` imports) would add about a second to every one."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(a.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        code = (
+            "import sys, alphascreen.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.stdout.strip() == "[]"

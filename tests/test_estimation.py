@@ -41,21 +41,32 @@ def ols_intercepts(returns, factors):
     return bh_statistics(returns, factors).alpha_hat
 
 
+def design_orthogonal_noise(factors, p, rng, sd=0.1):
+    """(p, n) noise orthogonal to the OLS design ``[1, factors]``: added to a
+    panel it leaves every OLS intercept and slope unchanged while giving each
+    row a residual variance well above rounding."""
+    design = np.column_stack([np.ones(factors.shape[0]), factors])
+    q, _ = np.linalg.qr(design)
+    noise = sd * rng.standard_normal((p, factors.shape[0]))
+    return noise - (noise @ q) @ q.T
+
+
 class TestOlsAlphaBiased:
     def test_pure_intercept_model(self):
         rng = np.random.default_rng(0)
         c = np.array([0.5, -1.0, 2.0])
-        values = np.tile(c[:, None], (1, 12))
-        returns, fac = make_panels(values, rng.standard_normal((12, 2)))
+        f = rng.standard_normal((12, 2))
+        values = np.tile(c[:, None], (1, 12)) + design_orthogonal_noise(f, 3, rng)
+        returns, fac = make_panels(values, f)
         assert np.allclose(ols_intercepts(returns, fac), c, atol=1e-10)
 
-    def test_noiseless_without_confounders(self):
+    def test_exact_without_confounders(self):
         rng = np.random.default_rng(1)
         n, p, r = 20, 6, 2
         alpha = rng.standard_normal(p)
         b = rng.standard_normal((p, r))
         f = rng.standard_normal((n, r))
-        returns, fac = make_panels(alpha[:, None] + b @ f.T, f)
+        returns, fac = make_panels(alpha[:, None] + b @ f.T + design_orthogonal_noise(f, p, rng), f)
         assert np.abs(ols_intercepts(returns, fac) - alpha).max() < 1e-10
 
     def test_bias_equals_latent_premium_effect(self):

@@ -6,9 +6,15 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from alphascreen.baselines import bh_procedure
 from alphascreen.estimation import estimate_alpha
-from alphascreen.fdr import fit_halves, split_from_fits
+from alphascreen.fdr import NegativeControlConfig, fit_halves, split_from_fits
 from alphascreen.panels import ReturnPanel
-from alphascreen.simulation import SimulationScenario, generate_panel, replication_rng
+from alphascreen.simulation import (
+    METHODS,
+    PanelFits,
+    SimulationScenario,
+    generate_panel,
+    replication_rng,
+)
 
 # Permuting entities reorders the sums behind the Gram matrix and the
 # projections, so results agree to rounding, not bit for bit: within this
@@ -48,6 +54,37 @@ def test_t_prod_is_entity_permutation_equivariant(seed, perm_seed, studentize):
     t_prod = split_from_fits(fit_halves(returns, factors), studentize=studentize).t_prod
     t_permuted = split_from_fits(fit_halves(permuted, factors), studentize=studentize).t_prod
     assert_permuted(t_permuted, t_prod, perm)
+
+
+def decisions(fits, statistics, betas=(0.05, 0.1, 0.2)):
+    """Rejected indices per method name and level, from ``statistics[name](fits)``."""
+    rejected = {}
+    for name, statistic in statistics.items():
+        result = statistic(fits)
+        rejected[name] = [METHODS[name].rule(result, beta)[0].tolist() for beta in betas]
+    return rejected
+
+
+def yd_th_with_cut(gamma_scale):
+    config = NegativeControlConfig(gamma_scale=gamma_scale)
+    return lambda fits: split_from_fits(fits.halves, negative_control=config)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2.0, 0.5, 4.0]))
+@hyp_settings(max_examples=15, deadline=None)
+def test_decisions_unchanged_when_returns_are_rescaled(seed, factor):
+    # A power of two rescales every intermediate exactly, so decisions must
+    # agree exactly, not just to rounding.  yd_th screens its control set
+    # with a cut in return units (gamma_scale * log(n) / sqrt(n)), so its
+    # cut is rescaled with the returns.
+    scenario = SimulationScenario(n=60, p=40, pi=0.2, nu=0.8, seed=seed)
+    returns, factors, _, _ = generate_panel(scenario, replication_rng(seed, 0))
+    scaled = ReturnPanel(factor * returns.values, returns.entity_ids, returns.time_index)
+    statistics = {name: method.statistic for name, method in METHODS.items()}
+    rescaled = {**statistics, "yd_th": yd_th_with_cut(factor * NegativeControlConfig().gamma_scale)}
+    assert decisions(PanelFits(scaled, factors), rescaled) == decisions(
+        PanelFits(returns, factors), statistics
+    )
 
 
 def brute_force_bh(p_values, beta):

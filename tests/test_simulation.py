@@ -1,8 +1,10 @@
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import alphascreen as a
 import alphascreen.baselines as baselines
@@ -80,6 +82,16 @@ class TestToeplitzFactor:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((50, 3))
         assert np.array_equal(Ar1CorrelationFactor(50, 0.0).apply(z), z)
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 7)])
+    def test_recursion_equals_lfilter(self, shape):
+        # scipy's IIR filter, which the row loop replaced, is the bit-exact reference
+        rho = -0.37
+        z = np.random.default_rng(6).standard_normal(shape)
+        x = z * math.sqrt(1.0 - rho**2)
+        x[0] = z[0]
+        expected = lfilter([1.0], [1.0, -rho], x, axis=0)
+        assert np.array_equal(Ar1CorrelationFactor(40, rho).apply(z), expected)
 
     def test_implied_factor_squares_to_toeplitz(self):
         p, rho = 6, 0.5
