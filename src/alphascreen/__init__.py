@@ -37,10 +37,7 @@ from .fdr import (
     NegativeControlConfig,
     SplitTestResult,
     chronological_split,
-    evaluate,
     fdp_power,
-    negative_control_alpha,
-    screen_alphas,
     select_threshold,
     split_statistics,
 )
@@ -53,17 +50,17 @@ from .io import (
 from .linalg import demean_columns, least_squares
 from .panels import FactorPanel, ReturnPanel, check_aligned
 from .simulation import (
+    METHODS,
     ArmaComponent,
     MetricsReport,
+    PanelFits,
     PopulationOracle,
     SimulationScenario,
     arma_mixture_errors,
     assemble_panel,
-    dense_alpha_scenario,
     figure1_hetero_scenario,
     garch_factors,
     generate_panel,
-    global_null_scenario,
     make_alpha,
     run_study_detailed,
     sample_loadings,

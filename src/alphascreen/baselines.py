@@ -55,13 +55,12 @@ class PValueResult:
     """Per-entity statistics with two-sided p-values.
 
     alpha_hat
-        The per-entity OLS intercepts behind ``bh_plain`` statistics;
+        The per-entity OLS intercepts behind ``bh_statistics``;
         None for the other methods, whose alphas come from a ``PanelFit``.
     """
 
     p_values: np.ndarray
     statistics: np.ndarray
-    method: str  # bh_plain | sbh_normal | sn_calibrated
     alpha_hat: Optional[np.ndarray] = None
 
 
@@ -149,7 +148,7 @@ def bh_statistics(
     g_inv_00 = float(np.sum(np.linalg.inv(r)[0, :] ** 2))
     z = coef[0] / np.sqrt(sigma2 * g_inv_00)
     p = 2.0 * special.ndtr(-np.abs(z))
-    return PValueResult(p_values=p, statistics=z, method="bh_plain", alpha_hat=coef[0])
+    return PValueResult(p_values=p, statistics=z, alpha_hat=coef[0])
 
 
 def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
@@ -187,7 +186,7 @@ def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> P
     )
     z = normal_z(fit.alpha_hat, var_e, inflation, n)
     p = 2.0 * special.ndtr(-np.abs(z))
-    return PValueResult(p_values=p, statistics=z, method="sbh_normal")
+    return PValueResult(p_values=p, statistics=z)
 
 
 def sbh_statistics(
@@ -259,18 +258,26 @@ def sn_pvalues(statistics: np.ndarray, mc_paths: int = SN_MC_PATHS) -> np.ndarra
     return (1.0 + n_ge) / (table.size + 1.0)
 
 
-def sn_from_fit(fit: PanelFit) -> PValueResult:
+def sn_from_fit(fit: PanelFit, returns: ReturnPanel) -> PValueResult:
     """Self-normalized test of each alpha of a fitted panel.
 
     The per-period alpha contributions (latent-projected adjusted
     returns) of each entity form the series whose mean is tested; the
     recursive partial-sum normalizer absorbs the unknown long-run
-    variance without any bandwidth choice.
+    variance without any bandwidth choice.  ``returns`` is the panel the
+    fit was made with; a row the fit reproduces up to rounding is
+    refused, as in :func:`sbh_from_fit`.
     """
-    contributions = fit.residuals + fit.alpha_hat[:, None]
+    resid = fit.residuals
+    _check_residual_variation(
+        np.einsum("ij,ij->i", resid, resid),
+        returns.values,
+        "an entity has no residual variance beyond rounding; the self-normalizer is degenerate",
+    )
+    contributions = resid + fit.alpha_hat[:, None]
     stat = sn_test_rows(contributions)
     p = sn_pvalues(stat)
-    return PValueResult(p_values=p, statistics=stat, method="sn_calibrated")
+    return PValueResult(p_values=p, statistics=stat)
 
 
 def sn_statistics(
@@ -284,4 +291,4 @@ def sn_statistics(
     ``mc_paths`` must equal ``SN_MC_PATHS``, as in :func:`sn_pvalues`.
     """
     _check_mc_paths(mc_paths)
-    return sn_from_fit(estimate_alpha(returns, factors, rank=rank))
+    return sn_from_fit(estimate_alpha(returns, factors, rank=rank), returns)

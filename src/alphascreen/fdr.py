@@ -33,54 +33,30 @@ __all__ = [
     "split_statistics",
     "select_threshold",
     "negative_control_from_fit",
-    "negative_control_alpha",
-    "evaluate",
     "fdp_power",
-    "screen_alphas",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class SplitTestResult:
-    """Per-entity split statistics and, once selected, the decision rule.
+    """Per-entity split statistics.
 
     t1, t2
         Root-n scaled alpha estimates from the two chronological halves
         (n is the full-sample length; decisions are scale invariant).
     t_prod
-        Elementwise product, the ranking statistic.
-    threshold
-        Data-driven cutoff; +inf when no cutoff qualifies, None before
-        selection.
-    rejected
-        Sorted indices with ``t_prod >= threshold``; None before selection.
+        Elementwise product, the ranking statistic that
+        :func:`select_threshold` cuts.
     """
 
     t1: np.ndarray
     t2: np.ndarray
     t_prod: np.ndarray
-    studentized: bool
-    threshold: Optional[float] = None
-    rejected: Optional[np.ndarray] = None
-    beta: Optional[float] = None
 
     @property
     def statistics(self) -> np.ndarray:
         """The ranking statistic ``t_prod``, named as on ``PValueResult``."""
         return self.t_prod
-
-    def with_threshold(self, beta: float) -> "SplitTestResult":
-        """Copy of this result with the level-``beta`` decision applied."""
-        threshold, rejected = select_threshold(self.t_prod, beta)
-        return SplitTestResult(
-            t1=self.t1,
-            t2=self.t2,
-            t_prod=self.t_prod,
-            studentized=self.studentized,
-            threshold=threshold,
-            rejected=rejected,
-            beta=beta,
-        )
 
 
 @dataclass(frozen=True)
@@ -144,24 +120,6 @@ def chronological_split(
     return first, second
 
 
-def _combine_split_alphas(
-    alpha1: np.ndarray,
-    alpha2: np.ndarray,
-    n_full: int,
-    scale1: Optional[np.ndarray] = None,
-    scale2: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Root-n scaled half statistics and their product."""
-    root_n = math.sqrt(n_full)
-    t1 = root_n * np.asarray(alpha1, dtype=float)
-    t2 = root_n * np.asarray(alpha2, dtype=float)
-    if scale1 is not None:
-        t1 = t1 / scale1
-    if scale2 is not None:
-        t2 = t2 / scale2
-    return t1, t2, t1 * t2
-
-
 def fit_halves(
     returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None
 ) -> tuple[PanelFit, PanelFit]:
@@ -192,15 +150,12 @@ def split_from_fits(
         alphas = [negative_control_from_fit(fit, negative_control) for fit in halves]
     else:
         alphas = [fit.alpha_hat for fit in halves]
+    root_n = math.sqrt(halves[0].n_periods + halves[1].n_periods)
+    t1, t2 = (root_n * alpha for alpha in alphas)
     if studentize:
-        scales = [np.sqrt(long_run_variance(fit.residuals)) for fit in halves]
-    else:
-        scales = [None, None]
-    n_full = halves[0].n_periods + halves[1].n_periods
-    t1, t2, t_prod = _combine_split_alphas(
-        alphas[0], alphas[1], n_full, scales[0], scales[1]
-    )
-    return SplitTestResult(t1=t1, t2=t2, t_prod=t_prod, studentized=studentize)
+        t1 = t1 / np.sqrt(long_run_variance(halves[0].residuals))
+        t2 = t2 / np.sqrt(long_run_variance(halves[1].residuals))
+    return SplitTestResult(t1=t1, t2=t2, t_prod=t1 * t2)
 
 
 def split_statistics(
@@ -279,16 +234,6 @@ def negative_control_from_fit(fit: PanelFit, config: NegativeControlConfig) -> n
     return fit.mean_adjusted - b @ premium
 
 
-def negative_control_alpha(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    config: NegativeControlConfig,
-    rank: Optional[int] = None,
-) -> np.ndarray:
-    """Premium-corrected alphas of one panel; see :func:`negative_control_from_fit`."""
-    return negative_control_from_fit(estimate_alpha(returns, factors, rank=rank), config)
-
-
 def fdp_power(rejected: Iterable[int], truth: Iterable[int], n_entities: int) -> FdrMetrics:
     """Realized FDP and power of a rejection set against known non-nulls."""
     rej = set(int(i) for i in np.atleast_1d(np.asarray(rejected, dtype=int)).tolist())
@@ -300,29 +245,3 @@ def fdp_power(rejected: Iterable[int], truth: Iterable[int], n_entities: int) ->
     fdp = v_count / max(r_count, 1)
     power = len(rej & tru) / max(len(tru), 1)
     return FdrMetrics(fdp=fdp, power=power, v_count=v_count, r_count=r_count)
-
-
-def evaluate(result: SplitTestResult, truth: Iterable[int]) -> FdrMetrics:
-    """FDP and power of a thresholded split test against known non-nulls."""
-    if result.rejected is None:
-        raise ValueError("result carries no decision; apply with_threshold first")
-    return fdp_power(result.rejected, truth, result.t_prod.size)
-
-
-def screen_alphas(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    beta: float,
-    rank: Optional[int] = None,
-    studentize: bool = False,
-    negative_control: Optional[NegativeControlConfig] = None,
-) -> SplitTestResult:
-    """Split statistics plus the level-``beta`` decision in one call."""
-    stats = split_statistics(
-        returns,
-        factors,
-        rank=rank,
-        studentize=studentize,
-        negative_control=negative_control,
-    )
-    return stats.with_threshold(beta)

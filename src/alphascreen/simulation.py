@@ -19,7 +19,7 @@ import ctypes
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,8 +60,6 @@ __all__ = [
     "table1_lognormal_scenario",
     "table2_garch_arma_scenario",
     "figure1_hetero_scenario",
-    "global_null_scenario",
-    "dense_alpha_scenario",
 ]
 
 ARMA_BURN_IN = 200
@@ -114,10 +112,6 @@ class ArmaComponent:
 
     def to_dict(self) -> dict:
         return {"weight": self.weight, "ar": list(self.ar), "ma": list(self.ma), "sd": self.sd}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArmaComponent":
-        return cls(weight=d["weight"], ar=tuple(d.get("ar", ())), ma=tuple(d.get("ma", ())), sd=d.get("sd", 1.0))
 
 
 def default_arma_mixture(total_weight: float = 0.331) -> tuple:
@@ -244,18 +238,12 @@ class SimulationScenario:
         object.__setattr__(self, "garch_params", gp)
 
         mix = self.arma_mixture if self.arma_mixture is not None else default_arma_mixture()
-        mix = tuple(
-            c if isinstance(c, ArmaComponent) else ArmaComponent.from_dict(c) for c in mix
-        )
+        mix = tuple(c if isinstance(c, ArmaComponent) else ArmaComponent(**c) for c in mix)
         total = sum(c.weight for c in mix)
         if total > 1.0 + 1e-12:
             raise ValueError(f"mixture weights sum to {total} > 1")
         object.__setattr__(self, "arma_mixture", mix)
         object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def r_latent(self) -> int:
-        return self.r_total - self.r_observed
 
     def to_dict(self) -> dict:
         return {
@@ -279,19 +267,7 @@ class SimulationScenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationScenario":
-        d = dict(d)
-        if "hetero_range" in d:
-            d["hetero_range"] = tuple(d["hetero_range"])
-        for key in ("factor_cov", "loading_mean", "loading_cov"):
-            if d.get(key) is not None:
-                d[key] = np.asarray(d[key], dtype=float)
-        if d.get("garch_params") is not None:
-            d["garch_params"] = tuple(tuple(t) for t in d["garch_params"])
-        if d.get("arma_mixture") is not None:
-            d["arma_mixture"] = tuple(
-                ArmaComponent.from_dict(c) if isinstance(c, dict) else c
-                for c in d["arma_mixture"]
-            )
+        """Inverse of :meth:`to_dict`; ``__post_init__`` converts the lists."""
         return cls(**d)
 
 
@@ -299,20 +275,14 @@ class SimulationScenario:
 class PopulationOracle:
     """Population quantities of the generated panel, for variance checks.
 
-    ``asymptotic_sd`` is the closed-form i.i.d. asymptotic standard
-    deviation of the root-n scaled alpha estimates:
-    ``sigma_e * sqrt(1 + mu_latent' sigma_w^{-1} mu_latent +
-    mu_observed' sigma_observed^{-1} mu_observed)``.
+    ``sigma_e`` is each entity's error standard deviation.  The factors
+    have mean zero, so it is also the closed-form i.i.d. asymptotic
+    standard deviation of the root-n scaled alpha estimates, whose
+    premium terms vanish.
     """
 
     alpha: np.ndarray
-    truth: np.ndarray
     sigma_e: np.ndarray
-    mu_latent: np.ndarray
-    sigma_w: np.ndarray
-    mu_observed: np.ndarray
-    sigma_observed: np.ndarray
-    asymptotic_sd: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -540,30 +510,7 @@ def generate_panel(
         factors[:, :r_o].copy(), [f"f{j + 1}" for j in range(r_o)], list(range(1, n + 1))
     )
     truth = np.flatnonzero(alpha != 0.0)
-
-    cov = scenario.factor_cov
-    sig_oo = cov[:r_o, :r_o]
-    sig_oc = cov[:r_o, r_o:]
-    sig_cc = cov[r_o:, r_o:]
-    sigma_w = sig_cc - sig_oc.T @ np.linalg.solve(sig_oo, sig_oc)
-    mu_latent = np.zeros(r - r_o)
-    mu_observed = np.zeros(r_o)
-    inflation = (
-        1.0
-        + float(mu_latent @ np.linalg.solve(sigma_w, mu_latent))
-        + float(mu_observed @ np.linalg.solve(sig_oo, mu_observed))
-    )
-    oracle = PopulationOracle(
-        alpha=alpha,
-        truth=truth,
-        sigma_e=sigma_e,
-        mu_latent=mu_latent,
-        sigma_w=sigma_w,
-        mu_observed=mu_observed,
-        sigma_observed=sig_oo,
-        asymptotic_sd=sigma_e * math.sqrt(inflation),
-    )
-    return returns, observed, truth, oracle
+    return returns, observed, truth, PopulationOracle(alpha=alpha, sigma_e=sigma_e)
 
 
 # --- replication studies ----------------------------------------------------
@@ -641,7 +588,7 @@ METHODS = {
     ),
     "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, latent=False),
     "sbh": Method(lambda fits: sbh_from_fit(fits.full, fits.returns, fits.factors), _bh_rule),
-    "sn": Method(lambda fits: sn_from_fit(fits.full), _bh_rule),
+    "sn": Method(lambda fits: sn_from_fit(fits.full, fits.returns), _bh_rule),
 }
 
 
@@ -709,6 +656,34 @@ def _replication_rows(scenario, replication, methods, betas, rank=None):
     return rows
 
 
+def _isolated(call: Callable) -> tuple:
+    """``(call(), None)``, or ``(None, repr(exc))`` when the call raises."""
+    try:
+        return call(), None
+    except Exception as exc:  # noqa: BLE001 - per-replication isolation
+        return None, repr(exc)
+
+
+def _run_replications(scenario, methods, betas, replications, workers, rank) -> list[tuple]:
+    """``(rows, None)`` or ``(None, message)`` per replication, in replication order.
+
+    With more than one worker the replications run in a process pool and
+    their results are read in submission order, so a failure (a broken
+    pool included) is recorded against its own replication.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_replication_rows, scenario, rep, methods, betas, rank)
+                for rep in range(replications)
+            ]
+            return [_isolated(future.result) for future in futures]
+    return [
+        _isolated(lambda: _replication_rows(scenario, rep, methods, betas, rank))
+        for rep in range(replications)
+    ]
+
+
 def run_study_detailed(
     scenario: SimulationScenario,
     methods: Sequence[str],
@@ -720,11 +695,14 @@ def run_study_detailed(
     """Replication study returning reports, per-replication rows and failures.
 
     Replication ``k`` always runs on the generator stream derived from
-    ``(scenario.seed, k)``, so results are identical for every
+    ``(scenario.seed, k)``, and rows and failures are collected in
+    replication order, so the return value is identical for every
     ``parallelism`` degree.  Within a replication the methods share one
     fit of each chronological half and one of the full panel
     (:class:`PanelFits`).  A failing replication is recorded and
-    skipped; the study continues.
+    skipped; the study continues.  A report without any surviving
+    replication carries ``math.nan`` means: one object, so that two such
+    reports still compare equal.
 
     Every replication runs its BLAS at one thread and restores the
     thread counts of its process afterwards (see :func:`one_blas_thread`),
@@ -749,30 +727,18 @@ def run_study_detailed(
             raise ValueError(f"beta must lie in (0, 1), got {b}")
 
     start = time.perf_counter()
-    per_rep: list = [None] * replications
-    failures: list[tuple] = []
-    workers = min(parallelism, replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _replication_rows, scenario, rep, methods, betas, rank
-                ): rep
-                for rep in range(replications)
-            }
-            for future in as_completed(futures):
-                rep = futures[future]
-                try:
-                    per_rep[rep] = future.result()
-                except Exception as exc:  # noqa: BLE001 - per-replication isolation
-                    failures.append((rep, repr(exc)))
-    else:
-        for rep in range(replications):
-            try:
-                per_rep[rep] = _replication_rows(scenario, rep, methods, betas, rank)
-            except Exception as exc:  # noqa: BLE001 - per-replication isolation
-                failures.append((rep, repr(exc)))
+    outcomes = _run_replications(
+        scenario, methods, betas, replications, min(parallelism, replications), rank
+    )
     runtime = time.perf_counter() - start
+
+    detail_rows, failures = [], []
+    for rep, (rows, message) in enumerate(outcomes):
+        if rows is None:
+            failures.append((rep, message))
+            continue
+        for method, beta, fdp, power in rows:
+            detail_rows.append((method, beta, rep, fdp, power))
 
     if failures:
         warnings.warn(
@@ -787,33 +753,24 @@ def run_study_detailed(
             stacklevel=2,
         )
 
-    detail_rows = []
-    for rep in range(replications):
-        if per_rep[rep] is None:
-            continue
-        for method, beta, fdp, power in per_rep[rep]:
-            detail_rows.append((method, beta, rep, fdp, power))
-
+    samples = {(method, beta): ([], []) for method in methods for beta in betas}
+    for method, beta, _, fdp, power in detail_rows:
+        fdps, powers = samples[method, beta]
+        fdps.append(fdp)
+        powers.append(power)
     reports = []
     for method in methods:
         for beta in betas:
-            fdps = [row[2] for rep in range(replications) if per_rep[rep] is not None
-                    for row in per_rep[rep] if row[0] == method and row[1] == beta]
-            powers = [row[3] for rep in range(replications) if per_rep[rep] is not None
-                      for row in per_rep[rep] if row[0] == method and row[1] == beta]
+            fdps, powers = samples[method, beta]
             n_ok = len(fdps)
-            mean_fdr = 100.0 * float(np.mean(fdps)) if n_ok else float("nan")
-            mean_power = 100.0 * float(np.mean(powers)) if n_ok else float("nan")
-            sd_fdr = 100.0 * float(np.std(fdps, ddof=1)) if n_ok > 1 else 0.0
-            sd_power = 100.0 * float(np.std(powers, ddof=1)) if n_ok > 1 else 0.0
             reports.append(
                 MetricsReport(
                     method=method,
                     beta=beta,
-                    mean_fdr=mean_fdr,
-                    sd_fdr=sd_fdr,
-                    mean_power=mean_power,
-                    sd_power=sd_power,
+                    mean_fdr=100.0 * float(np.mean(fdps)) if n_ok else math.nan,
+                    sd_fdr=100.0 * float(np.std(fdps, ddof=1)) if n_ok > 1 else 0.0,
+                    mean_power=100.0 * float(np.mean(powers)) if n_ok else math.nan,
+                    sd_power=100.0 * float(np.std(powers, ddof=1)) if n_ok > 1 else 0.0,
                     replications=n_ok,
                     runtime=runtime,
                 )
@@ -847,21 +804,3 @@ def figure1_hetero_scenario(nu: float = 0.2, seed: int = 20240104) -> Simulation
         nu=nu, temporal_mode="garch_arma", hetero_variances=True, seed=seed, **_BASE
     )
 
-
-def global_null_scenario(seed: int = 20240105) -> SimulationScenario:
-    """No signal at all: every alpha is zero."""
-    return SimulationScenario(
-        n=200, p=1000, pi=0.0, nu=0.0, temporal_mode="iid_normal", seed=seed
-    )
-
-
-def dense_alpha_scenario(seed: int = 20240106) -> SimulationScenario:
-    """Dense, strong signals where the projection estimator is biased.
-
-    The cross-section is kept moderate (p = 300): the projection bias of
-    the plain estimator scales inversely with p, so this is the regime
-    where the premium correction visibly matters.
-    """
-    return SimulationScenario(
-        n=200, p=300, pi=0.4, nu=0.5, temporal_mode="iid_normal", seed=seed
-    )

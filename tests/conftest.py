@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import alphascreen.baselines
@@ -6,6 +9,9 @@ import alphascreen.simulation
 from alphascreen.baselines import bh_procedure, bh_statistics, sbh_statistics, sn_statistics
 from alphascreen.estimation import estimate_alpha
 from alphascreen.fdr import NegativeControlConfig, select_threshold, split_statistics
+from alphascreen.simulation import SimulationScenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _split(**kwargs):
@@ -33,6 +39,16 @@ REFERENCE_REJECTED = {
     "sbh": _bh(sbh_statistics),
     "sn": _bh(sn_statistics),
 }
+
+
+@pytest.fixture()
+def load_scenario():
+    """Load a checked-in scenario file by name, such as ``"global_null"``."""
+
+    def load(name):
+        return SimulationScenario.from_dict(json.loads((SCENARIOS / f"{name}.json").read_text()))
+
+    return load
 
 
 @pytest.fixture()

@@ -91,10 +91,10 @@ class TestSimulate:
         assert report[1].endswith(",2")  # replications column picked up the env var
 
     def test_checked_in_scenarios_parse(self, runner):
-        # every shipped scenario file must load cleanly
-        import pathlib
-
-        for path in sorted(pathlib.Path("scenarios").glob("*.json")):
+        # every shipped scenario file must load cleanly, whatever the working directory
+        paths = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+        assert paths
+        for path in paths:
             payload = json.loads(path.read_text())
             scenario = a.SimulationScenario.from_dict(payload)
             assert scenario.n >= 12

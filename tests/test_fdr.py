@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,12 @@ import alphascreen as a
 from alphascreen.errors import DimensionError, NegativeControlError
 from alphascreen.fdr import (
     NegativeControlConfig,
-    _combine_split_alphas,
     chronological_split,
-    evaluate,
     fit_halves,
     fdp_power,
-    negative_control_alpha,
-    screen_alphas,
+    negative_control_from_fit,
     select_threshold,
+    split_from_fits,
     split_statistics,
 )
 from alphascreen.panels import FactorPanel, ReturnPanel
@@ -78,12 +77,15 @@ class TestChronologicalSplit:
 
 class TestSplitStatistics:
     def test_product_arithmetic(self):
-        t1, t2, t_prod = _combine_split_alphas(
-            np.array([1.0, -2.0]), np.array([3.0, 1.0]), 100
-        )
-        assert np.allclose(t1, [10.0, -20.0])
-        assert np.allclose(t2, [30.0, 10.0])
-        assert np.allclose(t_prod, [300.0, -200.0])
+        # halves of 50 periods each: scaled by sqrt(100) = 10
+        halves = [
+            SimpleNamespace(alpha_hat=np.array(alpha), n_periods=50)
+            for alpha in ([1.0, -2.0], [3.0, 1.0])
+        ]
+        res = split_from_fits(halves)
+        assert np.allclose(res.t1, [10.0, -20.0])
+        assert np.allclose(res.t2, [30.0, 10.0])
+        assert np.allclose(res.t_prod, [300.0, -200.0])
 
     def test_non_null_product_scale(self):
         # a signal of 0.3 with n = 200 puts the product near n * 0.3^2 = 18
@@ -211,25 +213,17 @@ class TestEvaluate:
         assert m.power == 1.0
         assert m.v_count == 1 and m.r_count == 3
 
-    def test_evaluate_requires_decision(self):
-        rng = np.random.default_rng(9)
-        returns, fac = make_panels(rng.standard_normal((20, 40)), rng.standard_normal((40, 2)))
-        stats = split_statistics(returns, fac)
-        with pytest.raises(ValueError, match="no decision"):
-            evaluate(stats, [0])
-        res = stats.with_threshold(0.2)
-        metrics = evaluate(res, [0])
-        assert 0.0 <= metrics.fdp <= 1.0
-
-    def test_screen_alphas_end_to_end(self):
+    def test_yd_method_end_to_end(self):
         sc = a.SimulationScenario(n=80, p=120, pi=0.1, nu=0.8, seed=11)
         rng = a.simulation.replication_rng(sc.seed, 0)
         X, F, truth, _ = a.generate_panel(sc, rng)
-        res = screen_alphas(X, F, beta=0.2)
-        assert res.beta == 0.2
-        if math.isfinite(res.threshold):
-            assert np.array_equal(res.rejected, np.flatnonzero(res.t_prod >= res.threshold))
-        metrics = evaluate(res, truth)
+        method = a.METHODS["yd"]
+        res = method.statistic(a.PanelFits(X, F))
+        rejected, cutoff_name, threshold = method.rule(res, 0.2)
+        assert cutoff_name == "threshold"
+        if math.isfinite(threshold):
+            assert np.array_equal(rejected, np.flatnonzero(res.t_prod >= threshold))
+        metrics = fdp_power(rejected, truth, X.n_entities)
         assert metrics.power > 0.5
 
 
@@ -248,7 +242,7 @@ class TestNegativeControl:
     def test_null_panel_correction_is_zero(self):
         returns, fac = self.build_noiseless_null()
         cfg = NegativeControlConfig(mode="explicit_set", explicit_indices=range(20))
-        corrected = negative_control_alpha(returns, fac, cfg, rank=2)
+        corrected = negative_control_from_fit(a.estimate_alpha(returns, fac, rank=2), cfg)
         assert np.abs(corrected).max() < 1e-8
 
     def test_threshold_rule_agrees_with_explicit_nulls(self):
@@ -256,13 +250,14 @@ class TestNegativeControl:
         # two control modes deliver nearly identical corrections
         sc = a.SimulationScenario(n=1000, p=500, pi=0.1, nu=0.3, seed=13)
         rng = a.simulation.replication_rng(sc.seed, 0)
-        X, F, truth, oracle = a.generate_panel(sc, rng)
+        X, F, truth, _ = a.generate_panel(sc, rng)
         nulls = np.setdiff1d(np.arange(X.n_entities), truth)
-        explicit = negative_control_alpha(
-            X, F, NegativeControlConfig(mode="explicit_set", explicit_indices=nulls)
+        fit = a.estimate_alpha(X, F)
+        explicit = negative_control_from_fit(
+            fit, NegativeControlConfig(mode="explicit_set", explicit_indices=nulls)
         )
-        screened = negative_control_alpha(
-            X, F, NegativeControlConfig(mode="threshold_rule", gamma_scale=0.5)
+        screened = negative_control_from_fit(
+            fit, NegativeControlConfig(mode="threshold_rule", gamma_scale=0.5)
         )
         rms = float(np.sqrt(np.mean((explicit - screened) ** 2)))
         assert rms < 1e-3
@@ -275,7 +270,7 @@ class TestNegativeControl:
         returns, fac = self.build_noiseless_null()
         cfg = NegativeControlConfig(mode="explicit_set", explicit_indices=[0, 1])
         with pytest.raises(NegativeControlError, match="cannot identify"):
-            negative_control_alpha(returns, fac, cfg, rank=2)
+            negative_control_from_fit(a.estimate_alpha(returns, fac, rank=2), cfg)
 
     def test_threshold_rule_empty_advises_larger_scale(self):
         sc = a.SimulationScenario(n=80, p=60, pi=0.5, nu=2.0, seed=14)
@@ -283,7 +278,7 @@ class TestNegativeControl:
         X, F, _, _ = a.generate_panel(sc, rng)
         cfg = NegativeControlConfig(mode="threshold_rule", gamma_scale=1e-9)
         with pytest.raises(NegativeControlError, match="gamma_scale"):
-            negative_control_alpha(X, F, cfg)
+            negative_control_from_fit(a.estimate_alpha(X, F), cfg)
 
     def test_dense_alpha_bias_reduction(self):
         # paired bias comparison on the dense, strong-signal design where the
@@ -307,7 +302,7 @@ class TestNegativeControl:
             X, F = make_panels(values, factors[:, :r_o])
             fit = a.estimate_alpha(X, F, rank=r_c)
             plain_sum += fit.alpha_hat
-            corrected_sum += negative_control_alpha(X, F, cfg, rank=r_c)
+            corrected_sum += negative_control_from_fit(fit, cfg)
         plain_bias = plain_sum / reps - alpha_true
         corrected_bias = corrected_sum / reps - alpha_true
         plain_rms = float(np.sqrt(np.mean(plain_bias**2)))

@@ -208,9 +208,22 @@ class TestScenario:
                 garch_params=tuple((0.1, 0.6, 0.5) for _ in range(7)),
             )
 
-    def test_global_null_allowed(self):
-        sc = a.global_null_scenario()
+    def test_global_null_allowed(self, load_scenario):
+        sc = load_scenario("global_null")
         assert sc.pi == 0.0
+
+    FACTORY_OF_FILE = {
+        "table1_normal_nu02": (a.table1_normal_scenario, 0.2),
+        "table1_normal_nu03": (a.table1_normal_scenario, 0.3),
+        "table1_lognormal_nu03": (a.table1_lognormal_scenario, 0.3),
+        "table2_garch_arma_nu03": (a.table2_garch_arma_scenario, 0.3),
+        "figure1_hetero_nu02": (a.figure1_hetero_scenario, 0.2),
+    }
+
+    @pytest.mark.parametrize("name", list(FACTORY_OF_FILE))
+    def test_factory_equals_its_scenario_file(self, load_scenario, name):
+        factory, nu = self.FACTORY_OF_FILE[name]
+        assert factory(nu=nu).to_dict() == load_scenario(name).to_dict()
 
 
 class TestGeneratePanel:
@@ -248,21 +261,6 @@ class TestGeneratePanel:
         assert truth.tolist() == list(range(8))
         assert np.allclose(oracle.alpha[truth], [0.4] * 4 + [-0.4] * 4)
 
-    def test_oracle_schur_complement(self):
-        cov = np.eye(4)
-        cov[0, 2] = cov[2, 0] = 0.6
-        sc = SimulationScenario(
-            n=60, p=40, pi=0.1, nu=0.4, r_total=4, r_observed=2,
-            factor_cov=cov, loading_mean=np.full(4, 0.1),
-            loading_cov=np.diag(np.full(4, 0.04)),
-            garch_params=tuple((0.1, 0.1, 0.8) for _ in range(4)), seed=19,
-        )
-        _, _, _, oracle = generate_panel(sc, replication_rng(sc.seed, 0))
-        # latent block {2,3}: conditional covariance removes 0.6^2 from entry (0,0)
-        expected = np.array([[1.0 - 0.36, 0.0], [0.0, 1.0]])
-        assert np.allclose(oracle.sigma_w, expected)
-        assert np.allclose(oracle.asymptotic_sd, oracle.sigma_e)
-
     def test_hetero_scales_sigma_e(self):
         sc = SimulationScenario(n=60, p=200, pi=0.0, nu=0.0, hetero_variances=True, seed=20)
         _, _, _, oracle = generate_panel(sc, replication_rng(sc.seed, 0))
@@ -296,6 +294,16 @@ class TestRunStudy:
         parallel = run_study_detailed(sc, list(METHODS), [0.2], replications=6, parallelism=2)
         assert serial[2] == []
         assert serial == parallel
+
+    def test_failures_identical_across_parallelism(self):
+        # rank 40 exceeds what a 30-period half can fit, so every replication fails
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=32)
+        studies = []
+        for workers in (1, 2):
+            with pytest.warns(RuntimeWarning, match="4 of 4 replications failed"):
+                studies.append(run_study_detailed(sc, ["yd"], [0.1], 4, parallelism=workers, rank=40))
+        assert [rep for rep, _ in studies[0][2]] == [0, 1, 2, 3]
+        assert studies[1] == studies[0]
 
     def test_pool_size_follows_the_study(self, monkeypatch):
         pools = []
