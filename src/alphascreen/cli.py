@@ -7,7 +7,9 @@ supplied through an ``ALPHASCREEN_``-prefixed environment variable.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,6 +57,12 @@ _REFERENCE = {
     ("2", 0.3, "yd"): (4.71, 9.57, 14.70, 88.72, 93.68, 95.61),
 }
 
+# glibc's ``mallopt`` parameters (malloc.h) and the values the CLI sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 128 << 20
+
 _TABLE_BETAS = (0.05, 0.10, 0.15)
 _TABLE_METHODS = ("yd", "yd_r", "sbh", "sn", "bh")
 
@@ -97,9 +105,40 @@ def _write_detail_csv(detail_rows, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _keep_freed_heap_mapped() -> None:
+    """Have glibc keep freed heap memory mapped for the next replication.
+
+    By default glibc serves each fit's (p, n) temporaries from fresh
+    mappings or trims them off the heap when they are freed, and the next
+    replication faults the same pages back in.  Raising the mmap threshold
+    to 32 MiB and the trim threshold to 128 MiB keeps them in the heap.
+    Both are set because setting either one turns off glibc's dynamic
+    thresholds, which is worse than the defaults: in 12 table-1
+    replications on a 2-vCPU Linux host, the trim threshold alone
+    faulted about 130k pages in and the mmap threshold alone 61k, against
+    47k with the defaults and 3.9k with both.  The policy is
+    process-wide, so only the CLI sets it; forked pool workers inherit
+    it.  Without glibc, or without ``mallopt``, nothing is done.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 @click.group(context_settings={"auto_envvar_prefix": "ALPHASCREEN"})
 def main():
     """FDR-controlled alpha screening under latent-confounder factor models."""
+    _keep_freed_heap_mapped()
 
 
 @main.command()

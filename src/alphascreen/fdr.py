@@ -234,14 +234,27 @@ def negative_control_from_fit(fit: PanelFit, config: NegativeControlConfig) -> n
     return fit.mean_adjusted - b @ premium
 
 
+def _entity_mask(indices: Iterable[int], n_entities: int) -> np.ndarray:
+    """Boolean mask of length ``n_entities`` that marks the given indices."""
+    try:
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.intp))
+    except TypeError:  # a set or an iterator
+        idx = np.fromiter(indices, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_entities):
+        raise ValueError("indices out of range")
+    mask = np.zeros(n_entities, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
 def fdp_power(rejected: Iterable[int], truth: Iterable[int], n_entities: int) -> FdrMetrics:
     """Realized FDP and power of a rejection set against known non-nulls."""
-    rej = set(int(i) for i in np.atleast_1d(np.asarray(rejected, dtype=int)).tolist())
-    tru = set(int(i) for i in truth)
-    if any(i < 0 or i >= n_entities for i in rej | tru):
-        raise ValueError("indices out of range")
-    r_count = len(rej)
-    v_count = len(rej - tru)
+    rej = _entity_mask(rejected, n_entities)
+    tru = _entity_mask(truth, n_entities)
+    # Python ints, so FDP and power are the same floats as plain set counts give
+    r_count = int(np.count_nonzero(rej))
+    hits = int(np.count_nonzero(rej & tru))
+    v_count = r_count - hits
     fdp = v_count / max(r_count, 1)
-    power = len(rej & tru) / max(len(tru), 1)
+    power = hits / max(int(np.count_nonzero(tru)), 1)
     return FdrMetrics(fdp=fdp, power=power, v_count=v_count, r_count=r_count)

@@ -22,7 +22,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -439,18 +439,22 @@ def arma_mixture_errors(
 
     mixture = tuple(mixture)
     assign = _assign_components(p, mixture, rng)
-    sds = [c.stationary_sd() for c in mixture]
-    polys = [c.polynomials() for c in mixture]
+    # One draw holds every entity's normals in entity order: n + burn-in
+    # innovations for a component's entity, n for the remainder's.
+    lengths = np.where(assign < len(mixture), n + ARMA_BURN_IN, n)
+    starts = np.cumsum(lengths) - lengths
+    draws = rng.standard_normal(int(lengths.sum()))
     out = np.empty((p, n))
-    for i in range(p):
-        k = assign[i]
-        if k == len(mixture):
-            out[i] = rng.standard_normal(n)
+    rest = np.flatnonzero(assign == len(mixture))
+    out[rest] = draws[starts[rest, None] + np.arange(n)]
+    for k, comp in enumerate(mixture):
+        rows = np.flatnonzero(assign == k)
+        if rows.size == 0:
             continue
-        comp = mixture[k]
-        innov = comp.sd * rng.standard_normal(n + ARMA_BURN_IN)
-        ma_poly, ar_poly = polys[k]
-        out[i] = lfilter(ma_poly, ar_poly, innov)[ARMA_BURN_IN:] / sds[k]
+        innov = comp.sd * draws[starts[rows, None] + np.arange(n + ARMA_BURN_IN)]
+        ma_poly, ar_poly = comp.polynomials()
+        filtered = lfilter(ma_poly, ar_poly, innov, axis=1)[:, ARMA_BURN_IN:]
+        out[rows] = filtered / comp.stationary_sd()
     if base_sd is not None:
         out *= np.asarray(base_sd, dtype=float)[:, None]
     return out
@@ -599,8 +603,12 @@ _OPENBLAS_DIRS = tuple(
 )
 
 
-def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
-    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS found."""
+@cache
+def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
+    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS found.
+
+    Looked up once per process; a forked worker inherits the result.
+    """
     controls = []
     for path in sorted(p for d in _OPENBLAS_DIRS for p in d.glob("libscipy_openblas*.so*")):
         try:
@@ -615,7 +623,7 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 controls.append((setter, getter))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextmanager

@@ -1,15 +1,17 @@
+import ctypes
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import alphascreen as a
-from alphascreen import simulation
+from alphascreen import cli, simulation
 from alphascreen.cli import main
 from alphascreen.io import load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv
 from alphascreen.simulation import METHODS, _openblas_thread_controls
@@ -308,3 +310,96 @@ class TestImport:
             timeout=120,
         )
         assert result.stdout.strip() == "[]"
+
+
+def _has_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _unknown_confstr_name(name):
+    raise ValueError("unrecognized configuration name")  # as os.confstr off glibc
+
+
+@pytest.fixture()
+def mallopt_calls(monkeypatch):
+    """The calls made to a stand-in for libc's ``mallopt``."""
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    return calls
+
+
+class TestHeapPolicy:
+    # 30 rounds of four 1000x200 float64 arrays, allocated, written and
+    # freed; prints the minor page faults of a second pass over the rounds.
+    # Each array is above glibc's default mmap threshold, and four of them
+    # above its default trim threshold, so with glibc's defaults every
+    # round faults all its pages back in (about 46,000 in the second pass);
+    # with the CLI's policy the first pass leaves them mapped.
+    CHURN = (
+        "import resource, sys, numpy as np\n"
+        "if sys.argv[1] == 'policy':\n"
+        "    from alphascreen.cli import _keep_freed_heap_mapped\n"
+        "    _keep_freed_heap_mapped()\n"
+        "def rounds():\n"
+        "    for _ in range(30):\n"
+        "        arrays = [np.ones((1000, 200)) for _ in range(4)]\n"
+        "        del arrays\n"
+        "rounds()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "rounds()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+
+    def second_pass_faults(self, policy):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(a.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", self.CHURN, policy], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        return int(result.stdout)
+
+    @pytest.mark.skipif(not _has_glibc(), reason="the policy is set only under glibc")
+    def test_freed_arrays_stay_mapped(self):
+        assert self.second_pass_faults("defaults") > 10_000  # the churn the policy removes
+        assert self.second_pass_faults("policy") < 1_000
+
+    def test_sets_both_thresholds_under_glibc(self, monkeypatch, mallopt_calls):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        cli._keep_freed_heap_mapped()
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+    @pytest.mark.parametrize(
+        "confstr",
+        [lambda name: "musl 1.2", lambda name: None, _unknown_confstr_name],
+        ids=["other-libc", "unset", "unknown-name"],
+    )
+    def test_no_op_without_glibc(self, monkeypatch, mallopt_calls, confstr):
+        monkeypatch.setattr(os, "confstr", confstr)
+        cli._keep_freed_heap_mapped()
+        assert mallopt_calls == []
+
+    @pytest.mark.parametrize("failure", ["missing-mallopt", "load-error"])
+    def test_no_op_without_mallopt(self, monkeypatch, failure):
+        def cdll(name):
+            if failure == "load-error":
+                raise OSError("cannot load")
+            return SimpleNamespace()
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._keep_freed_heap_mapped()  # raises nothing
+
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_every_subcommand_applies_it(self, runner, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap_mapped", lambda: calls.append(command))
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        assert calls == [command]

@@ -198,7 +198,42 @@ class TestSelectThreshold:
             assert np.array_equal(rejected, rejected_grid)
 
 
+def set_fdp_power(rejected, truth, n_entities):
+    """``fdp_power`` as plain set arithmetic: the reference for the mask version."""
+    rej = set(int(i) for i in np.atleast_1d(np.asarray(rejected, dtype=int)).tolist())
+    tru = set(int(i) for i in truth)
+    if any(i < 0 or i >= n_entities for i in rej | tru):
+        raise ValueError("indices out of range")
+    r_count = len(rej)
+    v_count = len(rej - tru)
+    fdp = v_count / max(r_count, 1)
+    power = len(rej & tru) / max(len(tru), 1)
+    return a.FdrMetrics(fdp=fdp, power=power, v_count=v_count, r_count=r_count)
+
+
 class TestEvaluate:
+    @given(
+        st.integers(0, 60).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-2, n + 1), max_size=30),
+                st.lists(st.integers(-2, n + 1), max_size=30),
+                st.just(n),
+            )
+        ),
+        st.sampled_from(["list", "array", "set"]),
+    )
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_matches_set_arithmetic(self, case, container):
+        rejected, truth, n_entities = case
+        wrap = {"list": list, "array": lambda v: np.array(v, dtype=int), "set": set}[container]
+        try:
+            expected = set_fdp_power(rejected, set(truth), n_entities)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fdp_power(wrap(rejected), iter(truth), n_entities)
+            return
+        assert fdp_power(wrap(rejected), iter(truth), n_entities) == expected
+
     def test_no_rejections(self):
         m = fdp_power([], {1, 2}, 10)
         assert m.fdp == 0.0 and m.power == 0.0 and m.r_count == 0

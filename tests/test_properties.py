@@ -16,10 +16,11 @@ from alphascreen.simulation import (
     replication_rng,
 )
 
-# Permuting entities reorders the sums behind the Gram matrix and the
-# projections, so results agree to rounding, not bit for bit: within this
-# fraction of the largest magnitude.
-PERMUTATION_RTOL = 1e-9
+# Permuting entities, or adding observed-factor terms to the returns,
+# changes the sums behind the Gram matrix and the projections, so results
+# agree to rounding, not bit for bit: within this fraction of the largest
+# magnitude.
+ROUNDING_RTOL = 1e-9
 
 
 def permuted_panel(seed, perm_seed):
@@ -34,7 +35,7 @@ def permuted_panel(seed, perm_seed):
 
 def assert_permuted(permuted, original, perm):
     scale = np.abs(original).max()
-    np.testing.assert_allclose(permuted, original[perm], rtol=0.0, atol=PERMUTATION_RTOL * scale)
+    np.testing.assert_allclose(permuted, original[perm], rtol=0.0, atol=ROUNDING_RTOL * scale)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
@@ -54,6 +55,26 @@ def test_t_prod_is_entity_permutation_equivariant(seed, perm_seed, studentize):
     t_prod = split_from_fits(fit_halves(returns, factors), studentize=studentize).t_prod
     t_permuted = split_from_fits(fit_halves(permuted, factors), studentize=studentize).t_prod
     assert_permuted(t_permuted, t_prod, perm)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@hyp_settings(max_examples=20, deadline=None)
+def test_alpha_hat_unchanged_when_returns_gain_observed_factor_terms(seed, loading_seed):
+    # The observed-factor regression absorbs any B F', so alpha_hat and the
+    # latent rank must not see it.
+    scenario = SimulationScenario(n=60, p=40, pi=0.2, nu=0.8, seed=seed)
+    returns, factors, _, _ = generate_panel(scenario, replication_rng(seed, 0))
+    b = np.random.default_rng(loading_seed).standard_normal((returns.n_entities, factors.n_factors))
+    shifted = ReturnPanel(
+        returns.values + b @ factors.values.T, returns.entity_ids, returns.time_index
+    )
+    fit = estimate_alpha(returns, factors)
+    fit_shifted = estimate_alpha(shifted, factors)
+    assert fit_shifted.latent.rank_hat == fit.latent.rank_hat
+    scale = np.abs(fit.alpha_hat).max()
+    np.testing.assert_allclose(
+        fit_shifted.alpha_hat, fit.alpha_hat, rtol=0.0, atol=ROUNDING_RTOL * scale
+    )
 
 
 def decisions(fits, statistics, betas=(0.05, 0.1, 0.2)):

@@ -459,9 +459,13 @@ class TestSerialBlasThreads:
         controls = sim._openblas_thread_controls()
         (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
         monkeypatch.setattr(sim, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
-        with sim.one_blas_thread():
+        sim._openblas_thread_controls.cache_clear()  # look up in the patched directories
+        try:
+            with sim.one_blas_thread():
+                assert [get() for _, get in controls] == caller_blas_threads
             assert [get() for _, get in controls] == caller_blas_threads
-        assert [get() for _, get in controls] == caller_blas_threads
+        finally:
+            sim._openblas_thread_controls.cache_clear()  # so later calls find the real ones
 
 
 class TestPoolWorker:
