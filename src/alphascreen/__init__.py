@@ -62,6 +62,7 @@ from .simulation import (
     garch_factors,
     generate_panel,
     make_alpha,
+    run_studies,
     run_study_detailed,
     sample_loadings,
     table1_lognormal_scenario,

@@ -27,6 +27,7 @@ from .simulation import (
     generate_panel,
     one_blas_thread,
     replication_rng,
+    run_studies,
     run_study_detailed,
     table1_lognormal_scenario,
     table1_normal_scenario,
@@ -262,18 +263,25 @@ def replicate_table(table, nu, reps, seed, threads, output_dir):
     """Re-run a built-in study design (TABLE is 1, 2 or figure1)."""
     if reps < 1:
         raise click.UsageError("--reps must be at least 1")
+    if threads < 1:
+        raise click.UsageError("--threads must be at least 1")
     nus = _parse_floats(nu, "nu")
     if any(v < 0 for v in nus):
         raise click.UsageError("signal strengths must be nonnegative")
     out = _outdir(output_dir)
+    blocks = _table_scenarios(table, nus, seed)
+    try:
+        studies = run_studies(
+            [scenario for _, _, scenario in blocks],
+            _TABLE_METHODS,
+            _TABLE_BETAS,
+            reps,
+            parallelism=threads,
+        )
+    except AlphascreenError as exc:
+        raise click.ClickException(str(exc)) from None
     rows = []
-    for label, nu_val, scenario in _table_scenarios(table, nus, seed):
-        try:
-            reports, _, failures = run_study_detailed(
-                scenario, _TABLE_METHODS, _TABLE_BETAS, reps, parallelism=threads
-            )
-        except AlphascreenError as exc:
-            raise click.ClickException(str(exc)) from None
+    for (label, nu_val, _), (reports, _, failures) in zip(blocks, studies):
         click.echo(f"{label} nu={nu_val:g}: {len(failures)} of {reps} replications failed", err=True)
         by_method: dict = {}
         for r in reports:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +56,7 @@ __all__ = [
     "arma_mixture_errors",
     "assemble_panel",
     "generate_panel",
+    "run_studies",
     "run_study_detailed",
     "table1_normal_scenario",
     "table1_lognormal_scenario",
@@ -607,7 +609,8 @@ _OPENBLAS_DIRS = tuple(
 def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
     """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS found.
 
-    Looked up once per process; a forked worker inherits the result.
+    Looked up once per process.  A process pool's parent looks them up
+    before the pool starts, so that a forked worker inherits the result.
     """
     controls = []
     for path in sorted(p for d in _OPENBLAS_DIRS for p in d.glob("libscipy_openblas*.so*")):
@@ -672,74 +675,39 @@ def _isolated(call: Callable) -> tuple:
         return None, repr(exc)
 
 
-def _run_replications(scenario, methods, betas, replications, workers, rank) -> list[tuple]:
-    """``(rows, None)`` or ``(None, message)`` per replication, in replication order.
+def _run_replications(jobs, methods, betas, workers, rank) -> list[tuple]:
+    """``(rows, None)`` or ``(None, message)`` per ``(scenario, replication)`` job, in job order.
 
-    With more than one worker the replications run in a process pool and
-    their results are read in submission order, so a failure (a broken
-    pool included) is recorded against its own replication.
+    With more than one worker the jobs run in one process pool and their
+    results are read in submission order, so a failure (a broken pool
+    included) is recorded against its own job.  The OpenBLAS controls are
+    looked up before the pool starts, so that forked workers inherit them.
     """
     if workers > 1:
+        _openblas_thread_controls()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_replication_rows, scenario, rep, methods, betas, rank)
-                for rep in range(replications)
+                for scenario, rep in jobs
             ]
             return [_isolated(future.result) for future in futures]
     return [
         _isolated(lambda: _replication_rows(scenario, rep, methods, betas, rank))
-        for rep in range(replications)
+        for scenario, rep in jobs
     ]
 
 
-def run_study_detailed(
-    scenario: SimulationScenario,
-    methods: Sequence[str],
-    betas: Sequence[float],
-    replications: int,
-    parallelism: int = 1,
-    rank: Optional[int] = None,
-) -> tuple[list[MetricsReport], list[tuple], list[tuple]]:
-    """Replication study returning reports, per-replication rows and failures.
+def _warn_caller(message: str) -> None:
+    """A ``RuntimeWarning`` that points at the first caller outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
-    Replication ``k`` always runs on the generator stream derived from
-    ``(scenario.seed, k)``, and rows and failures are collected in
-    replication order, so the return value is identical for every
-    ``parallelism`` degree.  Within a replication the methods share one
-    fit of each chronological half and one of the full panel
-    (:class:`PanelFits`).  A failing replication is recorded and
-    skipped; the study continues.  A report without any surviving
-    replication carries ``math.nan`` means: one object, so that two such
-    reports still compare equal.
 
-    Every replication runs its BLAS at one thread and restores the
-    thread counts of its process afterwards (see :func:`one_blas_thread`),
-    whether it runs in the caller or in one of the
-    ``min(parallelism, replications)`` pool workers of a parallel study.
-
-    Returns
-    -------
-    (reports, detail_rows, failures)
-        ``detail_rows`` are ``(method, beta, replication, fdp, power)``
-        tuples; ``failures`` are ``(replication, message)`` pairs.
-    """
-    if replications < 1:
-        raise ValueError("replications must be at least 1")
-    methods = list(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    betas = [float(b) for b in betas]
-    for b in betas:
-        if not 0.0 < b < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {b}")
-
-    start = time.perf_counter()
-    outcomes = _run_replications(
-        scenario, methods, betas, replications, min(parallelism, replications), rank
-    )
-    runtime = time.perf_counter() - start
-
+def _study(outcomes, methods, betas, runtime) -> tuple[list[MetricsReport], list, list]:
+    """Reports, detail rows and failures of one scenario's replication outcomes."""
+    replications = len(outcomes)
     detail_rows, failures = [], []
     for rep, (rows, message) in enumerate(outcomes):
         if rows is None:
@@ -749,17 +717,9 @@ def run_study_detailed(
             detail_rows.append((method, beta, rep, fdp, power))
 
     if failures:
-        warnings.warn(
-            f"{len(failures)} of {replications} replications failed and were skipped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_caller(f"{len(failures)} of {replications} replications failed and were skipped")
     if replications == 1:
-        warnings.warn(
-            "single-replication study: dispersion fields are 0 by convention",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_caller("single-replication study: dispersion fields are 0 by convention")
 
     samples = {(method, beta): ([], []) for method in methods for beta in betas}
     for method, beta, _, fdp, power in detail_rows:
@@ -784,6 +744,77 @@ def run_study_detailed(
                 )
             )
     return reports, detail_rows, failures
+
+
+def run_studies(
+    scenarios: Sequence[SimulationScenario],
+    methods: Sequence[str],
+    betas: Sequence[float],
+    replications: int,
+    parallelism: int = 1,
+    rank: Optional[int] = None,
+) -> list[tuple[list[MetricsReport], list[tuple], list[tuple]]]:
+    """Replication studies of several scenarios, run as one batch of jobs.
+
+    Returns one ``(reports, detail_rows, failures)`` per scenario, in
+    scenario order.  Replication ``k`` of a scenario always runs on the
+    generator stream derived from ``(scenario.seed, k)``, and each
+    scenario's rows and failures are collected in replication order, so
+    the return value is identical for every ``parallelism`` degree and
+    equals that of one :func:`run_study_detailed` call per scenario.
+    Within a replication the methods share one fit of each chronological
+    half and one of the full panel (:class:`PanelFits`).  A failing
+    replication is recorded against its scenario and skipped; the study
+    continues.  A report without any surviving replication carries
+    ``math.nan`` means: one object, so that two such reports still
+    compare equal.  ``MetricsReport.runtime`` is the wall time of the
+    whole batch.
+
+    The replications of all scenarios run in the caller or in one pool
+    of ``min(parallelism, len(scenarios) * replications)`` workers, so a
+    worker's start-up is paid once per call, not once per scenario.
+    Every replication runs its BLAS at one thread and restores the
+    thread counts of its process afterwards (see :func:`one_blas_thread`).
+
+    Returns
+    -------
+    [(reports, detail_rows, failures), ...]
+        ``detail_rows`` are ``(method, beta, replication, fdp, power)``
+        tuples; ``failures`` are ``(replication, message)`` pairs.
+    """
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    methods = list(methods)
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    betas = [float(b) for b in betas]
+    for b in betas:
+        if not 0.0 < b < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {b}")
+
+    jobs = [(scenario, rep) for scenario in scenarios for rep in range(replications)]
+    start = time.perf_counter()
+    outcomes = _run_replications(jobs, methods, betas, min(parallelism, len(jobs)), rank)
+    runtime = time.perf_counter() - start
+    return [
+        _study(outcomes[first : first + replications], methods, betas, runtime)
+        for first in range(0, len(outcomes), replications)
+    ]
+
+
+def run_study_detailed(
+    scenario: SimulationScenario,
+    methods: Sequence[str],
+    betas: Sequence[float],
+    replications: int,
+    parallelism: int = 1,
+    rank: Optional[int] = None,
+) -> tuple[list[MetricsReport], list[tuple], list[tuple]]:
+    """Replication study of one scenario: :func:`run_studies` of ``[scenario]``."""
+    return run_studies([scenario], methods, betas, replications, parallelism, rank)[0]
 
 
 # --- built-in scenarios ------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -270,6 +271,34 @@ class TestReplicateTable:
         assert len(lines) == 1 + 15
         yd_rows = [l for l in lines[1:] if l.split(",")[2] == "yd"]
         assert all(l.split(",")[9] != "" for l in yd_rows)  # reference present
+
+    def test_zero_threads_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["replicate-table", "1", "--reps", "2", "--threads", "0", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+        assert "--threads must be at least 1" in result.output
+        assert not (tmp_path / "table_1.csv").exists()
+
+    def test_one_pool_per_command(self, runner, tmp_path, monkeypatch):
+        pools = []
+
+        def recording(max_workers, **kwargs):
+            pools.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", recording)
+        for threads in ("1", "2"):
+            result = runner.invoke(
+                main,
+                ["replicate-table", "1", "--reps", "3", "--threads", threads,
+                 "--out", str(tmp_path / threads)],
+            )
+            assert result.exit_code == 0, result.output
+        assert pools == [2]  # both blocks, normal and lognormal, share one pool
+        assert (tmp_path / "2" / "table_1.csv").read_bytes() == (
+            tmp_path / "1" / "table_1.csv"
+        ).read_bytes()
 
     def test_failed_replications_are_counted(self, tmp_path, monkeypatch):
         original = simulation._replication_rows

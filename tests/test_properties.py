@@ -7,7 +7,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from alphascreen.baselines import bh_procedure
 from alphascreen.estimation import estimate_alpha
 from alphascreen.fdr import NegativeControlConfig, fit_halves, split_from_fits
-from alphascreen.panels import ReturnPanel
+from alphascreen.panels import FactorPanel, ReturnPanel
 from alphascreen.simulation import (
     METHODS,
     PanelFits,
@@ -75,6 +75,37 @@ def test_alpha_hat_unchanged_when_returns_gain_observed_factor_terms(seed, loadi
     np.testing.assert_allclose(
         fit_shifted.alpha_hat, fit.alpha_hat, rtol=0.0, atol=ROUNDING_RTOL * scale
     )
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["iid_normal", "garch_arma"]),
+    st.booleans(),
+)
+@hyp_settings(max_examples=20, deadline=None)
+def test_mirroring_the_second_half_negates_t2_and_t_prod(seed, temporal_mode, studentize):
+    # Negating the second half's returns and observed factors negates that
+    # half's intercepts, residuals and latent loadings and leaves its Gram
+    # matrix and long-run variances as they were, so t1 is unchanged and t2
+    # and t_prod flip sign, exactly in IEEE arithmetic.  Under a pure
+    # null with symmetric factors and errors the mirrored panel has the
+    # original's distribution, so t_prod is symmetric in distribution: the
+    # mirror property of Dai, Lin, Xing & Liu (2023).
+    scenario = SimulationScenario(
+        n=60, p=80, pi=0.0, nu=0.0, temporal_mode=temporal_mode, seed=seed
+    )
+    returns, factors, _, _ = generate_panel(scenario, replication_rng(seed, 0))
+    sign = np.ones(returns.n_periods)
+    sign[returns.n_periods // 2 :] = -1.0
+    mirrored_returns = ReturnPanel(returns.values * sign, returns.entity_ids, returns.time_index)
+    mirrored_factors = FactorPanel(factors.values * sign[:, None], factors.names, factors.time_index)
+    result = split_from_fits(fit_halves(returns, factors), studentize=studentize)
+    mirrored = split_from_fits(
+        fit_halves(mirrored_returns, mirrored_factors), studentize=studentize
+    )
+    assert np.array_equal(mirrored.t1, result.t1)
+    assert np.array_equal(mirrored.t2, -result.t2)
+    assert np.array_equal(mirrored.t_prod, -result.t_prod)
 
 
 def decisions(fits, statistics, betas=(0.05, 0.1, 0.2)):

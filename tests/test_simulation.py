@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -25,6 +26,7 @@ from alphascreen.simulation import (
     generate_panel,
     make_alpha,
     replication_rng,
+    run_studies,
     run_study_detailed,
     sample_loadings,
 )
@@ -320,6 +322,48 @@ class TestRunStudy:
             run_study_detailed(sc, ["sn"], [0.2], replications=1, parallelism=8)
         assert pools == [(2, {}), (2, {})]  # workers need no start-up hook
 
+    def test_parallelism_below_one_rejected(self):
+        for parallelism in (0, -1):
+            with pytest.raises(ValueError, match="parallelism must be at least 1"):
+                run_studies([self.small_scenario()], ["yd"], [0.2], 2, parallelism=parallelism)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_studies_equal_one_study_per_scenario(self, workers):
+        scenarios = [self.small_scenario(), SimulationScenario(n=40, p=40, pi=0.2, nu=0.5, seed=29)]
+        studies = run_studies(scenarios, ["yd", "bh"], [0.1, 0.2], 3, parallelism=workers)
+        assert studies == [
+            run_study_detailed(sc, ["yd", "bh"], [0.1, 0.2], 3, parallelism=workers)
+            for sc in scenarios
+        ]
+        assert all(failures == [] for _, _, failures in studies)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_and_warnings_stay_per_scenario(self, workers):
+        # rank 40 exceeds what a 30-period half can fit, so every replication fails
+        scenarios = [SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=seed) for seed in (32, 33)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            studies = run_studies(scenarios, ["yd"], [0.1], 4, parallelism=workers, rank=40)
+            singles = run_studies(scenarios, ["yd"], [0.1], 1, parallelism=workers, rank=40)
+        for reports, detail, failures in studies:
+            assert [rep for rep, _ in failures] == [0, 1, 2, 3] and detail == []
+            assert reports[0].replications == 0 and math.isnan(reports[0].mean_fdr)
+        assert [[rep for rep, _ in failures] for _, _, failures in singles] == [[0], [0]]
+        failed = "{} of {} replications failed and were skipped"
+        single = "single-replication study: dispersion fields are 0 by convention"
+        assert [str(w.message) for w in caught] == [failed.format(4, 4)] * 2 + [
+            failed.format(1, 1),
+            single,
+        ] * 2
+        assert all(w.category is RuntimeWarning and w.filename == __file__ for w in caught)
+        with pytest.warns(RuntimeWarning, match="4 of 4 replications failed") as record:
+            expected = [
+                run_study_detailed(sc, ["yd"], [0.1], 4, parallelism=workers, rank=40)
+                for sc in scenarios
+            ]
+        assert studies == expected
+        assert all(w.filename == __file__ for w in record)  # both point at the caller's line
+
     def test_detail_rows_shape(self):
         sc = self.small_scenario()
         reports, detail, failures = run_study_detailed(sc, ["yd", "bh"], [0.1, 0.2], 4)
@@ -407,6 +451,12 @@ def _worker_probe(scenario):
     return seen, baselines._sn_limit_table()
 
 
+def _lookups_held(scenario, replication, methods, betas, rank=None):
+    """Stands in for a replication: one row whose ``fdp`` field carries how
+    many OpenBLAS lookups the process holds before it computes anything."""
+    return [(methods[0], betas[0], sim._openblas_thread_controls.cache_info().currsize, 0.0)]
+
+
 class _Interrupt(BaseException):
     """Escapes the per-replication isolation, as an interrupt would."""
 
@@ -479,3 +529,15 @@ class TestPoolWorker:
         assert seen == [[1, 1]]  # numpy's and scipy's bundled OpenBLAS
         assert np.array_equal(worker_table, table)
         assert _thread_counts() == caller_blas_threads  # the parent keeps its settings
+
+    def test_forked_workers_inherit_the_openblas_lookup(self, monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(
+            sim, "ProcessPoolExecutor", lambda max_workers: ProcessPoolExecutor(max_workers, mp_context=fork)
+        )
+        monkeypatch.setattr(sim, "_replication_rows", _lookups_held)
+        sim._openblas_thread_controls.cache_clear()  # the parent holds no lookup before the study
+        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+        _, detail, failures = run_study_detailed(sc, ["yd"], [0.2], replications=2, parallelism=2)
+        assert failures == []
+        assert [row[3] for row in detail] == [1, 1]  # held before each worker's first replication
