@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateNormalizerError
+from .errors import DegenerateNormalizerError, DimensionError
 from .estimation import PanelFit, estimate_alpha
 from .linalg import demean_columns, least_squares
 from .panels import FactorPanel, ReturnPanel, check_aligned
@@ -171,8 +171,7 @@ def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> P
         "an entity has no residual variance beyond rounding; cannot studentize",
     )
 
-    b = fit.latent.loadings_hat
-    scores = (b.T @ fit.latent.adjusted_returns) / b.shape[0]  # (r, n)
+    scores = fit.latent.scores
     score_cov = scores @ scores.T / n
     premium = fit.latent_premium
     f = factors.values
@@ -229,11 +228,11 @@ def sn_test_rows(rows: np.ndarray) -> np.ndarray:
     """Self-normalized mean-zero test statistic of each row.
 
     ``n * mean(row)^2 / V`` with ``V = n^{-2} sum_t S_t^2`` and ``S_t``
-    the partial sums of the demeaned row.
+    the partial sums of the demeaned row; ``rows`` is (p, n).
     """
     y = np.asarray(rows, dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
+    if y.ndim != 2:
+        raise DimensionError("rows must be a p-by-n matrix")
     n = y.shape[1]
     mean = y.mean(axis=1)
     partial = np.cumsum(y - mean[:, None], axis=1)

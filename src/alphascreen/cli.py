@@ -67,6 +67,10 @@ _TRIM_THRESHOLD_BYTES = 128 << 20
 _TABLE_BETAS = (0.05, 0.10, 0.15)
 _TABLE_METHODS = ("yd", "yd_r", "sbh", "sn", "bh")
 
+# Replication counts, worker counts and latent ranks; target FDR levels.
+_POSITIVE = click.IntRange(min=1)
+_OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)
+
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
@@ -146,23 +150,17 @@ def main():
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(), help="scenario JSON file")
 @click.option("--method", default="yd", type=click.Choice(list(METHODS)), show_default=True)
 @click.option("--beta", default="0.05,0.1,0.15", show_default=True, help="comma-separated target FDR levels")
-@click.option("--reps", default=300, show_default=True, help="number of replications")
-@click.option("--rank", default=None, type=int, help="fix the latent rank instead of estimating it")
+@click.option("--reps", default=300, type=_POSITIVE, show_default=True, help="number of replications")
+@click.option("--rank", default=None, type=_POSITIVE, help="fix the latent rank instead of estimating it")
 @click.option("--seed", default=None, type=int, help="override the scenario seed")
-@click.option("--threads", default=1, show_default=True, help="parallel replication workers")
+@click.option("--threads", default=1, type=_POSITIVE, show_default=True, help="parallel replication workers")
 @click.option("--out", "output_dir", default=".", show_default=True, help="output directory")
 def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir):
     """Run one method across replications of a scenario and write reports."""
-    if reps < 1:
-        raise click.UsageError("--reps must be at least 1")
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
     betas = _parse_betas(beta)
     scenario = _load_scenario(scenario_path)
     if seed is not None:
         scenario = replace(scenario, seed=seed)
-    if rank is not None and rank < 1:
-        raise click.UsageError("--rank must be a positive integer")
     out = _outdir(output_dir)
     try:
         reports, detail, failures = run_study_detailed(
@@ -189,13 +187,11 @@ def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir)
 @click.option("--returns", "returns_path", required=True, type=click.Path(), help="returns CSV")
 @click.option("--factors", "factors_path", required=True, type=click.Path(), help="observed factors CSV")
 @click.option("--method", default="yd", type=click.Choice(list(METHODS)), show_default=True)
-@click.option("--beta", default=0.1, type=float, show_default=True, help="target FDR level")
-@click.option("--rank", default=None, type=int)
+@click.option("--beta", default=0.1, type=_OPEN_UNIT, show_default=True, help="target FDR level")
+@click.option("--rank", default=None, type=_POSITIVE)
 @click.option("--out", "output_dir", default=".", show_default=True)
 def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     """Screen one real panel and write the per-entity selection report."""
-    if not 0.0 < beta < 1.0:
-        raise click.UsageError("--beta must lie strictly between 0 and 1")
     try:
         returns = io.load_returns_csv(returns_path)
         factors = io.load_factors_csv(factors_path)
@@ -255,16 +251,12 @@ def _table_scenarios(table: str, nus: list[float], seed):
 @main.command("replicate-table")
 @click.argument("table")
 @click.option("--nu", default="0.3", show_default=True, help="comma-separated signal strengths")
-@click.option("--reps", default=300, show_default=True)
+@click.option("--reps", default=300, type=_POSITIVE, show_default=True)
 @click.option("--seed", default=None, type=int)
-@click.option("--threads", default=1, show_default=True)
+@click.option("--threads", default=1, type=_POSITIVE, show_default=True)
 @click.option("--out", "output_dir", default=".", show_default=True)
 def replicate_table(table, nu, reps, seed, threads, output_dir):
     """Re-run a built-in study design (TABLE is 1, 2 or figure1)."""
-    if reps < 1:
-        raise click.UsageError("--reps must be at least 1")
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
     nus = _parse_floats(nu, "nu")
     if any(v < 0 for v in nus):
         raise click.UsageError("signal strengths must be nonnegative")

@@ -50,9 +50,10 @@ class LatentFit:
         so its largest-magnitude entry is positive.
     rank_hat
         Number of latent factors retained.
-    adjusted_returns
-        (p, n) observed-factor-free returns, additionally demeaned over
-        time; this is the matrix whose principal components are taken.
+    scores
+        (rank_hat, n) latent scores ``loadings_hat' A / p`` of the
+        time-demeaned observed-factor-free returns ``A``, the matrix whose
+        principal components are taken.
     eigen_ratio
         The winning consecutive-eigenvalue ratio when the rank was chosen
         automatically (diagnostic; None when the rank was supplied).
@@ -60,7 +61,7 @@ class LatentFit:
 
     loadings_hat: np.ndarray
     rank_hat: int
-    adjusted_returns: np.ndarray
+    scores: np.ndarray
     eigen_ratio: Optional[float] = None
 
 
@@ -152,7 +153,7 @@ def estimate_latent(
     return LatentFit(
         loadings_hat=loadings,
         rank_hat=rank,
-        adjusted_returns=centered,
+        scores=(loadings.T @ centered) / p,
         eigen_ratio=eigen_ratio,
     )
 
@@ -245,16 +246,13 @@ def long_run_variance(
 
     Parameters
     ----------
-    residuals : ndarray, shape (p, n) or (n,)
+    residuals : ndarray, shape (p, n)
     bandwidth : float, optional
         Defaults to n**0.2.  Must lie in (0, n).
     """
     e = np.asarray(residuals, dtype=float)
-    if e.ndim == 1:
-        e = e[None, :]
-        squeeze = True
-    else:
-        squeeze = False
+    if e.ndim != 2:
+        raise DimensionError("residuals must be a p-by-n matrix")
     n = e.shape[1]
     ell = float(bandwidth) if bandwidth is not None else float(n) ** 0.2
     if not 0.0 < ell < n:
@@ -267,5 +265,4 @@ def long_run_variance(
         if w == 0.0:
             continue
         s2 = s2 + 2.0 * w * np.sum(e[:, lag:] * e[:, :-lag], axis=1) / n
-    s2 = np.maximum(s2, 1e-12)
-    return s2[0] if squeeze else s2
+    return np.maximum(s2, 1e-12)

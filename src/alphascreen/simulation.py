@@ -51,7 +51,6 @@ __all__ = [
     "PanelFits",
     "make_alpha",
     "sample_loadings",
-    "Ar1CorrelationFactor",
     "garch_factors",
     "arma_mixture_errors",
     "assemble_panel",
@@ -116,8 +115,11 @@ class ArmaComponent:
         return {"weight": self.weight, "ar": list(self.ar), "ma": list(self.ma), "sd": self.sd}
 
 
-def default_arma_mixture(total_weight: float = 0.331) -> tuple:
-    """Eight equally weighted mild components covering the low ARMA orders."""
+def default_arma_mixture() -> tuple:
+    """Eight equally weighted mild components covering the low ARMA orders.
+
+    Their weights sum to 0.331; the remaining entities have i.i.d. errors.
+    """
     recipes = [
         ((0.22,), ()),
         ((), (0.22,)),
@@ -128,7 +130,7 @@ def default_arma_mixture(total_weight: float = 0.331) -> tuple:
         ((0.15,), (0.10, 0.08)),
         ((0.10, 0.05), (0.10, 0.05)),
     ]
-    w = total_weight / len(recipes)
+    w = 0.331 / len(recipes)
     return tuple(ArmaComponent(weight=w, ar=ar, ma=ma) for ar, ma in recipes)
 
 
@@ -339,37 +341,24 @@ def sample_loadings(
     return mean + rng.standard_normal((p, r)) @ chol.T
 
 
-@dataclass(frozen=True)
-class Ar1CorrelationFactor:
-    """Implicit square root of the covariance ``rho^|i-j|``.
+def _ar1_correlate(z: np.ndarray, rho: float) -> np.ndarray:
+    """Rows of ``z`` correlated by the covariance ``rho^|i-j|`` down the first axis.
 
-    ``apply`` runs the exact recursion ``e_0 = z_0``,
-    ``e_i = rho e_{i-1} + sqrt(1-rho^2) z_i`` down the first axis, which
-    is the lower-triangular Cholesky factor of the Toeplitz family
-    without ever materializing it.
+    Runs the exact recursion ``e_0 = z_0``,
+    ``e_i = rho e_{i-1} + sqrt(1-rho^2) z_i``, which applies the
+    lower-triangular Cholesky factor of the Toeplitz family without ever
+    materializing it.  ``z`` has unit-variance rows, shape (p,) or (p, m).
     """
-
-    size: int
-    rho: float
-
-    def __post_init__(self):
-        if abs(self.rho) >= 1.0:
-            raise ValueError(f"|rho| must be below 1, got {self.rho}")
-        if self.size < 1:
-            raise ValueError("size must be positive")
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """Correlate unit-variance rows; z has shape (size,) or (size, m)."""
-        z = np.asarray(z, dtype=float)
-        if z.shape[0] != self.size:
-            raise ValueError(f"expected leading dimension {self.size}, got {z.shape[0]}")
-        if self.rho == 0.0:
-            return z.copy()
-        x = z * math.sqrt(1.0 - self.rho**2)
-        x[0] = z[0]
-        for i in range(1, self.size):
-            x[i] += self.rho * x[i - 1]
-        return x
+    if abs(rho) >= 1.0:
+        raise ValueError(f"|rho| must be below 1, got {rho}")
+    z = np.asarray(z, dtype=float)
+    if rho == 0.0:
+        return z.copy()
+    x = z * math.sqrt(1.0 - rho**2)
+    x[0] = z[0]
+    for i in range(1, z.shape[0]):
+        x[i] += rho * x[i - 1]
+    return x
 
 
 def _garch_series(
@@ -425,18 +414,15 @@ def arma_mixture_errors(
     n: int,
     p: int,
     mixture: Sequence[ArmaComponent],
-    base_sd: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Rows drawn from a mixture of ARMA processes plus an i.i.d. remainder.
 
     Each entity is independently assigned a component by the mixture
     weights (the unassigned remainder is i.i.d. standard normal), its
     series simulated with a 200-period burn-in and standardized to unit
-    stationary variance.  ``base_sd`` rescales rows afterwards.
+    stationary variance.
     """
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
     from scipy.signal import lfilter  # see ArmaComponent.stationary_sd
 
     mixture = tuple(mixture)
@@ -457,8 +443,6 @@ def arma_mixture_errors(
         ma_poly, ar_poly = comp.polynomials()
         filtered = lfilter(ma_poly, ar_poly, innov, axis=1)[:, ARMA_BURN_IN:]
         out[rows] = filtered / comp.stationary_sd()
-    if base_sd is not None:
-        out *= np.asarray(base_sd, dtype=float)[:, None]
     return out
 
 
@@ -499,7 +483,7 @@ def generate_panel(
         factors = garch_factors(n, r, scenario.garch_params, scenario.factor_cov, rng)
         raw_errors = arma_mixture_errors(n, p, scenario.arma_mixture, rng=rng)
 
-    errors = Ar1CorrelationFactor(p, scenario.error_cov_rho).apply(raw_errors)
+    errors = _ar1_correlate(raw_errors, scenario.error_cov_rho)
     sigma_e = np.ones(p)
     if scenario.hetero_variances:
         lo, hi = scenario.hetero_range

@@ -19,7 +19,7 @@ from alphascreen.baselines import (
     sn_statistics,
     sn_test_rows,
 )
-from alphascreen.errors import DegenerateNormalizerError
+from alphascreen.errors import DegenerateNormalizerError, DimensionError
 from alphascreen.panels import FactorPanel, ReturnPanel
 
 
@@ -205,6 +205,10 @@ class TestSelfNormalized:
     def test_constant_row_degenerate(self):
         with pytest.raises(DegenerateNormalizerError):
             sn_test_rows(np.full((1, 50), 3.0))
+
+    def test_rows_must_form_a_matrix(self):
+        with pytest.raises(DimensionError):
+            sn_test_rows(np.arange(50.0))
 
     def test_limit_table_cached_and_deterministic(self):
         t1 = _sn_limit_table()

@@ -237,6 +237,20 @@ class TestAnalyze:
             false_counts[method] = len(rejected - set(truth.tolist()))
         assert false_counts["yd_th"] <= false_counts["yd"]
 
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_zero_rank_is_usage_error(self, runner, tmp_path, method):
+        # bh fits no latent model, yet a rank below 1 is refused for it too
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["analyze", "--returns", str(rpath), "--factors", str(fpath),
+             "--method", method, "--rank", "0", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--rank': 0 is not in the range x>=1." in result.output
+        assert not (out / "selection.csv").exists()
+
     def test_pvalue_method_reports_cutoff(self, runner, tmp_path):
         rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
         out = tmp_path / "out_sbh"
@@ -277,7 +291,7 @@ class TestReplicateTable:
             main, ["replicate-table", "1", "--reps", "2", "--threads", "0", "--out", str(tmp_path)]
         )
         assert result.exit_code == 2
-        assert "--threads must be at least 1" in result.output
+        assert "Invalid value for '--threads': 0 is not in the range x>=1." in result.output
         assert not (tmp_path / "table_1.csv").exists()
 
     def test_one_pool_per_command(self, runner, tmp_path, monkeypatch):

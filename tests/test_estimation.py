@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alphascreen.baselines import bh_statistics
-from alphascreen.errors import NoFactorStructureError
+from alphascreen.errors import DimensionError, NoFactorStructureError
 from alphascreen.estimation import (
     bartlett_kernel,
     estimate_alpha,
@@ -242,6 +242,37 @@ class TestEstimateAlpha:
         premium = np.linalg.lstsq(b, adjusted.mean(axis=1), rcond=None)[0]
         assert np.allclose(fit.latent_premium, premium, atol=1e-10)
 
+    def test_latent_scores_project_the_centered_adjusted_returns(self):
+        n, p = 50, 30
+        returns, fac, _, _ = simulate_confounded(
+            n, p, r_o=2, r_c=2, alpha=np.zeros(p),
+            mu_latent=np.array([0.4, -0.3]), noise_sd=1.0, seed=20,
+        )
+        fit = estimate_alpha(returns, fac)
+        _, adjusted = regress_out_observed(returns, fac)
+        centered = adjusted - adjusted.mean(axis=1, keepdims=True)
+        scores = fit.latent.scores
+        assert scores.shape == (fit.latent.rank_hat, n)
+        assert np.array_equal(scores, (fit.latent.loadings_hat.T @ centered) / p)
+
+    def test_residuals_are_the_only_panel_sized_array(self):
+        # a fit keeps one (p, n) array; everything else is (p, r), (r, n) or smaller
+        n, p = 50, 30
+        returns, fac, _, _ = simulate_confounded(
+            n, p, r_o=2, r_c=2, alpha=np.zeros(p),
+            mu_latent=np.array([0.4, -0.3]), noise_sd=1.0, seed=21,
+        )
+        fit = estimate_alpha(returns, fac)
+        arrays = {
+            name: value
+            for obj in (fit, fit.latent)
+            for name, value in vars(obj).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert len(arrays) == 6
+        assert [name for name, value in arrays.items() if value.size >= p * n] == ["residuals"]
+        assert fit.residuals.shape == (p, n)
+
     def test_subspace_recovery_on_strong_factors(self):
         hits = 0
         runs = 25
@@ -305,6 +336,10 @@ class TestLongRunVariance:
 
     def test_zero_row_is_floored(self):
         assert np.all(long_run_variance(np.zeros((2, 30))) == 1e-12)
+
+    def test_rows_must_form_a_matrix(self):
+        with pytest.raises(DimensionError):
+            long_run_variance(np.ones(10))
 
     def test_bandwidth_bounds(self):
         with pytest.raises(ValueError):
