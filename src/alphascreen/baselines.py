@@ -34,7 +34,7 @@ from scipy import special
 
 from .errors import DegenerateNormalizerError, DimensionError
 from .estimation import PanelFit, estimate_alpha
-from .linalg import demean_columns, least_squares
+from .linalg import demean_columns, least_squares, one_blas_thread
 from .panels import FactorPanel, ReturnPanel, check_aligned
 
 __all__ = [
@@ -122,6 +122,7 @@ def bh_procedure(p_values: np.ndarray, beta: float) -> np.ndarray:
     return np.sort(order[:k_hat])
 
 
+@one_blas_thread()
 def bh_statistics(
     returns: ReturnPanel, factors: FactorPanel
 ) -> PValueResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,6 @@ from .simulation import (
     PanelFits,
     SimulationScenario,
     generate_panel,
-    one_blas_thread,
     replication_rng,
     run_studies,
     run_study_detailed,
@@ -66,6 +66,12 @@ _TRIM_THRESHOLD_BYTES = 128 << 20
 
 _TABLE_BETAS = (0.05, 0.10, 0.15)
 _TABLE_METHODS = ("yd", "yd_r", "sbh", "sn", "bh")
+# The (label, scenario factory) blocks of each built-in study design.
+_TABLE_BLOCKS = {
+    "1": (("1-normal", table1_normal_scenario), ("1-lognormal", table1_lognormal_scenario)),
+    "2": (("2", table2_garch_arma_scenario),),
+    "figure1": (("figure1", figure1_hetero_scenario),),
+}
 
 # Replication counts, worker counts and latent ranks; target FDR levels.
 _POSITIVE = click.IntRange(min=1)
@@ -207,13 +213,12 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     spec = METHODS[method]
     fits = PanelFits(returns, factors, rank=rank)
     try:
-        with one_blas_thread():
-            result = spec.statistic(fits)
-            rejected, cutoff_name, cutoff = spec.rule(result, beta)
-            if spec.latent:
-                alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
-            else:
-                alpha_hat, rank_hat = result.alpha_hat, ""
+        result = spec.statistic(fits)
+        rejected, cutoff_name, cutoff = spec.rule(result, beta)
+        if spec.latent:
+            alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
+        else:
+            alpha_hat, rank_hat = result.alpha_hat, ""
     except AlphascreenError as exc:
         raise click.ClickException(str(exc)) from None
 
@@ -230,16 +235,8 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
 
 
 def _table_scenarios(table: str, nus: list[float], seed):
-    if table == "1":
-        blocks = [("1-normal", table1_normal_scenario), ("1-lognormal", table1_lognormal_scenario)]
-    elif table == "2":
-        blocks = [("2", table2_garch_arma_scenario)]
-    elif table == "figure1":
-        blocks = [("figure1", figure1_hetero_scenario)]
-    else:
-        raise click.UsageError(f"unknown table id {table!r}; choose 1, 2 or figure1")
     out = []
-    for label, factory in blocks:
+    for label, factory in _TABLE_BLOCKS[table]:
         for nu in nus:
             scenario = factory(nu=nu)
             if seed is not None:
@@ -249,7 +246,7 @@ def _table_scenarios(table: str, nus: list[float], seed):
 
 
 @main.command("replicate-table")
-@click.argument("table")
+@click.argument("table", type=click.Choice(list(_TABLE_BLOCKS)))
 @click.option("--nu", default="0.3", show_default=True, help="comma-separated signal strengths")
 @click.option("--reps", default=300, type=_POSITIVE, show_default=True)
 @click.option("--seed", default=None, type=int)
@@ -258,8 +255,8 @@ def _table_scenarios(table: str, nus: list[float], seed):
 def replicate_table(table, nu, reps, seed, threads, output_dir):
     """Re-run a built-in study design (TABLE is 1, 2 or figure1)."""
     nus = _parse_floats(nu, "nu")
-    if any(v < 0 for v in nus):
-        raise click.UsageError("signal strengths must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in nus):
+        raise click.UsageError("signal strengths must be finite and nonnegative")
     out = _outdir(output_dir)
     blocks = _table_scenarios(table, nus, seed)
     try:

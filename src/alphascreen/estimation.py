@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, NoFactorStructureError
-from .linalg import demean_columns, least_squares
+from .linalg import demean_columns, least_squares, one_blas_thread
 from .panels import FactorPanel, ReturnPanel, check_aligned
 
 __all__ = [
@@ -190,6 +190,7 @@ class PanelFit:
         return self.residuals.shape[1]
 
 
+@one_blas_thread()
 def estimate_alpha(
     returns: ReturnPanel,
     factors: FactorPanel,

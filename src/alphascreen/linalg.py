@@ -1,18 +1,25 @@
-"""Dense linear-algebra primitives used throughout the estimation pipeline.
+"""Dense linear-algebra primitives used throughout the estimation pipeline,
+and the package's one BLAS thread policy (:func:`one_blas_thread`).
 
-Everything here is deterministic and pure.  The solver deliberately goes
+The primitives are deterministic and pure.  The solver deliberately goes
 through an orthogonal (QR) factorization; normal equations are never
 formed explicitly.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
+import scipy
 import scipy.linalg
 
 from .errors import DimensionError, RankDeficientError
 
-__all__ = ["RANK_RTOL", "demean_columns", "least_squares"]
+__all__ = ["RANK_RTOL", "demean_columns", "least_squares", "one_blas_thread"]
 
 # Relative singular-value cutoff below which a design matrix is declared
 # rank deficient.
@@ -73,3 +80,66 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
         )
     q, r = np.linalg.qr(a)
     return scipy.linalg.solve_triangular(r, q.T @ b)
+
+
+# numpy and scipy wheels each bundle an OpenBLAS in ``<package>.libs``;
+# numpy's has 64-bit integers and a ``64_`` symbol suffix.
+_OPENBLAS_DIRS = tuple(
+    Path(package.__file__).parent.with_name(f"{package.__name__}.libs") for package in (np, scipy)
+)
+
+
+def _openblas_thread_controls() -> tuple:
+    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS in ``_OPENBLAS_DIRS``."""
+    controls = []
+    for path in sorted(p for d in _OPENBLAS_DIRS for p in d.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return tuple(controls)
+
+
+# Looked up, never set, at import: both libraries are loaded by then, so
+# this only finds their symbols.  Forked workers inherit the lookup.
+_BLAS_CONTROLS = _openblas_thread_controls()
+_cap_lock = threading.Lock()
+_cap_holders = 0
+_saved_counts: list = []
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with each bundled OpenBLAS at one thread.
+
+    numpy and scipy each start their own OpenBLAS thread pool, and the
+    two pools contend for the cores when calls into both alternate, as
+    they do in every fit.  The cap is process-wide and reference-counted,
+    so blocks may nest and run in several threads at once: the first to
+    enter saves the thread counts and sets one, and the last to leave
+    restores them, also when a block raises.  The lock guards only the
+    count, never the block.  Without a bundled OpenBLAS nothing is done.
+    """
+    global _cap_holders, _saved_counts
+    with _cap_lock:
+        if _cap_holders == 0:
+            _saved_counts = [get_threads() for _, get_threads in _BLAS_CONTROLS]
+            for set_threads, _ in _BLAS_CONTROLS:
+                set_threads(1)
+        _cap_holders += 1
+    try:
+        yield
+    finally:
+        with _cap_lock:
+            _cap_holders -= 1
+            if _cap_holders == 0:
+                for (set_threads, _), count in zip(_BLAS_CONTROLS, _saved_counts):
+                    set_threads(count)

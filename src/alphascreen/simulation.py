@@ -15,20 +15,16 @@ through the scenario.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from pathlib import Path
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .baselines import bh_procedure, bh_statistics, sbh_from_fit, sn_from_fit
 from .estimation import PanelFit, estimate_alpha
@@ -39,6 +35,7 @@ from .fdr import (
     select_threshold,
     split_from_fits,
 )
+from .linalg import one_blas_thread
 from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
@@ -200,8 +197,8 @@ class SimulationScenario:
             raise ValueError("pi must lie in [0, 1]")
         if self.pi > 0.0 and self.pi * self.p < 2.0:
             raise ValueError("a nonzero pi must put at least 2 entities under the alternative")
-        if self.nu < 0.0:
-            raise ValueError("nu must be nonnegative")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError("nu must be finite and nonnegative")
         if not 0.0 <= self.error_cov_rho < 1.0:
             raise ValueError("error_cov_rho must lie in [0, 1)")
         lo, hi = self.hetero_range
@@ -309,8 +306,8 @@ class MetricsReport:
 
 def make_alpha(p: int, pi: float, nu: float) -> np.ndarray:
     """Signal vector: floor(pi*p/2) entries at +nu, up to floor(pi*p) at -nu."""
-    if not 0.0 <= pi <= 1.0 or nu < 0.0:
-        raise ValueError("need 0 <= pi <= 1 and nu >= 0")
+    if not (0.0 <= pi <= 1.0 and 0.0 <= nu < math.inf):
+        raise ValueError("need 0 <= pi <= 1 and a finite nu >= 0")
     alpha = np.zeros(p)
     k_total = int(math.floor(pi * p))
     k_pos = int(math.floor(pi * p / 2.0))
@@ -459,6 +456,7 @@ def assemble_panel(
     return np.asarray(alpha)[:, None] + loadings @ factors.T + errors
 
 
+@one_blas_thread()
 def generate_panel(
     scenario: SimulationScenario, rng: np.random.Generator
 ) -> tuple[ReturnPanel, FactorPanel, np.ndarray, PopulationOracle]:
@@ -582,58 +580,6 @@ METHODS = {
 }
 
 
-# numpy and scipy wheels each bundle an OpenBLAS in ``<package>.libs``;
-# numpy's has 64-bit integers and a ``64_`` symbol suffix.
-_OPENBLAS_DIRS = tuple(
-    Path(package.__file__).parent.with_name(f"{package.__name__}.libs") for package in (np, scipy)
-)
-
-
-@cache
-def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
-    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS found.
-
-    Looked up once per process.  A process pool's parent looks them up
-    before the pool starts, so that a forked worker inherits the result.
-    """
-    controls = []
-    for path in sorted(p for d in _OPENBLAS_DIRS for p in d.glob("libscipy_openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for suffix in ("64_", ""):
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return tuple(controls)
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the block with each bundled OpenBLAS at one thread.
-
-    numpy and scipy each start their own OpenBLAS thread pool, and the
-    two pools contend for the cores when calls into both alternate, as
-    they do in every fit.  Each library's thread count is saved and
-    restored on exit, also when the block raises.  Without a bundled
-    OpenBLAS nothing is done.
-    """
-    controls = _openblas_thread_controls()
-    saved = [get_threads() for _, get_threads in controls]
-    for set_threads, _ in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(controls, saved):
-            set_threads(count)
-
-
 def _replication_rows(scenario, replication, methods, betas, rank=None):
     """``(method, beta, fdp, power)`` rows of one replication, run at one BLAS thread."""
     with one_blas_thread():
@@ -664,11 +610,9 @@ def _run_replications(jobs, methods, betas, workers, rank) -> list[tuple]:
 
     With more than one worker the jobs run in one process pool and their
     results are read in submission order, so a failure (a broken pool
-    included) is recorded against its own job.  The OpenBLAS controls are
-    looked up before the pool starts, so that forked workers inherit them.
+    included) is recorded against its own job.
     """
     if workers > 1:
-        _openblas_thread_controls()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_replication_rows, scenario, rep, methods, betas, rank)
@@ -758,7 +702,7 @@ def run_studies(
     of ``min(parallelism, len(scenarios) * replications)`` workers, so a
     worker's start-up is paid once per call, not once per scenario.
     Every replication runs its BLAS at one thread and restores the
-    thread counts of its process afterwards (see :func:`one_blas_thread`).
+    thread counts of its process afterwards (see :func:`.linalg.one_blas_thread`).
 
     Returns
     -------

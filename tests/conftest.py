@@ -5,6 +5,7 @@ import pytest
 
 import alphascreen.baselines
 import alphascreen.fdr
+import alphascreen.linalg
 import alphascreen.simulation
 from alphascreen.baselines import bh_procedure, bh_statistics, sbh_statistics, sn_statistics
 from alphascreen.estimation import estimate_alpha
@@ -75,7 +76,7 @@ def caller_blas_threads():
     """Set each bundled OpenBLAS to two threads, so that a cap to one shows
     and a count left at one is caught; the process's own counts come back
     after the test.  Yields the counts set."""
-    controls = alphascreen.simulation._openblas_thread_controls()
+    controls = alphascreen.linalg._BLAS_CONTROLS
     saved = [get_threads() for _, get_threads in controls]
     for set_threads, _ in controls:
         set_threads(2)

@@ -15,7 +15,8 @@ import alphascreen as a
 from alphascreen import cli, simulation
 from alphascreen.cli import main
 from alphascreen.io import load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv
-from alphascreen.simulation import METHODS, _openblas_thread_controls
+from alphascreen.linalg import _BLAS_CONTROLS
+from alphascreen.simulation import METHODS
 
 
 @pytest.fixture()
@@ -156,10 +157,12 @@ class TestAnalyze:
         assert sorted(fitted_lengths) == self.FITTED_LENGTHS[method]
 
     def test_selection_independent_of_the_environments_blas_threads(self, tmp_path):
-        """``selection.csv`` is the same byte for byte whether the environment
-        caps OpenBLAS at one thread or leaves its thread count unset.  On a
-        1-CPU host OpenBLAS starts one thread either way, so there this
-        check cannot tell the two cases apart."""
+        """Each method's ``selection.csv`` is the same byte for byte whether the
+        environment caps OpenBLAS at one thread or leaves its thread count
+        unset.  Only the fits and ``bh`` are capped, so this also guards the
+        uncapped steps of ``sbh``, ``sn`` and ``yd_th``.  On a 1-CPU host
+        OpenBLAS starts one thread either way, so there this check cannot
+        tell the two cases apart."""
         scenario = a.SimulationScenario(n=200, p=1000, pi=0.1, nu=0.3, seed=33)
         rpath, fpath, _, _, _ = self.make_panel_files(tmp_path, scenario)
         blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -167,16 +170,17 @@ class TestAnalyze:
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(a.__file__).parents[1]), env.get("PYTHONPATH")])
         )
-        selections = []
-        for i, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"})):
-            out = tmp_path / f"out{i}"
-            subprocess.run(
-                [sys.executable, "-m", "alphascreen.cli", "analyze", "--returns", str(rpath),
-                 "--factors", str(fpath), "--method", "yd", "--out", str(out)],
-                env={**env, **extra}, check=True, capture_output=True, timeout=120,
-            )
-            selections.append((out / "selection.csv").read_bytes())
-        assert selections[0] == selections[1]
+        for method in METHODS:
+            selections = []
+            for i, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"})):
+                out = tmp_path / f"{method}{i}"
+                subprocess.run(
+                    [sys.executable, "-m", "alphascreen.cli", "analyze", "--returns", str(rpath),
+                     "--factors", str(fpath), "--method", method, "--out", str(out)],
+                    env={**env, **extra}, check=True, capture_output=True, timeout=120,
+                )
+                selections.append((out / "selection.csv").read_bytes())
+            assert selections[0] == selections[1], method
 
     def test_leaves_the_callers_blas_threads(self, runner, tmp_path, caller_blas_threads):
         rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
@@ -186,7 +190,7 @@ class TestAnalyze:
              "--out", str(tmp_path / "out")],
         )
         assert result.exit_code == 0, result.output
-        assert [get() for _, get in _openblas_thread_controls()] == caller_blas_threads
+        assert [get() for _, get in _BLAS_CONTROLS] == caller_blas_threads
 
     def test_method_choices_come_from_the_registry(self):
         for command in ("simulate", "analyze"):
@@ -266,8 +270,19 @@ class TestAnalyze:
 
 class TestReplicateTable:
     def test_unknown_table_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["replicate-table", "7", "--out", str(tmp_path)])
+        result = runner.invoke(main, ["replicate-table", "3", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+        assert "'3' is not one of '1', '2', 'figure1'" in result.output
+        assert not (tmp_path / "out").exists()  # refused before the output directory is made
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-inf", "0.3,nan"])
+    def test_non_finite_signal_strength_is_usage_error(self, runner, tmp_path, nu):
+        result = runner.invoke(
+            main, ["replicate-table", "1", "--nu", nu, "--reps", "2", "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2
+        assert "signal strengths must be finite and nonnegative" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_table2_smoke(self, runner, tmp_path):
         result = runner.invoke(

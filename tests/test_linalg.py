@@ -1,8 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
+import alphascreen.baselines as baselines
+import alphascreen.estimation as estimation
+import alphascreen.linalg as linalg
+import alphascreen.simulation as simulation
 from alphascreen.errors import DimensionError, RankDeficientError
-from alphascreen.linalg import demean_columns, least_squares
+from alphascreen.linalg import demean_columns, least_squares, one_blas_thread
 
 
 class TestDemeanColumns:
@@ -65,3 +71,78 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             least_squares(np.ones((5, 1)), np.ones(4))
+
+
+def _thread_counts():
+    return [get() for _, get in linalg._BLAS_CONTROLS]
+
+
+_PANEL = simulation.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+
+
+class TestOneBlasThread:
+    """Each block runs at one thread (numpy's and scipy's bundled OpenBLAS:
+    ``[1, 1]``); ``caller_blas_threads`` set both to two beforehand."""
+
+    def test_the_last_thread_to_leave_restores_the_callers_counts(self, caller_blas_threads):
+        def hold(entered, release, seen):
+            with one_blas_thread():
+                entered.set()
+                release.wait(timeout=60)
+                seen.append(_thread_counts())
+
+        first, second = [(threading.Event(), threading.Event(), []) for _ in range(2)]
+        threads = [threading.Thread(target=hold, args=args) for args in (first, second)]
+        threads[0].start()
+        assert first[0].wait(timeout=60)
+        threads[1].start()
+        assert second[0].wait(timeout=60)
+        first[1].set()  # the first to enter leaves first
+        threads[0].join(timeout=60)
+        assert _thread_counts() == [1, 1]  # the second is still inside
+        second[1].set()
+        threads[1].join(timeout=60)
+        assert first[2] == [[1, 1]] and second[2] == [[1, 1]]
+        assert _thread_counts() == caller_blas_threads
+
+    def test_nested_blocks(self, caller_blas_threads):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert _thread_counts() == [1, 1]
+            assert _thread_counts() == [1, 1]
+        assert _thread_counts() == caller_blas_threads
+
+    def test_restored_when_the_block_raises(self, caller_blas_threads):
+        with pytest.raises(RuntimeError, match="inside"):
+            with one_blas_thread():
+                with one_blas_thread():
+                    raise RuntimeError("inside")
+        assert _thread_counts() == caller_blas_threads
+        with one_blas_thread():  # the next block caps again
+            assert _thread_counts() == [1, 1]
+        assert _thread_counts() == caller_blas_threads
+
+    @pytest.mark.parametrize(
+        "module, inner, call",
+        [
+            (estimation, "least_squares", estimation.estimate_alpha),
+            (simulation, "assemble_panel", lambda *_: simulation.generate_panel(
+                _PANEL, np.random.default_rng(0))),
+            (baselines, "least_squares", baselines.bh_statistics),
+        ],
+        ids=["estimate_alpha", "generate_panel", "bh_statistics"],
+    )
+    def test_public_entry_points_cap_themselves(
+        self, monkeypatch, caller_blas_threads, module, inner, call
+    ):
+        returns, factors, _, _ = simulation.generate_panel(_PANEL, np.random.default_rng(1))
+        seen, original = [], getattr(module, inner)
+
+        def probe(*args):
+            seen.append(_thread_counts())
+            return original(*args)
+
+        monkeypatch.setattr(module, inner, probe)
+        call(returns, factors)  # called directly, outside any runner
+        assert seen and all(counts == [1, 1] for counts in seen)
+        assert _thread_counts() == caller_blas_threads

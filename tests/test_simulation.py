@@ -10,6 +10,7 @@ from scipy.signal import lfilter
 
 import alphascreen as a
 import alphascreen.baselines as baselines
+import alphascreen.linalg as linalg
 import alphascreen.simulation as sim
 from alphascreen.errors import DimensionError
 from alphascreen.simulation import (
@@ -50,6 +51,11 @@ class TestMakeAlpha:
     def test_floor_semantics(self):
         alpha = make_alpha(10, 0.35, 1.0)  # floor(3.5/2)=1 positive, floor(3.5)=3 total
         assert np.allclose(alpha, [1, -1, -1, 0, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_rejected(self, nu):
+        with pytest.raises(ValueError, match="finite nu"):
+            make_alpha(10, 0.4, nu)
 
 
 class TestSampleLoadings:
@@ -204,6 +210,11 @@ class TestScenario:
                 n=100, p=50, pi=0.1, nu=0.3,
                 garch_params=tuple((0.1, 0.6, 0.5) for _ in range(7)),
             )
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
+            SimulationScenario(n=100, p=50, pi=0.1, nu=nu)
 
     def test_global_null_allowed(self, load_scenario):
         sc = load_scenario("global_null")
@@ -428,7 +439,7 @@ class TestRunStudy:
 
 
 def _thread_counts():
-    return [get() for _, get in sim._openblas_thread_controls()]
+    return [get() for _, get in linalg._BLAS_CONTROLS]
 
 
 def _worker_probe(scenario):
@@ -444,12 +455,6 @@ def _worker_probe(scenario):
     assert baselines._sn_limit_table.cache_info().currsize == 0  # nothing loaded yet
     sim._replication_rows(scenario, 0, ["probe"], [0.2])
     return seen, baselines._sn_limit_table()
-
-
-def _lookups_held(scenario, replication, methods, betas, rank=None):
-    """Stands in for a replication: one row whose ``fdp`` field carries how
-    many OpenBLAS lookups the process holds before it computes anything."""
-    return [(methods[0], betas[0], sim._openblas_thread_controls.cache_info().currsize, 0.0)]
 
 
 class _Interrupt(BaseException):
@@ -501,16 +506,14 @@ class TestSerialBlasThreads:
         assert _thread_counts() == caller_blas_threads
 
     def test_no_op_without_openblas(self, tmp_path, monkeypatch, caller_blas_threads):
-        controls = sim._openblas_thread_controls()
+        controls = linalg._BLAS_CONTROLS
         (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
-        monkeypatch.setattr(sim, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
-        sim._openblas_thread_controls.cache_clear()  # look up in the patched directories
-        try:
-            with sim.one_blas_thread():
-                assert [get() for _, get in controls] == caller_blas_threads
+        monkeypatch.setattr(linalg, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
+        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", linalg._openblas_thread_controls())
+        assert linalg._BLAS_CONTROLS == ()  # nothing found in the patched directories
+        with linalg.one_blas_thread():
             assert [get() for _, get in controls] == caller_blas_threads
-        finally:
-            sim._openblas_thread_controls.cache_clear()  # so later calls find the real ones
+        assert [get() for _, get in controls] == caller_blas_threads
 
 
 class TestPoolWorker:
@@ -524,15 +527,3 @@ class TestPoolWorker:
         assert seen == [[1, 1]]  # numpy's and scipy's bundled OpenBLAS
         assert np.array_equal(worker_table, table)
         assert _thread_counts() == caller_blas_threads  # the parent keeps its settings
-
-    def test_forked_workers_inherit_the_openblas_lookup(self, monkeypatch):
-        fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(
-            sim, "ProcessPoolExecutor", lambda max_workers: ProcessPoolExecutor(max_workers, mp_context=fork)
-        )
-        monkeypatch.setattr(sim, "_replication_rows", _lookups_held)
-        sim._openblas_thread_controls.cache_clear()  # the parent holds no lookup before the study
-        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
-        _, detail, failures = run_study_detailed(sc, ["yd"], [0.2], replications=2, parallelism=2)
-        assert failures == []
-        assert [row[3] for row in detail] == [1, 1]  # held before each worker's first replication
