@@ -57,14 +57,11 @@ from .simulation import (
     PopulationOracle,
     SimulationScenario,
     arma_mixture_errors,
-    assemble_panel,
     figure1_hetero_scenario,
     garch_factors,
     generate_panel,
-    make_alpha,
     run_studies,
     run_study_detailed,
-    sample_loadings,
     table1_lognormal_scenario,
     table1_normal_scenario,
     table2_garch_arma_scenario,

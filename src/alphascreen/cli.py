@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -73,9 +72,8 @@ _TABLE_BLOCKS = {
     "figure1": (("figure1", figure1_hetero_scenario),),
 }
 
-# Replication counts, worker counts and latent ranks; target FDR levels.
+# Replication counts, worker counts and latent ranks.
 _POSITIVE = click.IntRange(min=1)
-_OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -88,17 +86,17 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _parse_betas(text: str) -> list[float]:
-    betas = _parse_floats(text, "beta")
+def _check_betas(betas: list[float]) -> list[float]:
+    """The CLI's one rule for target FDR levels; NaN fails it."""
     if any(not 0.0 < b < 1.0 for b in betas):
         raise click.UsageError("every beta must lie strictly between 0 and 1")
     return betas
 
 
-def _load_scenario(path: str) -> SimulationScenario:
+def _load_scenario(path: str, seed: int | None) -> SimulationScenario:
     try:
-        payload = json.loads(Path(path).read_text())
-        return SimulationScenario.from_dict(payload)
+        scenario = SimulationScenario.from_dict(json.loads(Path(path).read_text()))
+        return scenario if seed is None else replace(scenario, seed=seed)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"cannot load scenario {path}: {exc}") from None
 
@@ -163,10 +161,8 @@ def main():
 @click.option("--out", "output_dir", default=".", show_default=True, help="output directory")
 def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir):
     """Run one method across replications of a scenario and write reports."""
-    betas = _parse_betas(beta)
-    scenario = _load_scenario(scenario_path)
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
+    betas = _check_betas(_parse_floats(beta, "beta"))
+    scenario = _load_scenario(scenario_path, seed)
     out = _outdir(output_dir)
     try:
         reports, detail, failures = run_study_detailed(
@@ -193,11 +189,12 @@ def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir)
 @click.option("--returns", "returns_path", required=True, type=click.Path(), help="returns CSV")
 @click.option("--factors", "factors_path", required=True, type=click.Path(), help="observed factors CSV")
 @click.option("--method", default="yd", type=click.Choice(list(METHODS)), show_default=True)
-@click.option("--beta", default=0.1, type=_OPEN_UNIT, show_default=True, help="target FDR level")
+@click.option("--beta", default=0.1, type=float, show_default=True, help="target FDR level in (0, 1)")
 @click.option("--rank", default=None, type=_POSITIVE)
 @click.option("--out", "output_dir", default=".", show_default=True)
 def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     """Screen one real panel and write the per-entity selection report."""
+    _check_betas([beta])
     try:
         returns = io.load_returns_csv(returns_path)
         factors = io.load_factors_csv(factors_path)
@@ -255,10 +252,11 @@ def _table_scenarios(table: str, nus: list[float], seed):
 def replicate_table(table, nu, reps, seed, threads, output_dir):
     """Re-run a built-in study design (TABLE is 1, 2 or figure1)."""
     nus = _parse_floats(nu, "nu")
-    if not all(0.0 <= v < math.inf for v in nus):
-        raise click.UsageError("signal strengths must be finite and nonnegative")
+    try:
+        blocks = _table_scenarios(table, nus, seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     out = _outdir(output_dir)
-    blocks = _table_scenarios(table, nus, seed)
     try:
         studies = run_studies(
             [scenario for _, _, scenario in blocks],
@@ -272,13 +270,10 @@ def replicate_table(table, nu, reps, seed, threads, output_dir):
     rows = []
     for (label, nu_val, _), (reports, _, failures) in zip(blocks, studies):
         click.echo(f"{label} nu={nu_val:g}: {len(failures)} of {reps} replications failed", err=True)
-        by_method: dict = {}
-        for r in reports:
-            by_method.setdefault(r.method, []).append(r)
-        for method, recs in by_method.items():
-            recs = sorted(recs, key=lambda r: r.beta)
-            ref = _REFERENCE.get((label, nu_val, method))
-            rows.append((label, nu_val, method, recs, ref))
+        # run_studies returns each block's reports by method, then by beta
+        for k, method in enumerate(_TABLE_METHODS):
+            recs = reports[k * len(_TABLE_BETAS) : (k + 1) * len(_TABLE_BETAS)]
+            rows.append((label, nu_val, method, recs, _REFERENCE.get((label, nu_val, method))))
 
     lines = [
         "block,nu,method,beta,mean_fdr,sd_fdr,mean_power,sd_power,replications,ref_fdr,ref_power"

@@ -91,8 +91,8 @@ class NegativeControlConfig:
     def __post_init__(self):
         if self.mode not in ("explicit_set", "threshold_rule"):
             raise ValueError(f"unknown negative control mode {self.mode!r}")
-        if self.gamma_scale <= 0:
-            raise ValueError("gamma_scale must be positive")
+        if not 0.0 < self.gamma_scale < math.inf:
+            raise ValueError(f"gamma_scale must be finite and positive, got {self.gamma_scale}")
         if self.mode == "explicit_set":
             if self.explicit_indices is None or len(self.explicit_indices) == 0:
                 raise NegativeControlError(

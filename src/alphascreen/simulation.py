@@ -16,12 +16,13 @@ through the scenario.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -46,11 +47,8 @@ __all__ = [
     "Method",
     "METHODS",
     "PanelFits",
-    "make_alpha",
-    "sample_loadings",
     "garch_factors",
     "arma_mixture_errors",
-    "assemble_panel",
     "generate_panel",
     "run_studies",
     "run_study_detailed",
@@ -72,6 +70,22 @@ def _poly_roots_outside_unit_circle(coefs: Sequence[float]) -> bool:
     return bool(np.all(np.abs(roots) > 1.0))
 
 
+def _plain(value):
+    """JSON form of a value: a dataclass as a dict of its fields, arrays and tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _require_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        raise ValueError(f"{name} must hold only finite numbers")
+
+
 @dataclass(frozen=True)
 class ArmaComponent:
     """One mixture component: a stationary, invertible ARMA recipe."""
@@ -84,10 +98,13 @@ class ArmaComponent:
     def __post_init__(self):
         object.__setattr__(self, "ar", tuple(float(c) for c in self.ar))
         object.__setattr__(self, "ma", tuple(float(c) for c in self.ma))
+        # Each range is written so that NaN and the infinities fail it.
         if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("component weight must lie in [0, 1]")
-        if self.sd <= 0.0:
-            raise ValueError("innovation sd must be positive")
+            raise ValueError(f"component weight must lie in [0, 1], got {self.weight}")
+        if not 0.0 < self.sd < math.inf:
+            raise ValueError(f"component sd must be finite and positive, got {self.sd}")
+        _require_finite("component ar", self.ar)
+        _require_finite("component ma", self.ma)
         if not _poly_roots_outside_unit_circle([-c for c in self.ar]):
             raise ValueError(f"AR coefficients {self.ar} are not stationary")
         if not _poly_roots_outside_unit_circle(list(self.ma)):
@@ -109,7 +126,7 @@ class ArmaComponent:
         return self.sd * math.sqrt(float(np.sum(psi * psi)))
 
     def to_dict(self) -> dict:
-        return {"weight": self.weight, "ar": list(self.ar), "ma": list(self.ma), "sd": self.sd}
+        return _plain(self)
 
 
 def default_arma_mixture() -> tuple:
@@ -152,6 +169,32 @@ def _default_garch_params(r: int) -> tuple:
     return tuple((0.1, 0.1, 0.8) for _ in range(r))
 
 
+def _require_positive_definite(name: str, matrix: np.ndarray) -> None:
+    # cholesky reads only the lower triangle, so symmetry is a check of its own
+    if np.array_equal(matrix, matrix.T):
+        try:
+            np.linalg.cholesky(matrix)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError(f"{name} must be symmetric positive definite")
+
+
+def _garch_params(params, r: int) -> tuple:
+    """``params`` as ``r`` finite, stationary ``(omega, a1, b1)`` triples of Python floats.
+
+    The one GARCH check, shared by the scenario and :func:`garch_factors`.
+    """
+    params = tuple(tuple(float(v) for v in triple) for triple in params)
+    if len(params) != r or any(len(t) != 3 for t in params):
+        raise ValueError(f"garch_params must hold {r} (omega, a1, b1) triples")
+    for omega, a1, b1 in params:
+        # false for NaN and for an infinite entry
+        if not (0.0 < omega < math.inf and a1 >= 0.0 and b1 >= 0.0 and a1 + b1 < 1.0):
+            raise ValueError(f"garch_params entry {(omega, a1, b1)} is not a stationary GARCH(1,1)")
+    return params
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationScenario:
     """Complete description of one data-generating process.
@@ -163,6 +206,8 @@ class SimulationScenario:
     hetero_variances
         When set, each entity's error row is scaled by the square root
         of an independent uniform draw from ``hetero_range``.
+
+    ``__post_init__`` is the one check of every field; the generators take them as given.
     """
 
     n: int
@@ -183,88 +228,63 @@ class SimulationScenario:
     seed: int = 0
 
     def __post_init__(self):
-        r = int(self.r_total)
-        if r < 2 or not 1 <= int(self.r_observed) < r:
-            raise ValueError(
-                "need r_total >= 2 and 1 <= r_observed < r_total so at least "
-                "one factor stays latent"
-            )
+        store = partial(object.__setattr__, self)
+        # seed >= 0 is what np.random.SeedSequence accepts
+        for name, low in (("n", 1), ("p", 1), ("r_total", 2), ("r_observed", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value >= low and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            store(name, int(value))
+        r = self.r_total
+        if self.r_observed >= r:
+            raise ValueError("need r_observed < r_total so at least one factor stays latent")
         if self.n < 2 * (self.r_observed + 3):
             raise ValueError(
                 f"n = {self.n} too short to split with {self.r_observed} observed factors"
             )
+        # Each scalar range is written so that NaN and the infinities fail it.
         if not 0.0 <= self.pi <= 1.0:
-            raise ValueError("pi must lie in [0, 1]")
+            raise ValueError(f"pi must lie in [0, 1], got {self.pi}")
         if self.pi > 0.0 and self.pi * self.p < 2.0:
             raise ValueError("a nonzero pi must put at least 2 entities under the alternative")
         if not 0.0 <= self.nu < math.inf:
-            raise ValueError("nu must be finite and nonnegative")
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
         if not 0.0 <= self.error_cov_rho < 1.0:
-            raise ValueError("error_cov_rho must lie in [0, 1)")
+            raise ValueError(f"error_cov_rho must lie in [0, 1), got {self.error_cov_rho}")
         lo, hi = self.hetero_range
-        if not 0.0 < lo <= hi:
-            raise ValueError("hetero_range must satisfy 0 < lo <= hi")
-        object.__setattr__(self, "hetero_range", (float(lo), float(hi)))
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"hetero_range must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
+        store("hetero_range", (float(lo), float(hi)))
         if self.temporal_mode not in ("iid_normal", "iid_lognormal", "garch_arma"):
             raise ValueError(f"unknown temporal_mode {self.temporal_mode!r}")
 
-        fc = self.factor_cov if self.factor_cov is not None else _default_factor_cov(r)
-        fc = np.asarray(fc, dtype=float)
-        if fc.shape != (r, r):
-            raise ValueError(f"factor_cov must be {r}x{r}")
-        np.linalg.cholesky(fc)  # raises when not positive definite
-        object.__setattr__(self, "factor_cov", fc)
-
-        lm = self.loading_mean if self.loading_mean is not None else _default_loading_mean(r)
-        lm = np.asarray(lm, dtype=float)
-        if lm.shape != (r,):
-            raise ValueError(f"loading_mean must have length {r}")
-        object.__setattr__(self, "loading_mean", lm)
-
-        lc = self.loading_cov if self.loading_cov is not None else _default_loading_cov(r)
-        lc = np.asarray(lc, dtype=float)
-        if lc.shape != (r, r):
-            raise ValueError(f"loading_cov must be {r}x{r}")
-        if np.any(lc != 0.0):
-            np.linalg.cholesky(lc)
-        object.__setattr__(self, "loading_cov", lc)
+        for name, default, shape in (
+            ("factor_cov", _default_factor_cov, (r, r)),
+            ("loading_mean", _default_loading_mean, (r,)),
+            ("loading_cov", _default_loading_cov, (r, r)),
+        ):
+            value = getattr(self, name)
+            value = np.asarray(default(r) if value is None else value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+            _require_finite(name, value)
+            store(name, value)
+        _require_positive_definite("factor_cov", self.factor_cov)
+        if np.any(self.loading_cov != 0.0):  # all zero: every entity gets the mean loadings
+            _require_positive_definite("loading_cov", self.loading_cov)
 
         gp = self.garch_params if self.garch_params is not None else _default_garch_params(r)
-        gp = tuple(tuple(float(v) for v in triple) for triple in gp)
-        if len(gp) != r or any(len(t) != 3 for t in gp):
-            raise ValueError(f"garch_params must hold {r} (omega, a1, b1) triples")
-        for omega, a1, b1 in gp:
-            if omega <= 0.0 or a1 < 0.0 or b1 < 0.0 or a1 + b1 >= 1.0:
-                raise ValueError(f"GARCH parameters {(omega, a1, b1)} are not stationary")
-        object.__setattr__(self, "garch_params", gp)
+        store("garch_params", _garch_params(gp, r))
 
         mix = self.arma_mixture if self.arma_mixture is not None else default_arma_mixture()
         mix = tuple(c if isinstance(c, ArmaComponent) else ArmaComponent(**c) for c in mix)
         total = sum(c.weight for c in mix)
         if total > 1.0 + 1e-12:
             raise ValueError(f"mixture weights sum to {total} > 1")
-        object.__setattr__(self, "arma_mixture", mix)
-        object.__setattr__(self, "seed", int(self.seed))
+        store("arma_mixture", mix)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "pi": self.pi,
-            "nu": self.nu,
-            "r_total": self.r_total,
-            "r_observed": self.r_observed,
-            "factor_cov": self.factor_cov.tolist(),
-            "loading_mean": self.loading_mean.tolist(),
-            "loading_cov": self.loading_cov.tolist(),
-            "error_cov_rho": self.error_cov_rho,
-            "hetero_variances": self.hetero_variances,
-            "hetero_range": list(self.hetero_range),
-            "temporal_mode": self.temporal_mode,
-            "garch_params": [list(t) for t in self.garch_params],
-            "arma_mixture": [c.to_dict() for c in self.arma_mixture],
-            "seed": self.seed,
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationScenario":
@@ -304,10 +324,8 @@ class MetricsReport:
     runtime: float = field(default=0.0, compare=False)
 
 
-def make_alpha(p: int, pi: float, nu: float) -> np.ndarray:
+def _make_alpha(p: int, pi: float, nu: float) -> np.ndarray:
     """Signal vector: floor(pi*p/2) entries at +nu, up to floor(pi*p) at -nu."""
-    if not (0.0 <= pi <= 1.0 and 0.0 <= nu < math.inf):
-        raise ValueError("need 0 <= pi <= 1 and a finite nu >= 0")
     alpha = np.zeros(p)
     k_total = int(math.floor(pi * p))
     k_pos = int(math.floor(pi * p / 2.0))
@@ -316,7 +334,7 @@ def make_alpha(p: int, pi: float, nu: float) -> np.ndarray:
     return alpha
 
 
-def sample_loadings(
+def _sample_loadings(
     p: int, mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Rows drawn i.i.d. from a multivariate normal with the given moments.
@@ -324,18 +342,9 @@ def sample_loadings(
     An all-zero covariance is an explicit degenerate bypass returning
     ``p`` copies of the mean.
     """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    r = mean.shape[0]
-    if cov.shape != (r, r):
-        raise ValueError("loading covariance shape does not match the mean")
     if not np.any(cov != 0.0):
         return np.tile(mean, (p, 1))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("loading covariance must be positive definite") from None
-    return mean + rng.standard_normal((p, r)) @ chol.T
+    return mean + rng.standard_normal((p, mean.shape[0])) @ np.linalg.cholesky(cov).T
 
 
 def _ar1_correlate(z: np.ndarray, rho: float) -> np.ndarray:
@@ -362,8 +371,6 @@ def _garch_series(
     n: int, omega: float, a1: float, b1: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Raw GARCH(1,1) path with Gaussian innovations, no burn-in removed."""
-    if a1 + b1 >= 1.0 or omega <= 0.0 or a1 < 0.0 or b1 < 0.0:
-        raise ValueError(f"GARCH parameters {(omega, a1, b1)} are not stationary")
     z = rng.standard_normal(n)
     x = np.empty(n)
     sigma2 = omega / (1.0 - a1 - b1)
@@ -388,10 +395,8 @@ def garch_factors(
     (n, r) block is rotated by a square root of ``target_cov`` so the
     unconditional covariance matches the target.
     """
-    if len(params) != r:
-        raise ValueError(f"need {r} GARCH parameter triples, got {len(params)}")
     u = np.empty((n, r))
-    for j, (omega, a1, b1) in enumerate(params):
+    for j, (omega, a1, b1) in enumerate(_garch_params(params, r)):
         raw = _garch_series(n + GARCH_BURN_IN, omega, a1, b1, rng)[GARCH_BURN_IN:]
         u[:, j] = raw / math.sqrt(omega / (1.0 - a1 - b1))
     chol = np.linalg.cholesky(np.asarray(target_cov, dtype=float))
@@ -449,11 +454,11 @@ def _standardized_lognormal(shape, rng: np.random.Generator) -> np.ndarray:
     return (z - math.exp(0.5)) / math.sqrt(math.exp(2.0) - math.exp(1.0))
 
 
-def assemble_panel(
+def _assemble_panel(
     alpha: np.ndarray, loadings: np.ndarray, factors: np.ndarray, errors: np.ndarray
 ) -> np.ndarray:
     """``alpha 1' + B F' + E`` for (p,), (p, r), (n, r), (p, n) inputs."""
-    return np.asarray(alpha)[:, None] + loadings @ factors.T + errors
+    return alpha[:, None] + loadings @ factors.T + errors
 
 
 @one_blas_thread()
@@ -468,8 +473,8 @@ def generate_panel(
     same panel regardless of the signal configuration.
     """
     n, p, r, r_o = scenario.n, scenario.p, scenario.r_total, scenario.r_observed
-    alpha = make_alpha(p, scenario.pi, scenario.nu)
-    loadings = sample_loadings(p, scenario.loading_mean, scenario.loading_cov, rng)
+    alpha = _make_alpha(p, scenario.pi, scenario.nu)
+    loadings = _sample_loadings(p, scenario.loading_mean, scenario.loading_cov, rng)
 
     if scenario.temporal_mode == "iid_normal":
         factors = rng.standard_normal((n, r)) @ np.linalg.cholesky(scenario.factor_cov).T
@@ -489,7 +494,7 @@ def generate_panel(
         errors = errors * np.sqrt(scales)[:, None]
         sigma_e = np.sqrt(scales)
 
-    values = assemble_panel(alpha, loadings, factors, errors)
+    values = _assemble_panel(alpha, loadings, factors, errors)
     width = len(str(p))
     returns = ReturnPanel(
         values, [f"e{i + 1:0{width}d}" for i in range(p)], list(range(1, n + 1))

@@ -82,6 +82,29 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--scenario", str(bad)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "garch_omega, seed, message",
+        [
+            (float("nan"), [], "garch_params entry (nan, 0.1, 0.8)"),
+            (0.1, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        ],
+        ids=["nan_garch", "negative_seed"],
+    )
+    def test_refused_scenario_is_usage_error(
+        self, runner, tiny_scenario, tmp_path, garch_omega, seed, message
+    ):
+        payload = json.loads(tiny_scenario.read_text())
+        payload["garch_params"][0][0] = garch_omega
+        scenario = tmp_path / "refused.json"
+        scenario.write_text(json.dumps(payload))  # writes a NaN literal that json.loads reads back
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["simulate", "--scenario", str(scenario), "--reps", "2", *seed, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
     def test_env_var_override(self, runner, tiny_scenario, tmp_path):
         out = tmp_path / "env_out"
         result = runner.invoke(
@@ -255,6 +278,20 @@ class TestAnalyze:
         assert "Invalid value for '--rank': 0 is not in the range x>=1." in result.output
         assert not (out / "selection.csv").exists()
 
+    @pytest.mark.parametrize("method", ["yd", "bh"])
+    @pytest.mark.parametrize("beta", ["nan", "0", "1", "-inf"])
+    def test_beta_outside_the_open_unit_interval_is_usage_error(self, runner, tmp_path, method, beta):
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["analyze", "--returns", str(rpath), "--factors", str(fpath),
+             "--method", method, "--beta", beta, "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "every beta must lie strictly between 0 and 1" in result.output
+        assert not out.exists()
+
     def test_pvalue_method_reports_cutoff(self, runner, tmp_path):
         rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
         out = tmp_path / "out_sbh"
@@ -281,7 +318,7 @@ class TestReplicateTable:
             main, ["replicate-table", "1", "--nu", nu, "--reps", "2", "--out", str(tmp_path / "out")]
         )
         assert result.exit_code == 2
-        assert "signal strengths must be finite and nonnegative" in result.output
+        assert "nu must be finite and nonnegative" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_table2_smoke(self, runner, tmp_path):

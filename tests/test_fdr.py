@@ -297,6 +297,11 @@ class TestNegativeControl:
         rms = float(np.sqrt(np.mean((explicit - screened) ** 2)))
         assert rms < 1e-3
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_gamma_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="gamma_scale must be finite and positive"):
+            NegativeControlConfig(mode="threshold_rule", gamma_scale=scale)
+
     def test_empty_explicit_set_rejected(self):
         with pytest.raises(NegativeControlError):
             NegativeControlConfig(mode="explicit_set", explicit_indices=())
@@ -323,7 +328,7 @@ class TestNegativeControl:
         n, p, r_o, r_c = 200, 1000, 3, 4
         reps = 300
         rng0 = np.random.default_rng(15)
-        alpha_true = a.make_alpha(p, 0.4, 0.5)
+        alpha_true = a.simulation._make_alpha(p, 0.4, 0.5)
         nulls = np.flatnonzero(alpha_true == 0.0)
         b = rng0.standard_normal((p, r_o + r_c)) * 0.25 + 0.1
         plain_sum = np.zeros(p)
@@ -333,7 +338,7 @@ class TestNegativeControl:
             rng = np.random.default_rng((16, rep))
             factors = rng.standard_normal((n, r_o + r_c)) * 2.0
             errors = rng.standard_normal((p, n))
-            values = a.assemble_panel(alpha_true, b, factors, errors)
+            values = a.simulation._assemble_panel(alpha_true, b, factors, errors)
             X, F = make_panels(values, factors[:, :r_o])
             fit = a.estimate_alpha(X, F, rank=r_c)
             plain_sum += fit.alpha_hat

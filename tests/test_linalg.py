@@ -126,7 +126,7 @@ class TestOneBlasThread:
         "module, inner, call",
         [
             (estimation, "least_squares", estimation.estimate_alpha),
-            (simulation, "assemble_panel", lambda *_: simulation.generate_panel(
+            (simulation, "_assemble_panel", lambda *_: simulation.generate_panel(
                 _PANEL, np.random.default_rng(0))),
             (baselines, "least_squares", baselines.bh_statistics),
         ],
