@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique imports it on first use: load it with the package
 
 from .errors import DimensionError, NegativeControlError
 from .estimation import PanelFit, estimate_alpha, long_run_variance

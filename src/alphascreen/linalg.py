@@ -9,13 +9,12 @@ formed explicitly.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import scipy
-import scipy.linalg
 
 from .errors import DimensionError, RankDeficientError
 
@@ -79,24 +78,86 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
             condition=cond,
         )
     q, r = np.linalg.qr(a)
-    return scipy.linalg.solve_triangular(r, q.T @ b)
+    return _solve_upper_triangular(r, q.T @ b)
+
+
+def _solve_upper_triangular(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``x`` with ``r @ x = rhs`` for upper triangular ``r``, bit for bit
+    ``scipy.linalg.solve_triangular(r, rhs)``.
+
+    Calls LAPACK ``dtrtrs`` in scipy's bundled OpenBLAS with the arguments
+    scipy's ``_solve_triangular`` passes, so that importing scipy is not
+    needed; without that routine it imports scipy and calls it.
+    """
+    np.asarray_chkfinite(r)  # scipy's check_finite, with its ValueError
+    np.asarray_chkfinite(rhs)
+    if _DTRTRS is None:
+        from scipy.linalg import solve_triangular
+
+        return solve_triangular(r, rhs)
+    # LAPACK reads Fortran order: a C-ordered r is passed as the lower
+    # triangular r.T, solved transposed, as scipy does.
+    if r.flags.f_contiguous:
+        a, uplo, trans = r, b"U", b"N"
+    else:
+        a, uplo, trans = np.asfortranarray(r.T), b"L", b"T"
+    x = np.array(rhs, dtype=float, order="F")  # dtrtrs overwrites it with the solution
+    n = ctypes.c_int(a.shape[0])
+    nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
+    info = ctypes.c_int(0)
+    _DTRTRS(
+        uplo, trans, b"N", ctypes.byref(n), ctypes.byref(nrhs),
+        a.ctypes.data, ctypes.byref(n), x.ctypes.data, ctypes.byref(n), ctypes.byref(info),
+        1, 1, 1,  # gfortran's hidden lengths of the three character arguments
+    )
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info.value - 1}"
+        )
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}-th argument of internal trtrs")
+    return x
 
 
 # numpy and scipy wheels each bundle an OpenBLAS in ``<package>.libs``;
-# numpy's has 64-bit integers and a ``64_`` symbol suffix.
+# numpy's has 64-bit integers and a ``64_`` symbol suffix.  scipy's is
+# found without importing scipy.
+_SCIPY_SPEC = importlib.util.find_spec("scipy")
 _OPENBLAS_DIRS = tuple(
-    Path(package.__file__).parent.with_name(f"{package.__name__}.libs") for package in (np, scipy)
+    Path(init_file).parent.with_name(f"{name}.libs")
+    for name, init_file in (("numpy", np.__file__), ("scipy", _SCIPY_SPEC and _SCIPY_SPEC.origin))
+    if init_file
 )
 
 
-def _openblas_thread_controls() -> tuple:
-    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS in ``_OPENBLAS_DIRS``."""
-    controls = []
+def _bundled_openblas() -> list:
+    """A handle on each loadable bundled OpenBLAS in ``_OPENBLAS_DIRS``."""
+    libs = []
     for path in sorted(p for d in _OPENBLAS_DIRS for p in d.glob("libscipy_openblas*.so*")):
         try:
-            lib = ctypes.CDLL(str(path))
+            libs.append(ctypes.CDLL(str(path)))
         except OSError:
             continue
+    return libs
+
+
+def _find_dtrtrs(libs: list):
+    """scipy's LAPACK ``dtrtrs`` (32-bit integers) among ``libs``, or None."""
+    for lib in libs:
+        dtrtrs = getattr(lib, "scipy_dtrtrs_", None)
+        if dtrtrs is not None:
+            # (uplo, trans, diag, n, nrhs, a, lda, b, ldb, info, three char lengths)
+            i, data, char = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.c_char_p
+            dtrtrs.argtypes = [char] * 3 + [i, i, data, i, data, i, i] + [ctypes.c_size_t] * 3
+            dtrtrs.restype = None
+            return dtrtrs
+    return None
+
+
+def _openblas_thread_controls(libs: list) -> tuple:
+    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS in ``libs``."""
+    controls = []
+    for lib in libs:
         for suffix in ("64_", ""):
             setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
             getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
@@ -108,9 +169,12 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-# Looked up, never set, at import: both libraries are loaded by then, so
-# this only finds their symbols.  Forked workers inherit the lookup.
-_BLAS_CONTROLS = _openblas_thread_controls()
+# Looked up, never set, at import; numpy has loaded its library by then,
+# and scipy's is loaded here (a later scipy import maps no second copy).
+# Forked workers inherit the lookup.
+_OPENBLAS = _bundled_openblas()
+_BLAS_CONTROLS = _openblas_thread_controls(_OPENBLAS)
+_DTRTRS = _find_dtrtrs(_OPENBLAS)
 _cap_lock = threading.Lock()
 _cap_holders = 0
 _saved_counts: list = []

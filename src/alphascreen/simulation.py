@@ -26,6 +26,7 @@ from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it on first use: load it with the package
 
 from .baselines import bh_procedure, bh_statistics, sbh_from_fit, sn_from_fit
 from .estimation import PanelFit, estimate_alpha
@@ -251,7 +252,12 @@ class SimulationScenario:
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
         if not 0.0 <= self.error_cov_rho < 1.0:
             raise ValueError(f"error_cov_rho must lie in [0, 1), got {self.error_cov_rho}")
-        lo, hi = self.hetero_range
+        try:
+            lo, hi = self.hetero_range
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"hetero_range must be a pair (lo, hi), got {self.hetero_range!r}"
+            ) from None
         if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"hetero_range must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
         store("hetero_range", (float(lo), float(hi)))
@@ -264,7 +270,10 @@ class SimulationScenario:
             ("loading_cov", _default_loading_cov, (r, r)),
         ):
             value = getattr(self, name)
-            value = np.asarray(default(r) if value is None else value, dtype=float)
+            try:
+                value = np.asarray(default(r) if value is None else value, dtype=float)
+            except (TypeError, ValueError):  # ragged nesting, or an entry that is no number
+                raise ValueError(f"{name} must be a numeric array of shape {shape}") from None
             if value.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
             _require_finite(name, value)
@@ -277,7 +286,10 @@ class SimulationScenario:
         store("garch_params", _garch_params(gp, r))
 
         mix = self.arma_mixture if self.arma_mixture is not None else default_arma_mixture()
-        mix = tuple(c if isinstance(c, ArmaComponent) else ArmaComponent(**c) for c in mix)
+        try:
+            mix = tuple(c if isinstance(c, ArmaComponent) else ArmaComponent(**c) for c in mix)
+        except TypeError as exc:  # an unknown or missing key, or an entry that is no mapping
+            raise ValueError(f"arma_mixture entries must be ArmaComponent fields: {exc}") from None
         total = sum(c.weight for c in mix)
         if total > 1.0 + 1e-12:
             raise ValueError(f"mixture weights sum to {total} > 1")

@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy import special, stats
 
 import alphascreen as a
 import alphascreen.baselines
 from alphascreen.baselines import (
     SN_MC_PATHS,
+    _ndtr,
     _sn_limit_table,
     bh_procedure,
     bh_statistics,
@@ -154,6 +156,45 @@ class TestNormalCalibration:
         X, F, _, _ = a.generate_panel(sc, rng)
         result = bh_statistics(X, F)
         assert result.p_values.shape == (50,)
+
+
+def _branch_points():
+    """±1/sqrt(2), ±1 and ±8, where cephes ndtr, erf and erfc switch
+    branches, as ndtr's argument and scaled by sqrt(2) (ndtr passes
+    ``x / sqrt(2)`` on), each with its two neighbouring doubles."""
+    points = []
+    for edge in (1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0)):
+        for x in (edge, -edge):
+            points += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return np.array(points)
+
+
+class TestNormalCdf:
+    """``_ndtr`` replaces ``scipy.special.ndtr`` and must equal it bit for bit."""
+
+    @staticmethod
+    def assert_identical(x):
+        got, want = _ndtr(x), special.ndtr(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_branch_points_and_their_neighbours(self):
+        self.assert_identical(_branch_points())
+
+    def test_special_values(self):
+        self.assert_identical(
+            np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, -1e300, 1e300, -5e-324])
+        )
+
+    def test_dense_grid_through_the_underflow_tail(self):
+        grid = np.linspace(-40.0, 0.0, 400_001)
+        assert _ndtr(grid)[0] == 0.0  # below about -38.5 the tail underflows
+        self.assert_identical(grid)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_any_finite_doubles(self, values):
+        self.assert_identical(np.array(values))
 
 
 def noiseless_panel(kind, n=40, p=6, seed=3):

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import alphascreen.baselines as baselines
 import alphascreen.estimation as estimation
@@ -71,6 +78,49 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             least_squares(np.ones((5, 1)), np.ones(4))
+
+
+class TestTriangularSolve:
+    """``least_squares`` calls LAPACK ``dtrtrs`` in scipy's bundled OpenBLAS
+    itself; ``scipy.linalg.solve_triangular`` is the bit-exact reference."""
+
+    @staticmethod
+    def assert_matches_scipy(n, rng):
+        for k in range(1, 12):
+            for shape in ((n,), (n, 1), (n, 7), (n, 1000)):
+                design, response = rng.standard_normal((n, k)), rng.standard_normal(shape)
+                q, r = np.linalg.qr(design)
+                want = scipy.linalg.solve_triangular(r, q.T @ response)
+                got = least_squares(design, response)
+                assert np.array_equal(got, want) and got.shape == want.shape
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [60, 100, 200])
+    def test_equals_solve_triangular(self, n):
+        assert linalg._DTRTRS is not None  # scipy's wheel bundles its OpenBLAS
+        self.assert_matches_scipy(n, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("shape", [(30,), (30, 4)], ids=["vector", "matrix"])
+    def test_non_finite_response_raises_scipys_error(self, shape):
+        response = np.ones(shape)
+        response[3] = np.nan
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            least_squares(np.random.default_rng(0).standard_normal((30, 3)), response)
+
+    def test_falls_back_to_scipy_without_the_symbol(self, tmp_path, monkeypatch):
+        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
+        monkeypatch.setattr(linalg, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
+        monkeypatch.setattr(linalg, "_DTRTRS", linalg._find_dtrtrs(linalg._bundled_openblas()))
+        assert linalg._DTRTRS is None  # nothing found in the patched directories
+        calls, solve = [], scipy.linalg.solve_triangular
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", spy)
+        self.assert_matches_scipy(60, np.random.default_rng(1))
+        assert len(calls) == 2 * 11 * 4  # the fallback and the reference
 
 
 def _thread_counts():
@@ -146,3 +196,47 @@ class TestOneBlasThread:
         call(returns, factors)  # called directly, outside any runner
         assert seen and all(counts == [1, 1] for counts in seen)
         assert _thread_counts() == caller_blas_threads
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    def test_governs_scipys_blas_after_a_late_scipy_import(self):
+        """The package loads scipy's OpenBLAS before scipy does; scipy must
+        then map no second copy, so that the cap still reaches its calls.
+        Counts as ``caller_blas_threads`` sets them."""
+        code = textwrap.dedent(
+            """
+            import json
+            from pathlib import Path
+            import alphascreen
+            import scipy.linalg
+            from alphascreen import linalg
+            scipy.linalg.solve_triangular([[2.0]], [1.0])
+            counts = lambda: [get() for _, get in linalg._BLAS_CONTROLS]
+            for set_threads, _ in linalg._BLAS_CONTROLS:
+                set_threads(2)
+            with linalg.one_blas_thread():
+                inside = counts()
+            mapped = {
+                line.split()[-1] for line in Path("/proc/self/maps").read_text().splitlines()
+                if "libscipy_openblas" in line
+            }
+            print(json.dumps({
+                "mapped": sorted(mapped),
+                "loaded": sorted(str(Path(lib._name).resolve()) for lib in linalg._OPENBLAS),
+                "inside": inside,
+                "outside": counts(),
+            }))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(linalg.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+            timeout=120,
+        )
+        seen = json.loads(result.stdout)
+        # numpy's and scipy's library, each mapped once, both the package's handles
+        assert len(seen["loaded"]) == 2 and seen["mapped"] == seen["loaded"]
+        assert seen["inside"] == [1, 1]
+        assert seen["outside"] == [2, 2]

@@ -260,11 +260,21 @@ class TestScenario:
             (dict(factor_cov=np.eye(7) + np.eye(7, k=1)), "factor_cov must be symmetric"),
             (dict(loading_cov=np.diag([1.0, 0, 1, 1, 1, 1, 1])), "loading_cov must be symmetric"),
             (dict(loading_mean=np.zeros(6)), r"loading_mean must have shape \(7,\)"),
+            (dict(hetero_range=(1.0, 2.0, 3.0)), r"hetero_range must be a pair \(lo, hi\)"),
+            (dict(factor_cov=[[1.0] * 7] * 6 + [[1.0]]), "factor_cov must be a numeric array"),
+            (dict(loading_mean=[0.1] * 6 + [[0.1, 0.2]]), "loading_mean must be a numeric array"),
+            (dict(loading_cov=[[0.0] * 7] * 6 + [[0.0]]), "loading_cov must be a numeric array"),
+            (
+                dict(arma_mixture=[dict(weight=0.1, sigma=1.0)]),
+                "arma_mixture entries must be ArmaComponent fields: .*'sigma'",
+            ),
         ],
         ids=[
             "fractional_p", "fractional_seed", "negative_seed", "string_r_total", "no_entities",
             "infinite_hetero", "indefinite_factor_cov", "asymmetric_factor_cov",
-            "indefinite_loading_cov", "loading_mean_shape",
+            "indefinite_loading_cov", "loading_mean_shape", "hetero_triple",
+            "ragged_factor_cov", "ragged_loading_mean", "ragged_loading_cov",
+            "unknown_arma_key",
         ],
     )
     def test_degenerate_field_is_named(self, fields, message):
@@ -575,7 +585,8 @@ class TestSerialBlasThreads:
         controls = linalg._BLAS_CONTROLS
         (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
         monkeypatch.setattr(linalg, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
-        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", linalg._openblas_thread_controls())
+        libs = linalg._bundled_openblas()
+        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", linalg._openblas_thread_controls(libs))
         assert linalg._BLAS_CONTROLS == ()  # nothing found in the patched directories
         with linalg.one_blas_thread():
             assert [get() for _, get in controls] == caller_blas_threads
