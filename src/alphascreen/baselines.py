@@ -223,7 +223,8 @@ def bh_statistics(
     k = design.shape[1]
     coef = least_squares(design, returns.values.T)
     resid = returns.values - (design @ coef).T
-    rss = np.sum(resid * resid, axis=1)
+    resid *= resid  # squared in place: its layout, and so the sum's order, is kept
+    rss = np.sum(resid, axis=1)
     _check_residual_variation(
         rss, returns.values, "an entity has no OLS residual variance beyond rounding"
     )
@@ -315,13 +316,20 @@ def sn_test_rows(rows: np.ndarray) -> np.ndarray:
     ``n * mean(row)^2 / V`` with ``V = n^{-2} sum_t S_t^2`` and ``S_t``
     the partial sums of the demeaned row; ``rows`` is (p, n).
     """
-    y = np.asarray(rows, dtype=float)
+    y = np.array(rows, dtype=float)  # a copy in the same layout, for the in-place steps
     if y.ndim != 2:
         raise DimensionError("rows must be a p-by-n matrix")
+    return _sn_test_rows_in_place(y)
+
+
+def _sn_test_rows_in_place(y: np.ndarray) -> np.ndarray:
+    """:func:`sn_test_rows` of the (p, n) float array ``y``, which it overwrites."""
     n = y.shape[1]
     mean = y.mean(axis=1)
-    partial = np.cumsum(y - mean[:, None], axis=1)
-    v = np.sum(partial * partial, axis=1) / n**2
+    y -= mean[:, None]
+    np.cumsum(y, axis=1, out=y)  # the partial sums
+    y *= y
+    v = np.sum(y, axis=1) / n**2
     if np.any(v <= 0.0):
         raise DegenerateNormalizerError(
             "a residual row has no variation; the self-normalizer is zero"
@@ -359,7 +367,7 @@ def sn_from_fit(fit: PanelFit, returns: ReturnPanel) -> PValueResult:
         "an entity has no residual variance beyond rounding; the self-normalizer is degenerate",
     )
     contributions = resid + fit.alpha_hat[:, None]
-    stat = sn_test_rows(contributions)
+    stat = _sn_test_rows_in_place(contributions)
     p = sn_pvalues(stat)
     return PValueResult(p_values=p, statistics=stat)
 

@@ -60,6 +60,7 @@ _REFERENCE = {
 # glibc's ``mallopt`` parameters (malloc.h) and the values the CLI sets.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 128 << 20
 
@@ -125,8 +126,12 @@ def _keep_freed_heap_mapped() -> None:
     thresholds, which is worse than the defaults: in 12 table-1
     replications on a 2-vCPU Linux host, the trim threshold alone
     faulted about 130k pages in and the mmap threshold alone 61k, against
-    47k with the defaults and 3.9k with both.  The policy is
-    process-wide, so only the CLI sets it; forked pool workers inherit
+    47k with the defaults and 3.9k with both.
+
+    The arena count is capped at one, so the threads of a study's pool
+    allocate from the main arena: glibc would otherwise give each thread
+    an arena of its own, which keeps its own high-water mark under the
+    raised thresholds.  The policy is process-wide, so only the CLI sets
     it.  Without glibc, or without ``mallopt``, nothing is done.
     """
     try:
@@ -142,6 +147,7 @@ def _keep_freed_heap_mapped() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 @click.group(context_settings={"auto_envvar_prefix": "ALPHASCREEN"})
@@ -212,7 +218,7 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     try:
         result = spec.statistic(fits)
         rejected, cutoff_name, cutoff = spec.rule(result, beta)
-        if spec.latent:
+        if spec.fit is not None:
             alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
         else:
             alpha_hat, rank_hat = result.alpha_hat, ""

@@ -82,7 +82,8 @@ def regress_out_observed(
     f = factors.values
     fd = demean_columns(f)
     loadings = least_squares(fd, returns.values.T).T
-    adjusted = returns.values - loadings @ f.T
+    adjusted = loadings @ f.T
+    np.subtract(returns.values, adjusted, out=adjusted)
     return loadings, adjusted
 
 
@@ -217,12 +218,15 @@ def estimate_alpha(
     # least_squares also checks the rank of b, so the QR below sees a full-rank basis.
     premium = least_squares(b, mean_adjusted)
     q, _ = np.linalg.qr(b)
-    projected = adjusted - q @ (q.T @ adjusted)
+    # In place, so that at most two (p, n) arrays of this fit are alive at once.
+    projected = q @ (q.T @ adjusted)
+    np.subtract(adjusted, projected, out=projected)
     alpha_hat = projected.mean(axis=1)
+    projected -= alpha_hat[:, None]
     return PanelFit(
         alpha_hat=alpha_hat,
         latent=latent,
-        residuals=projected - alpha_hat[:, None],
+        residuals=projected,
         mean_adjusted=mean_adjusted,
         latent_premium=premium,
     )

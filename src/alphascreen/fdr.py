@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique imports it on first use: load it with the package
 
 from .errors import DimensionError, NegativeControlError
 from .estimation import PanelFit, estimate_alpha, long_run_variance
@@ -126,7 +125,9 @@ def fit_halves(
 ) -> tuple[PanelFit, PanelFit]:
     """One three-step fit of each chronological half."""
     first, second = chronological_split(returns, factors)
-    return estimate_alpha(*first, rank=rank), estimate_alpha(*second, rank=rank)
+    first_fit = estimate_alpha(*first, rank=rank)
+    del first  # the first half's copy of the returns is not needed for the second fit
+    return first_fit, estimate_alpha(*second, rank=rank)
 
 
 def split_from_fits(
@@ -173,6 +174,17 @@ def split_statistics(
     return split_from_fits(fit_halves(returns, factors, rank), studentize, negative_control)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d float array in ascending order, NaNs
+    (sorted last) counted as one: ``np.unique``, which imports ``numpy.ma``."""
+    v = np.sort(values)
+    first = np.empty(v.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    first[1:] &= ~np.isnan(v[:-1])
+    return v[first]
+
+
 def select_threshold(
     t_prod: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray]:
@@ -186,7 +198,7 @@ def select_threshold(
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     t = np.asarray(t_prod, dtype=float).ravel()
-    candidates = np.unique(np.abs(t[t != 0.0]))
+    candidates = _sorted_distinct(np.abs(t[t != 0.0]))
     if candidates.size == 0:
         return math.inf, np.array([], dtype=int)
     t_sorted = np.sort(t)

@@ -171,7 +171,7 @@ def _openblas_thread_controls(libs: list) -> tuple:
 
 # Looked up, never set, at import; numpy has loaded its library by then,
 # and scipy's is loaded here (a later scipy import maps no second copy).
-# Forked workers inherit the lookup.
+# Every thread of the process, a study's pool included, shares the lookup.
 _OPENBLAS = _bundled_openblas()
 _BLAS_CONTROLS = _openblas_thread_controls(_OPENBLAS)
 _DTRTRS = _find_dtrtrs(_OPENBLAS)

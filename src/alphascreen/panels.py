@@ -17,7 +17,16 @@ __all__ = ["ReturnPanel", "FactorPanel", "check_aligned"]
 
 
 def _freeze(values, shape_name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    # A read-only float array that owns its memory is kept as it is: its
+    # maker has stopped writing to it (generate_panel hands its panel over
+    # so).  Anything else is copied, so that no caller can write to the panel.
+    handed_over = (
+        type(values) is np.ndarray
+        and values.dtype == float
+        and values.base is None
+        and not values.flags.writeable
+    )
+    arr = values if handed_over else np.array(values, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{shape_name} values must be a 2-d matrix")
     if not np.all(np.isfinite(arr)):

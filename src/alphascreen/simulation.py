@@ -20,7 +20,7 @@ import numbers
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -255,9 +255,11 @@ class SimulationScenario:
         try:
             lo, hi = self.hetero_range
         except (TypeError, ValueError):
+            lo = hi = None
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
             raise ValueError(
-                f"hetero_range must be a pair (lo, hi), got {self.hetero_range!r}"
-            ) from None
+                f"hetero_range must be a pair (lo, hi) of numbers, got {self.hetero_range!r}"
+            )
         if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"hetero_range must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
         store("hetero_range", (float(lo), float(hi)))
@@ -462,15 +464,24 @@ def arma_mixture_errors(
 
 def _standardized_lognormal(shape, rng: np.random.Generator) -> np.ndarray:
     """exp(Z) recentered and rescaled to zero mean, unit variance."""
-    z = np.exp(rng.standard_normal(shape))
-    return (z - math.exp(0.5)) / math.sqrt(math.exp(2.0) - math.exp(1.0))
+    z = rng.standard_normal(shape)
+    np.exp(z, out=z)
+    z -= math.exp(0.5)
+    z /= math.sqrt(math.exp(2.0) - math.exp(1.0))
+    return z
 
 
 def _assemble_panel(
     alpha: np.ndarray, loadings: np.ndarray, factors: np.ndarray, errors: np.ndarray
 ) -> np.ndarray:
-    """``alpha 1' + B F' + E`` for (p,), (p, r), (n, r), (p, n) inputs."""
-    return alpha[:, None] + loadings @ factors.T + errors
+    """``alpha 1' + B F' + E`` for (p,), (p, r), (n, r), (p, n) inputs.
+
+    Summed in place, in that order, in the one (p, n) array it returns.
+    """
+    values = loadings @ factors.T
+    values += alpha[:, None]  # alpha + B F' is B F' + alpha, bit for bit
+    values += errors
+    return values
 
 
 @one_blas_thread()
@@ -490,23 +501,26 @@ def generate_panel(
 
     if scenario.temporal_mode == "iid_normal":
         factors = rng.standard_normal((n, r)) @ np.linalg.cholesky(scenario.factor_cov).T
-        raw_errors = rng.standard_normal((p, n))
+        errors = rng.standard_normal((p, n))
     elif scenario.temporal_mode == "iid_lognormal":
         factors = _standardized_lognormal((n, r), rng) @ np.linalg.cholesky(scenario.factor_cov).T
-        raw_errors = _standardized_lognormal((p, n), rng)
+        errors = _standardized_lognormal((p, n), rng)
     else:  # garch_arma
         factors = garch_factors(n, r, scenario.garch_params, scenario.factor_cov, rng)
-        raw_errors = arma_mixture_errors(n, p, scenario.arma_mixture, rng=rng)
+        errors = arma_mixture_errors(n, p, scenario.arma_mixture, rng=rng)
 
-    errors = _ar1_correlate(raw_errors, scenario.error_cov_rho)
+    # Each (p, n) array is rebound or dropped once the next one is made.
+    errors = _ar1_correlate(errors, scenario.error_cov_rho)
     sigma_e = np.ones(p)
     if scenario.hetero_variances:
         lo, hi = scenario.hetero_range
         scales = rng.uniform(lo, hi, size=p)
-        errors = errors * np.sqrt(scales)[:, None]
+        errors *= np.sqrt(scales)[:, None]
         sigma_e = np.sqrt(scales)
 
     values = _assemble_panel(alpha, loadings, factors, errors)
+    del errors
+    values.setflags(write=False)  # so that ReturnPanel keeps it instead of a copy
     width = len(str(p))
     returns = ReturnPanel(
         values, [f"e{i + 1:0{width}d}" for i in range(p)], list(range(1, n + 1))
@@ -533,7 +547,8 @@ class PanelFits:
 
     ``full`` fits the whole panel and ``halves`` each chronological
     half.  Both are made on first use, so a method list that needs only
-    one of them never makes the other.
+    one of them never makes the other, and :meth:`release` lets go of
+    one that no later method reads.
     """
 
     def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
@@ -548,6 +563,11 @@ class PanelFits:
     @cached_property
     def halves(self) -> tuple[PanelFit, PanelFit]:
         return fit_halves(self.returns, self.factors, self.rank)
+
+    def release(self, name: str) -> None:
+        """Drop the fit ``name`` (``"full"`` or ``"halves"``) if it was made;
+        its next use makes it again."""
+        self.__dict__.pop(name, None)
 
 
 def _threshold_rule(result, beta):
@@ -571,42 +591,55 @@ class Method(NamedTuple):
         ``rule(result, beta)`` returns ``(rejected, cutoff_name, cutoff)``:
         ``select_threshold`` with its ``threshold``, or ``bh_procedure``
         with ``p_cutoff``, the largest rejected p-value (0 when none).
-    latent
-        False for a method that fits no latent model; its result then
-        carries its own ``alpha_hat`` and it has no latent rank.
+    fit
+        The :class:`PanelFits` entry the statistic reads, ``"halves"`` or
+        ``"full"``; None for a method that fits no latent model, whose
+        result then carries its own ``alpha_hat`` and which has no latent rank.
     """
 
     statistic: Callable
     rule: Callable
-    latent: bool = True
+    fit: Optional[str]
 
 
 # The one place where method names are defined and dispatched.
 METHODS = {
-    "yd": Method(lambda fits: split_from_fits(fits.halves), _threshold_rule),
-    "yd_r": Method(lambda fits: split_from_fits(fits.halves, studentize=True), _threshold_rule),
+    "yd": Method(lambda fits: split_from_fits(fits.halves), _threshold_rule, "halves"),
+    "yd_r": Method(
+        lambda fits: split_from_fits(fits.halves, studentize=True), _threshold_rule, "halves"
+    ),
     "yd_th": Method(
         lambda fits: split_from_fits(
             fits.halves, negative_control=NegativeControlConfig(mode="threshold_rule")
         ),
         _threshold_rule,
+        "halves",
     ),
-    "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, latent=False),
-    "sbh": Method(lambda fits: sbh_from_fit(fits.full, fits.returns, fits.factors), _bh_rule),
-    "sn": Method(lambda fits: sn_from_fit(fits.full, fits.returns), _bh_rule),
+    "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, None),
+    "sbh": Method(
+        lambda fits: sbh_from_fit(fits.full, fits.returns, fits.factors), _bh_rule, "full"
+    ),
+    "sn": Method(lambda fits: sn_from_fit(fits.full, fits.returns), _bh_rule, "full"),
 }
 
 
 def _replication_rows(scenario, replication, methods, betas, rank=None):
-    """``(method, beta, fdp, power)`` rows of one replication, run at one BLAS thread."""
+    """``(method, beta, fdp, power)`` rows of one replication, run at one BLAS thread.
+
+    Each fit is released after the last method in ``methods`` that reads
+    it, so the replication holds no fit that no later method needs.
+    """
+    last_reader = {METHODS[name].fit: k for k, name in enumerate(methods)}
     with one_blas_thread():
         rng = replication_rng(scenario.seed, replication)
         returns, factors, truth, _ = generate_panel(scenario, rng)
         fits = PanelFits(returns, factors, rank=rank)
         rows = []
-        for name in methods:
+        for k, name in enumerate(methods):
             method = METHODS[name]
             result = method.statistic(fits)
+            if method.fit is not None and last_reader[method.fit] == k:
+                fits.release(method.fit)
             for beta in betas:
                 rejected = method.rule(result, beta)[0]
                 m = fdp_power(rejected, truth, returns.n_entities)
@@ -625,17 +658,24 @@ def _isolated(call: Callable) -> tuple:
 def _run_replications(jobs, methods, betas, workers, rank) -> list[tuple]:
     """``(rows, None)`` or ``(None, message)`` per ``(scenario, replication)`` job, in job order.
 
-    With more than one worker the jobs run in one process pool and their
-    results are read in submission order, so a failure (a broken pool
-    included) is recorded against its own job.
+    With more than one worker the jobs run on one pool of threads in this
+    process, all inside one BLAS cap, and their results are read in
+    submission order, so a failure is recorded against its own job.
+    numpy and LAPACK release the interpreter lock for most of a
+    replication.  An exception that escapes the isolation (an
+    interrupt) cancels the jobs not yet started.
     """
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_replication_rows, scenario, rep, methods, betas, rank)
-                for scenario, rep in jobs
-            ]
-            return [_isolated(future.result) for future in futures]
+        with one_blas_thread():
+            pool = ThreadPoolExecutor(max_workers=workers)
+            try:
+                futures = [
+                    pool.submit(_replication_rows, scenario, rep, methods, betas, rank)
+                    for scenario, rep in jobs
+                ]
+                return [_isolated(future.result) for future in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
     return [
         _isolated(lambda: _replication_rows(scenario, rep, methods, betas, rank))
         for scenario, rep in jobs
@@ -715,11 +755,12 @@ def run_studies(
     compare equal.  ``MetricsReport.runtime`` is the wall time of the
     whole batch.
 
-    The replications of all scenarios run in the caller or in one pool
-    of ``min(parallelism, len(scenarios) * replications)`` workers, so a
-    worker's start-up is paid once per call, not once per scenario.
-    Every replication runs its BLAS at one thread and restores the
-    thread counts of its process afterwards (see :func:`.linalg.one_blas_thread`).
+    The replications of all scenarios run in the calling thread or on one
+    pool of ``min(parallelism, len(scenarios) * replications)`` threads
+    in this process.  Every replication runs its BLAS at one thread, and
+    the process's thread counts come back afterwards (see
+    :func:`.linalg.one_blas_thread`).  A crash inside a C extension ends
+    the whole call, on either path.
 
     Returns
     -------

@@ -17,11 +17,13 @@ from alphascreen.baselines import (
     bh_statistics,
     normal_z,
     sbh_statistics,
+    sn_from_fit,
     sn_pvalues,
     sn_statistics,
     sn_test_rows,
 )
 from alphascreen.errors import DegenerateNormalizerError, DimensionError
+from alphascreen.linalg import least_squares
 from alphascreen.panels import FactorPanel, ReturnPanel
 
 
@@ -241,6 +243,21 @@ class TestDegenerateResidualVariance:
         assert np.all(np.isfinite(sbh_statistics(returns, factors).statistics))
         assert np.all(np.isfinite(sn_statistics(returns, factors).statistics))
 
+    def test_bh_statistics_leaves_its_inputs_and_equals_the_plain_expressions(self):
+        # the residuals are squared in place; this is the expression it replaced
+        sc = a.SimulationScenario(n=80, p=50, pi=0.1, nu=0.5, seed=4)
+        X, F, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 1))
+        values, factors = X.values.copy(), F.values.copy()
+        result = bh_statistics(X, F)
+        assert np.array_equal(X.values, values) and np.array_equal(F.values, factors)
+        design = np.column_stack([np.ones(sc.n), F.values])
+        coef = least_squares(design, X.values.T)
+        resid = X.values - (design @ coef).T
+        sigma2 = np.sum(resid * resid, axis=1) / (sc.n - design.shape[1])
+        _, r = np.linalg.qr(design)
+        z = coef[0] / np.sqrt(sigma2 * float(np.sum(np.linalg.inv(r)[0, :] ** 2)))
+        assert np.array_equal(result.statistics, z)
+
 
 class TestSelfNormalized:
     def test_constant_row_degenerate(self):
@@ -250,6 +267,27 @@ class TestSelfNormalized:
     def test_rows_must_form_a_matrix(self):
         with pytest.raises(DimensionError):
             sn_test_rows(np.arange(50.0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_left_unchanged_and_the_plain_statistic(self, order):
+        # the statistic works in place on a copy; these are the expressions it replaced
+        rows = np.asarray(np.random.default_rng(8).standard_normal((30, 80)) + 0.2, order=order)
+        before = rows.copy()
+        statistics = sn_test_rows(rows)
+        assert np.array_equal(rows, before)
+        mean = rows.mean(axis=1)
+        partial = np.cumsum(rows - mean[:, None], axis=1)
+        v = np.sum(partial * partial, axis=1) / 80**2
+        assert np.array_equal(statistics, 80 * mean * mean / v)
+
+    def test_sn_from_fit_tests_the_alpha_contributions(self):
+        sc = a.SimulationScenario(n=100, p=80, pi=0.1, nu=1.0, seed=6)
+        X, F, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 0))
+        fit = a.estimate_alpha(X, F)
+        residuals = fit.residuals.copy()
+        statistics = sn_from_fit(fit, X).statistics
+        assert np.array_equal(fit.residuals, residuals)
+        assert np.array_equal(statistics, sn_test_rows(fit.residuals + fit.alpha_hat[:, None]))
 
     def test_limit_table_cached_and_deterministic(self):
         t1 = _sn_limit_table()

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -351,9 +351,9 @@ class TestReplicateTable:
 
         def recording(max_workers, **kwargs):
             pools.append(max_workers)
-            return ProcessPoolExecutor(max_workers, **kwargs)
+            return ThreadPoolExecutor(max_workers, **kwargs)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", recording)
         for threads in ("1", "2"):
             result = runner.invoke(
                 main,
@@ -388,15 +388,21 @@ class TestReplicateTable:
         assert {row[8] for row in rows} == {"2"}  # the replications column counts survivors
 
 
+def _package_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(a.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 class TestImport:
     def test_leaves_scipy_unimported(self):
         """Each CLI call imports the package in a fresh process; scipy's own
         import (``scipy.special`` alone about 270 ms, ``scipy.stats`` about a
         second) would be paid by every one."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(a.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
+        env = _package_env()
         for module in ("alphascreen.cli", "alphascreen"):
             code = (
                 f"import sys, {module}; "
@@ -407,6 +413,30 @@ class TestImport:
                 text=True, timeout=120,
             )
             assert result.stdout.strip() == "[]", module
+
+    def test_a_replication_and_an_analyze_leave_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma (about 1.2 MB and 12 ms) loads with np.unique
+        sc = a.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=31)
+        returns, factors, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 0))
+        save_returns_csv(returns, tmp_path / "returns.csv")
+        save_factors_csv(factors, tmp_path / "factors.csv")
+        code = (
+            "import sys\n"
+            "from alphascreen import simulation as sim\n"
+            "from alphascreen.cli import main\n"
+            "sc = sim.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=31)\n"
+            "sim._replication_rows(sc, 0, list(sim.METHODS), [0.1])\n"
+            f"main(['analyze', '--returns', {str(tmp_path / 'returns.csv')!r},\n"
+            f"      '--factors', {str(tmp_path / 'factors.csv')!r}, '--out', {str(tmp_path)!r}],\n"
+            "     standalone_mode=False)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_package_env(), check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert (tmp_path / "selection.csv").is_file()
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 def _has_glibc():
@@ -452,15 +482,43 @@ class TestHeapPolicy:
     )
 
     def second_pass_faults(self, policy):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(a.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
+        env = _package_env()
         result = subprocess.run(
             [sys.executable, "-c", self.CHURN, policy], env=env, check=True,
             capture_output=True, text=True, timeout=120,
         )
         return int(result.stdout)
+
+    # Two threads allocate and free heap memory, then glibc's malloc_stats
+    # prints one "Arena k:" line per arena to standard error.
+    THREADS = (
+        "import ctypes, sys, threading, numpy as np\n"
+        "if sys.argv[1] == 'policy':\n"
+        "    from alphascreen.cli import _keep_freed_heap_mapped\n"
+        "    _keep_freed_heap_mapped()\n"
+        "def work():\n"
+        "    for _ in range(20):\n"
+        "        np.ones((1000, 200)).sum()\n"
+        "threads = [threading.Thread(target=work) for _ in range(2)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "ctypes.CDLL(None).malloc_stats()\n"
+    )
+
+    def arenas(self, policy):
+        result = subprocess.run(
+            [sys.executable, "-c", self.THREADS, policy], env=_package_env(), check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        return sum(line.startswith("Arena ") for line in result.stderr.splitlines())
+
+    @pytest.mark.skipif(not _has_glibc(), reason="the policy is set only under glibc")
+    def test_threads_share_the_main_arena(self):
+        assert self.arenas("defaults") > 1  # a thread gets an arena of its own
+        assert self.arenas("policy") == 1
 
     @pytest.mark.skipif(not _has_glibc(), reason="the policy is set only under glibc")
     def test_freed_arrays_stay_mapped(self):
@@ -470,7 +528,7 @@ class TestHeapPolicy:
     def test_sets_both_thresholds_under_glibc(self, monkeypatch, mallopt_calls):
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
         cli._keep_freed_heap_mapped()
-        assert mallopt_calls == [(-3, 32 << 20), (-1, 128 << 20)]
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 128 << 20), (-8, 1)]  # and one arena
 
     @pytest.mark.parametrize(
         "confstr",

@@ -10,7 +10,7 @@ from alphascreen.estimation import (
     long_run_variance,
     regress_out_observed,
 )
-from alphascreen.linalg import demean_columns
+from alphascreen.linalg import demean_columns, least_squares
 from alphascreen.panels import FactorPanel, ReturnPanel
 
 
@@ -254,6 +254,26 @@ class TestEstimateAlpha:
         scores = fit.latent.scores
         assert scores.shape == (fit.latent.rank_hat, n)
         assert np.array_equal(scores, (fit.latent.loadings_hat.T @ centered) / p)
+
+    def test_in_place_steps_equal_the_plain_expressions(self):
+        # the fit subtracts in place; these are the expressions it replaced
+        n, p = 60, 40
+        returns, fac, _, _ = simulate_confounded(
+            n, p, r_o=2, r_c=2, alpha=np.linspace(-0.5, 0.5, p),
+            mu_latent=np.array([0.4, -0.3]), noise_sd=1.0, seed=22,
+        )
+        values, factors = returns.values.copy(), fac.values.copy()
+        fit = estimate_alpha(returns, fac)
+        assert np.array_equal(returns.values, values) and np.array_equal(fac.values, factors)
+        f = fac.values
+        loadings = least_squares(demean_columns(f), returns.values.T).T
+        adjusted = returns.values - loadings @ f.T
+        assert np.array_equal(regress_out_observed(returns, fac)[1], adjusted)
+        q, _ = np.linalg.qr(fit.latent.loadings_hat)
+        projected = adjusted - q @ (q.T @ adjusted)
+        alpha = projected.mean(axis=1)
+        assert np.array_equal(fit.alpha_hat, alpha)
+        assert np.array_equal(fit.residuals, projected - alpha[:, None])
 
     def test_residuals_are_the_only_panel_sized_array(self):
         # a fit keeps one (p, n) array; everything else is (p, r), (r, n) or smaller

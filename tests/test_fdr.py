@@ -9,6 +9,7 @@ import alphascreen as a
 from alphascreen.errors import DimensionError, NegativeControlError
 from alphascreen.fdr import (
     NegativeControlConfig,
+    _sorted_distinct,
     chronological_split,
     fit_halves,
     fdp_power,
@@ -187,6 +188,32 @@ class TestSelectThreshold:
                 n_neg = int(np.sum(t <= -threshold))
                 n_pos = int(np.sum(t >= threshold))
                 assert (1 + n_neg) / max(n_pos, 1) <= beta
+
+    # ties, signed zeros, NaN and both infinities, among ordinary values
+    SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf, 5e-324])
+
+    @given(st.lists(st.one_of(SPECIAL, st.floats(allow_nan=True)), max_size=40))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_sorted_distinct_is_np_unique(self, values):
+        v = np.abs(np.array(values, dtype=float))  # the candidates are magnitudes
+        assert np.array_equal(_sorted_distinct(v), np.unique(v), equal_nan=True)
+
+    @given(st.lists(st.one_of(SPECIAL, st.integers(-3, 3).map(float)), max_size=40))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_threshold_equals_the_np_unique_search(self, values):
+        t = np.array(values, dtype=float)
+        # the search as written with np.unique
+        candidates = np.unique(np.abs(t[t != 0.0]))
+        t_sorted = np.sort(t)
+        n_pos = t.size - np.searchsorted(t_sorted, candidates, side="left")
+        n_neg = np.searchsorted(t_sorted, -candidates, side="right")
+        hits = np.flatnonzero((1.0 + n_neg) / np.maximum(n_pos, 1) <= 0.3)
+        threshold, rejected = select_threshold(t, 0.3)
+        if hits.size == 0:
+            assert math.isinf(threshold) and rejected.size == 0
+        else:
+            assert threshold == candidates[hits[0]]
+            assert np.array_equal(rejected, np.flatnonzero(t >= threshold))
 
     def test_matches_brute_force_grid(self):
         rng = np.random.default_rng(8)

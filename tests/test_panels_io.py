@@ -35,6 +35,18 @@ class TestReturnPanel:
         with pytest.raises(ValueError):
             panel.values[0, 0] = 1.0
 
+    def test_copies_all_but_a_read_only_array_that_owns_its_memory(self):
+        ids, periods = ["a", "b"], [1, 2, 3, 4]
+        writeable = np.ones((2, 4))
+        assert not np.shares_memory(ReturnPanel(writeable, ids, periods).values, writeable)
+        handed_over = np.ones((2, 4))
+        handed_over.setflags(write=False)
+        assert ReturnPanel(handed_over, ids, periods).values is handed_over
+        base = np.ones((2, 8))
+        view = base[:, :4]
+        view.setflags(write=False)  # read-only, but its base can still be written
+        assert not np.shares_memory(ReturnPanel(view, ids, periods).values, base)
+
     def test_too_few_periods(self):
         with pytest.raises(DimensionError):
             ReturnPanel(np.ones((2, 3)), ["a", "b"], [1, 2, 3])

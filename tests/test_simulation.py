@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
-import multiprocessing
+import sys
+import threading
+import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,13 @@ class TestToeplitzFactor:
     def test_rho_bounds(self):
         with pytest.raises(ValueError):
             _ar1_correlate(np.zeros(10), 1.0)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_input_left_unchanged(self, rho):
+        z = np.random.default_rng(7).standard_normal((30, 4))
+        before = z.copy()
+        _ar1_correlate(z, rho)
+        assert np.array_equal(z, before)
 
 
 class TestGarch:
@@ -282,6 +291,11 @@ class TestScenario:
         with pytest.raises(ValueError, match=message):
             SimulationScenario(**{**base, **fields})
 
+    @pytest.mark.parametrize("pair", [("a", "b"), (1.0, "3"), None], ids=str)
+    def test_hetero_range_of_non_numbers_is_named(self, pair):
+        with pytest.raises(ValueError, match=r"^hetero_range must be a pair \(lo, hi\) of numbers"):
+            SimulationScenario(n=60, p=40, pi=0.1, nu=0.8, hetero_range=pair)
+
     def test_integral_floats_are_stored_as_int(self):
         sc = SimulationScenario(n=60.0, p=np.int64(40), pi=0.1, nu=0.8, seed=3.0)
         assert [type(v) for v in (sc.n, sc.p, sc.seed)] == [int, int, int]
@@ -314,6 +328,17 @@ class TestGeneratePanel:
     def test_zero_components_give_zero_panel(self):
         x = _assemble_panel(np.zeros(4), np.zeros((4, 2)), np.zeros((6, 2)), np.zeros((4, 6)))
         assert np.all(x == 0.0)
+
+    def test_in_place_sums_equal_the_plain_expressions(self):
+        rng = np.random.default_rng(15)
+        alpha, b = rng.standard_normal(30), rng.standard_normal((30, 4))
+        f, e = rng.standard_normal((50, 4)), rng.standard_normal((30, 50))
+        e_before = e.copy()
+        assert np.array_equal(_assemble_panel(alpha, b, f, e), alpha[:, None] + b @ f.T + e)
+        assert np.array_equal(e, e_before)
+        z = np.random.default_rng(16).standard_normal((30, 50))
+        expected = (np.exp(z) - math.exp(0.5)) / math.sqrt(math.exp(2.0) - math.exp(1.0))
+        assert np.array_equal(_standardized_lognormal((30, 50), np.random.default_rng(16)), expected)
 
     def test_full_factor_regression_recovers_loadings(self):
         rng = np.random.default_rng(16)
@@ -394,9 +419,9 @@ class TestRunStudy:
 
         def recording(max_workers, **kwargs):
             pools.append((max_workers, kwargs))
-            return ProcessPoolExecutor(max_workers, **kwargs)
+            return ThreadPoolExecutor(max_workers, **kwargs)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", recording)
         sc = self.small_scenario()
         run_study_detailed(sc, ["yd"], [0.2], replications=2, parallelism=8)
         run_study_detailed(sc, ["bh", "sn"], [0.2], replications=3, parallelism=2)
@@ -513,24 +538,57 @@ class TestRunStudy:
         assert detail == [] and len(failures) == 2
         assert all(DimensionError.__name__ in message for _, message in failures)
 
+    @staticmethod
+    def rows_without_release(sc, rep, methods, betas):
+        """Rows of one replication whose fits are all kept to its end."""
+        returns, factors, truth, _ = generate_panel(sc, replication_rng(sc.seed, rep))
+        fits = sim.PanelFits(returns, factors)
+        rows = []
+        for name in methods:
+            result = METHODS[name].statistic(fits)
+            for beta in betas:
+                m = a.fdp_power(METHODS[name].rule(result, beta)[0], truth, sc.p)
+                rows.append((name, beta, m.fdp, m.power))
+        return rows
+
+    @pytest.mark.parametrize(
+        "methods",
+        [["yd", "yd_r", "sbh", "sn", "bh"], ["sn", "yd", "bh"], ["yd", "sbh", "yd_th", "sn"],
+         ["bh", "sbh", "yd_r", "sbh"]],
+        ids="-".join,
+    )
+    def test_released_fits_leave_the_rows_unchanged(self, methods):
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
+        for rep in range(2):
+            expected = self.rows_without_release(sc, rep, methods, [0.1, 0.2])
+            assert sim._replication_rows(sc, rep, methods, [0.1, 0.2]) == expected
+
+    @pytest.mark.parametrize(
+        "methods, kept",
+        [(["yd", "probe"], False), (["yd", "probe", "yd_r"], True), (["probe"], False)],
+        ids=["last-reader", "read-later", "never-made"],
+    )
+    def test_a_fit_is_released_after_its_last_reader(self, monkeypatch, methods, kept):
+        seen = []
+
+        def statistic(fits):
+            seen.append("halves" in vars(fits))
+            return METHODS["sn"].statistic(fits)
+
+        probe = METHODS["sn"]._replace(statistic=statistic)
+        monkeypatch.setattr(sim, "METHODS", {**METHODS, "probe": probe})
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
+        sim._replication_rows(sc, 0, methods, [0.1])
+        assert seen == [kept]
+
+    def test_each_fit_made_once_when_read_apart(self, fitted_lengths):
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
+        sim._replication_rows(sc, 0, ["yd", "sn", "bh", "yd_th", "sbh"], [0.1])
+        assert fitted_lengths == [30, 30, 60]
+
 
 def _thread_counts():
     return [get() for _, get in linalg._BLAS_CONTROLS]
-
-
-def _worker_probe(scenario):
-    """Run in a pool worker: the OpenBLAS thread counts one ``sn``
-    replication computes at, and the SN table the worker loaded for it."""
-    seen = []
-
-    def statistic(fits):
-        seen.append(_thread_counts())
-        return METHODS["sn"].statistic(fits)
-
-    sim.METHODS = {**METHODS, "probe": METHODS["sn"]._replace(statistic=statistic)}
-    assert baselines._sn_limit_table.cache_info().currsize == 0  # nothing loaded yet
-    sim._replication_rows(scenario, 0, ["probe"], [0.2])
-    return seen, baselines._sn_limit_table()
 
 
 class _Interrupt(BaseException):
@@ -593,14 +651,75 @@ class TestSerialBlasThreads:
         assert [get() for _, get in controls] == caller_blas_threads
 
 
-class TestPoolWorker:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_one_blas_thread_and_the_parents_sn_table(self, start_method, caller_blas_threads):
-        table = baselines._sn_limit_table()
-        baselines._sn_limit_table.cache_clear()  # so a forked worker inherits no table
+class TestThreadPool:
+    def probe(self, monkeypatch, raises=None):
+        """Add a method ``probe`` that records the thread and the BLAS thread
+        counts of each replication, then computes ``sn`` or raises."""
+        seen = []
+
+        def statistic(fits):
+            seen.append((threading.get_ident(), _thread_counts()))
+            if raises is not None:
+                raise raises
+            return METHODS["sn"].statistic(fits)
+
+        probe = METHODS["sn"]._replace(statistic=statistic)
+        monkeypatch.setattr(sim, "METHODS", {**METHODS, "probe": probe})
+        return seen
+
+    def test_each_worker_thread_at_one_blas_thread_then_the_callers_count(
+        self, monkeypatch, caller_blas_threads
+    ):
+        seen = self.probe(monkeypatch)
         sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(start_method)) as pool:
-            seen, worker_table = pool.submit(_worker_probe, sc).result(timeout=120)
-        assert seen == [[1, 1]]  # numpy's and scipy's bundled OpenBLAS
-        assert np.array_equal(worker_table, table)
-        assert _thread_counts() == caller_blas_threads  # the parent keeps its settings
+        threaded = run_study_detailed(sc, ["probe"], [0.2], replications=4, parallelism=2)
+        assert threaded[2] == []
+        assert [counts for _, counts in seen] == [[1, 1]] * 4  # numpy's and scipy's OpenBLAS
+        assert threading.get_ident() not in {ident for ident, _ in seen}  # all on pool threads
+        assert _thread_counts() == caller_blas_threads
+        assert linalg._cap_holders == 0
+
+    def test_interrupt_escapes_and_restores_the_callers_count(
+        self, monkeypatch, caller_blas_threads
+    ):
+        seen = self.probe(monkeypatch, raises=_Interrupt())
+        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+        with pytest.raises(_Interrupt):
+            run_study_detailed(sc, ["probe"], [0.2], replications=8, parallelism=2)
+        assert seen and all(counts == [1, 1] for _, counts in seen)
+        assert _thread_counts() == caller_blas_threads
+
+    def test_more_threads_than_cores_under_frequent_switches(self, caller_blas_threads):
+        # the shared state is the cap's count and the SN table cache; a lost
+        # update would leave a thread count wrong or the rows different
+        baselines._sn_limit_table.cache_clear()
+        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+        serial = run_study_detailed(sc, list(METHODS), [0.2], replications=8)
+        baselines._sn_limit_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = run_study_detailed(sc, list(METHODS), [0.2], replications=8, parallelism=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert _thread_counts() == caller_blas_threads
+        assert linalg._cap_holders == 0
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("factory", [a.table1_normal_scenario, a.table1_lognormal_scenario])
+    def test_one_table1_replication_holds_at_most_four_panels(self, factory):
+        # A two-thread pool holds two replications at once, so a study's peak
+        # resident size grows with this peak; it was 6.2 panels before fits
+        # were released early and temporaries made in place.
+        sc = factory(nu=0.3)
+        baselines._sn_limit_table()  # loaded once per process, not per replication
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim._replication_rows(sc, 0, ["yd", "yd_r", "sbh", "sn", "bh"], [0.05, 0.1, 0.15])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * sc.p * sc.n * 8, f"{peak / (sc.p * sc.n * 8):.2f} panels"
