@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,21 @@ def _thread_counts():
     return [get() for _, get in linalg._BLAS_CONTROLS]
 
 
+def _worker_probe(scenario):
+    """Run in a pool worker: the OpenBLAS thread counts one ``sn``
+    replication computes at, and the SN table the worker loaded for it."""
+    seen = []
+
+    def statistic(fits):
+        seen.append(_thread_counts())
+        return METHODS["sn"].statistic(fits)
+
+    sim.METHODS = {**METHODS, "probe": METHODS["sn"]._replace(statistic=statistic)}
+    assert baselines._sn_limit_table.cache_info().currsize == 0  # nothing loaded yet
+    sim._replication_rows(scenario, 0, ["probe"], [0.2])
+    return seen, baselines._sn_limit_table()
+
+
 class _Interrupt(BaseException):
     """Escapes the per-replication isolation, as an interrupt would."""
 
@@ -705,6 +721,21 @@ class TestThreadPool:
         assert threaded == serial
         assert _thread_counts() == caller_blas_threads
         assert linalg._cap_holders == 0
+
+
+class TestPoolWorker:
+    # The study pool is threads, but the library's fits cap BLAS themselves,
+    # so a replication run in a caller's own process pool is capped too.
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_one_blas_thread_and_the_parents_sn_table(self, start_method, caller_blas_threads):
+        table = baselines._sn_limit_table()
+        baselines._sn_limit_table.cache_clear()  # so a forked worker inherits no table
+        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(start_method)) as pool:
+            seen, worker_table = pool.submit(_worker_probe, sc).result(timeout=120)
+        assert seen == [[1, 1]]  # numpy's and scipy's bundled OpenBLAS
+        assert np.array_equal(worker_table, table)
+        assert _thread_counts() == caller_blas_threads  # the parent keeps its settings
 
 
 class TestWorkingSet:
