@@ -26,7 +26,6 @@ from .errors import (
 from .estimation import (
     LatentFit,
     PanelFit,
-    bartlett_kernel,
     estimate_alpha,
     estimate_latent,
     long_run_variance,

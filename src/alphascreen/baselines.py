@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateNormalizerError, DimensionError
+from .errors import DegenerateNormalizerError
 from .estimation import PanelFit, estimate_alpha
 from .linalg import demean_columns, least_squares, one_blas_thread
 from .panels import FactorPanel, ReturnPanel, check_aligned
@@ -274,13 +274,9 @@ def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> P
     return PValueResult(p_values=p, statistics=z)
 
 
-def sbh_statistics(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    rank: Optional[int] = None,
-) -> PValueResult:
+def sbh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Normal calibration of the three-step alphas; see :func:`sbh_from_fit`."""
-    return sbh_from_fit(estimate_alpha(returns, factors, rank=rank), returns, factors)
+    return sbh_from_fit(estimate_alpha(returns, factors), returns, factors)
 
 
 # --- self-normalized calibration -------------------------------------------
@@ -310,20 +306,13 @@ def _check_mc_paths(mc_paths: int) -> None:
         raise ValueError(f"mc_paths must be {SN_MC_PATHS}, the size of the shipped table")
 
 
-def sn_test_rows(rows: np.ndarray) -> np.ndarray:
-    """Self-normalized mean-zero test statistic of each row.
+def _sn_test_rows_in_place(y: np.ndarray) -> np.ndarray:
+    """Self-normalized mean-zero test statistic of each row of the (p, n)
+    float array ``y``, which it overwrites.
 
     ``n * mean(row)^2 / V`` with ``V = n^{-2} sum_t S_t^2`` and ``S_t``
-    the partial sums of the demeaned row; ``rows`` is (p, n).
+    the partial sums of the demeaned row.
     """
-    y = np.array(rows, dtype=float)  # a copy in the same layout, for the in-place steps
-    if y.ndim != 2:
-        raise DimensionError("rows must be a p-by-n matrix")
-    return _sn_test_rows_in_place(y)
-
-
-def _sn_test_rows_in_place(y: np.ndarray) -> np.ndarray:
-    """:func:`sn_test_rows` of the (p, n) float array ``y``, which it overwrites."""
     n = y.shape[1]
     mean = y.mean(axis=1)
     y -= mean[:, None]
@@ -373,14 +362,11 @@ def sn_from_fit(fit: PanelFit, returns: ReturnPanel) -> PValueResult:
 
 
 def sn_statistics(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    rank: Optional[int] = None,
-    mc_paths: int = SN_MC_PATHS,
+    returns: ReturnPanel, factors: FactorPanel, mc_paths: int = SN_MC_PATHS
 ) -> PValueResult:
     """Self-normalized test of each alpha; see :func:`sn_from_fit`.
 
     ``mc_paths`` must equal ``SN_MC_PATHS``, as in :func:`sn_pvalues`.
     """
     _check_mc_paths(mc_paths)
-    return sn_from_fit(estimate_alpha(returns, factors, rank=rank), returns)
+    return sn_from_fit(estimate_alpha(returns, factors), returns)

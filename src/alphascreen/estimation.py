@@ -30,7 +30,6 @@ __all__ = [
     "estimate_latent",
     "estimate_alpha",
     "long_run_variance",
-    "bartlett_kernel",
 ]
 
 # Eigenvalues below this fraction of the leading one are treated as the
@@ -232,42 +231,28 @@ def estimate_alpha(
     )
 
 
-def bartlett_kernel(x: np.ndarray) -> np.ndarray:
-    """Triangular kernel: 1 - |x| on [-1, 1], zero outside."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(0.0, 1.0 - np.abs(x))
-
-
-def long_run_variance(
-    residuals: np.ndarray,
-    bandwidth: Optional[float] = None,
-) -> np.ndarray:
+def long_run_variance(residuals: np.ndarray) -> np.ndarray:
     """Bartlett-kernel long-run variance of each residual row.
 
-    Computes ``(1/n) sum_{t1,t2} k((t1-t2)/bandwidth) e_{t1} e_{t2}`` in
-    its O(n * bandwidth) lag-sum form with the Bartlett kernel, whose
-    positive semidefiniteness guarantees a nonnegative estimate.
-    Estimates are floored at 1e-12 so they can divide.
+    Computes ``(1/n) sum_{t1,t2} k((t1-t2)/ell) e_{t1} e_{t2}`` with the
+    bandwidth ``ell = n**0.2`` in its O(n * ell) lag-sum form with the
+    Bartlett kernel ``k(x) = max(0, 1 - |x|)``, whose positive
+    semidefiniteness guarantees a nonnegative estimate.  Estimates are
+    floored at 1e-12 so they can divide.
 
     Parameters
     ----------
-    residuals : ndarray, shape (p, n)
-    bandwidth : float, optional
-        Defaults to n**0.2.  Must lie in (0, n).
+    residuals : ndarray, shape (p, n), n >= 2
     """
     e = np.asarray(residuals, dtype=float)
-    if e.ndim != 2:
-        raise DimensionError("residuals must be a p-by-n matrix")
+    if e.ndim != 2 or e.shape[1] < 2:
+        raise DimensionError("residuals must be a p-by-n matrix with n >= 2")
     n = e.shape[1]
-    ell = float(bandwidth) if bandwidth is not None else float(n) ** 0.2
-    if not 0.0 < ell < n:
-        raise ValueError(f"bandwidth must lie in (0, {n}), got {ell}")
+    ell = float(n) ** 0.2
 
     s2 = np.mean(e * e, axis=1)
-    max_lag = min(n - 1, int(np.floor(ell)))
-    for lag in range(1, max_lag + 1):
-        w = float(bartlett_kernel(lag / ell))
-        if w == 0.0:
-            continue
+    # lag <= ell < n: each weight is the kernel's, and a zero weight adds zero
+    for lag in range(1, int(ell) + 1):
+        w = 1.0 - lag / ell
         s2 = s2 + 2.0 * w * np.sum(e[:, lag:] * e[:, :-lag], axis=1) / n
     return np.maximum(s2, 1e-12)

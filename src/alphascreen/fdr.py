@@ -74,33 +74,23 @@ class NegativeControlConfig:
     """How to build the known-null set used for premium de-biasing.
 
     mode
-        ``"explicit_set"`` uses ``explicit_indices`` as given;
-        ``"threshold_rule"`` screens entities whose preliminary alpha
-        magnitude falls below ``gamma_scale * log(n) / sqrt(n)``.  The
-        default scale 0.5 keeps the cut comfortably above the null
-        estimation noise while staying below signal magnitudes of the
-        size that makes the correction worthwhile; a scale of 1.0 puts
-        the cut at ~0.46 for n around 100, which sweeps strong true
-        signals into the control set.
+        ``"threshold_rule"``, the only mode: screen entities whose
+        preliminary alpha magnitude falls below
+        ``gamma_scale * log(n) / sqrt(n)``.  The default scale 0.5 keeps
+        the cut comfortably above the null estimation noise while staying
+        below signal magnitudes of the size that makes the correction
+        worthwhile; a scale of 1.0 puts the cut at ~0.46 for n around
+        100, which sweeps strong true signals into the control set.
     """
 
     mode: str = "threshold_rule"
-    explicit_indices: Optional[tuple] = None
     gamma_scale: float = 0.5
 
     def __post_init__(self):
-        if self.mode not in ("explicit_set", "threshold_rule"):
+        if self.mode != "threshold_rule":
             raise ValueError(f"unknown negative control mode {self.mode!r}")
         if not 0.0 < self.gamma_scale < math.inf:
             raise ValueError(f"gamma_scale must be finite and positive, got {self.gamma_scale}")
-        if self.mode == "explicit_set":
-            if self.explicit_indices is None or len(self.explicit_indices) == 0:
-                raise NegativeControlError(
-                    "explicit_set mode requires a non-empty index set"
-                )
-            object.__setattr__(
-                self, "explicit_indices", tuple(int(i) for i in self.explicit_indices)
-            )
 
 
 def chronological_split(
@@ -163,7 +153,6 @@ def split_from_fits(
 def split_statistics(
     returns: ReturnPanel,
     factors: FactorPanel,
-    rank: Optional[int] = None,
     studentize: bool = False,
     negative_control: Optional[NegativeControlConfig] = None,
 ) -> SplitTestResult:
@@ -171,7 +160,7 @@ def split_statistics(
 
     See :func:`split_from_fits` for the refinements.
     """
-    return split_from_fits(fit_halves(returns, factors, rank), studentize, negative_control)
+    return split_from_fits(fit_halves(returns, factors), studentize, negative_control)
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -222,22 +211,15 @@ def negative_control_from_fit(fit: PanelFit, config: NegativeControlConfig) -> n
     out.  This removes the dense-alpha bias of the projection estimator.
     """
     b = fit.latent.loadings_hat
-    p = b.shape[0]
     r_hat = fit.latent.rank_hat
-
-    if config.mode == "explicit_set":
-        control = np.asarray(sorted(set(config.explicit_indices)), dtype=int)
-        if control.size and (control[0] < 0 or control[-1] >= p):
-            raise NegativeControlError("explicit control indices out of range")
-    else:
-        n = fit.n_periods
-        gamma = config.gamma_scale * math.log(n) / math.sqrt(n)
-        control = np.flatnonzero(np.abs(fit.alpha_hat) <= gamma)
-        if control.size == 0:
-            raise NegativeControlError(
-                f"threshold rule left no control entities at gamma={gamma:.4g}; "
-                "increase gamma_scale"
-            )
+    n = fit.n_periods
+    gamma = config.gamma_scale * math.log(n) / math.sqrt(n)
+    control = np.flatnonzero(np.abs(fit.alpha_hat) <= gamma)
+    if control.size == 0:
+        raise NegativeControlError(
+            f"threshold rule left no control entities at gamma={gamma:.4g}; "
+            "increase gamma_scale"
+        )
     if control.size <= r_hat:
         raise NegativeControlError(
             f"control set of size {control.size} cannot identify {r_hat} premia; "

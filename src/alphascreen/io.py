@@ -122,10 +122,16 @@ def _fast_table(lines: list[str], header: str):
 
 
 def _read_table(path, header: str):
-    """Read a returns or factors file once; see :func:`_parse_table`."""
+    """Read a returns or factors file once; see :func:`_parse_table`.
+
+    The values come back read-only, so that the panel keeps them instead
+    of a copy.
+    """
     with open(path, newline="") as handle:
         lines = handle.readlines()
-    return _fast_table(lines, header) or _parse_table(lines, path, header)
+    columns, first_column, values = _fast_table(lines, header) or _parse_table(lines, path, header)
+    values.setflags(write=False)
+    return columns, first_column, values
 
 
 def load_returns_csv(path) -> ReturnPanel:

@@ -34,7 +34,7 @@ def demean_columns(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         raise DimensionError("cannot demean an empty matrix")
-    return m - m.mean(axis=0, keepdims=True) if m.ndim > 1 else m - m.mean()
+    return m - m.mean(axis=0, keepdims=True)
 
 
 def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -125,9 +124,6 @@ class ArmaComponent:
         impulse[0] = 1.0
         psi = lfilter(ma_poly, ar_poly, impulse)
         return self.sd * math.sqrt(float(np.sum(psi * psi)))
-
-    def to_dict(self) -> dict:
-        return _plain(self)
 
 
 def default_arma_mixture() -> tuple:
@@ -322,11 +318,7 @@ class PopulationOracle:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Aggregated FDR/power of one method at one target level (percent).
-
-    ``runtime`` is wall-clock bookkeeping and excluded from equality, so
-    two reports compare equal exactly when their results agree.
-    """
+    """Aggregated FDR/power of one method at one target level (percent)."""
 
     method: str
     beta: float
@@ -335,7 +327,6 @@ class MetricsReport:
     mean_power: float
     sd_power: float
     replications: int
-    runtime: float = field(default=0.0, compare=False)
 
 
 def _make_alpha(p: int, pi: float, nu: float) -> np.ndarray:
@@ -690,7 +681,7 @@ def _warn_caller(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
-def _study(outcomes, methods, betas, runtime) -> tuple[list[MetricsReport], list, list]:
+def _study(outcomes, methods, betas) -> tuple[list[MetricsReport], list, list]:
     """Reports, detail rows and failures of one scenario's replication outcomes."""
     replications = len(outcomes)
     detail_rows, failures = [], []
@@ -725,7 +716,6 @@ def _study(outcomes, methods, betas, runtime) -> tuple[list[MetricsReport], list
                     mean_power=100.0 * float(np.mean(powers)) if n_ok else math.nan,
                     sd_power=100.0 * float(np.std(powers, ddof=1)) if n_ok > 1 else 0.0,
                     replications=n_ok,
-                    runtime=runtime,
                 )
             )
     return reports, detail_rows, failures
@@ -752,8 +742,7 @@ def run_studies(
     replication is recorded against its scenario and skipped; the study
     continues.  A report without any surviving replication carries
     ``math.nan`` means: one object, so that two such reports still
-    compare equal.  ``MetricsReport.runtime`` is the wall time of the
-    whole batch.
+    compare equal.
 
     The replications of all scenarios run in the calling thread or on one
     pool of ``min(parallelism, len(scenarios) * replications)`` threads
@@ -782,11 +771,9 @@ def run_studies(
             raise ValueError(f"beta must lie in (0, 1), got {b}")
 
     jobs = [(scenario, rep) for scenario in scenarios for rep in range(replications)]
-    start = time.perf_counter()
     outcomes = _run_replications(jobs, methods, betas, min(parallelism, len(jobs)), rank)
-    runtime = time.perf_counter() - start
     return [
-        _study(outcomes[first : first + replications], methods, betas, runtime)
+        _study(outcomes[first : first + replications], methods, betas)
         for first in range(0, len(outcomes), replications)
     ]
 

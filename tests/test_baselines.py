@@ -13,6 +13,7 @@ from alphascreen.baselines import (
     SN_MC_PATHS,
     _ndtr,
     _sn_limit_table,
+    _sn_test_rows_in_place,
     bh_procedure,
     bh_statistics,
     normal_z,
@@ -20,9 +21,8 @@ from alphascreen.baselines import (
     sn_from_fit,
     sn_pvalues,
     sn_statistics,
-    sn_test_rows,
 )
-from alphascreen.errors import DegenerateNormalizerError, DimensionError
+from alphascreen.errors import DegenerateNormalizerError
 from alphascreen.linalg import least_squares
 from alphascreen.panels import FactorPanel, ReturnPanel
 
@@ -262,18 +262,15 @@ class TestDegenerateResidualVariance:
 class TestSelfNormalized:
     def test_constant_row_degenerate(self):
         with pytest.raises(DegenerateNormalizerError):
-            sn_test_rows(np.full((1, 50), 3.0))
-
-    def test_rows_must_form_a_matrix(self):
-        with pytest.raises(DimensionError):
-            sn_test_rows(np.arange(50.0))
+            _sn_test_rows_in_place(np.full((1, 50), 3.0))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_rows_left_unchanged_and_the_plain_statistic(self, order):
-        # the statistic works in place on a copy; these are the expressions it replaced
+        # the statistic overwrites a copy in the rows' layout; these are the
+        # expressions it replaced
         rows = np.asarray(np.random.default_rng(8).standard_normal((30, 80)) + 0.2, order=order)
         before = rows.copy()
-        statistics = sn_test_rows(rows)
+        statistics = _sn_test_rows_in_place(np.array(rows))
         assert np.array_equal(rows, before)
         mean = rows.mean(axis=1)
         partial = np.cumsum(rows - mean[:, None], axis=1)
@@ -287,7 +284,8 @@ class TestSelfNormalized:
         residuals = fit.residuals.copy()
         statistics = sn_from_fit(fit, X).statistics
         assert np.array_equal(fit.residuals, residuals)
-        assert np.array_equal(statistics, sn_test_rows(fit.residuals + fit.alpha_hat[:, None]))
+        contributions = fit.residuals + fit.alpha_hat[:, None]
+        assert np.array_equal(statistics, _sn_test_rows_in_place(contributions))
 
     def test_limit_table_cached_and_deterministic(self):
         t1 = _sn_limit_table()
@@ -326,7 +324,7 @@ class TestSelfNormalized:
     def test_size_calibration_on_iid_rows(self):
         rng = np.random.default_rng(5)
         rows = rng.standard_normal((2000, 200))
-        statistics = sn_test_rows(rows)
+        statistics = _sn_test_rows_in_place(rows)
         p = sn_pvalues(statistics, mc_paths=10000)
         rate = float(np.mean(p <= 0.10))
         assert 0.07 <= rate <= 0.13

@@ -4,7 +4,6 @@ import pytest
 from alphascreen.baselines import bh_statistics
 from alphascreen.errors import DimensionError, NoFactorStructureError
 from alphascreen.estimation import (
-    bartlett_kernel,
     estimate_alpha,
     estimate_latent,
     long_run_variance,
@@ -315,43 +314,33 @@ class TestEstimateAlpha:
 
 
 class TestLongRunVariance:
-    def test_tiny_bandwidth_collapses_to_second_moment(self):
-        rng = np.random.default_rng(18)
-        rows = rng.standard_normal((4, 100))
-        out = long_run_variance(rows, bandwidth=0.5)
-        assert np.allclose(out, np.mean(rows**2, axis=1), atol=1e-12)
-
     def test_white_noise_level(self):
         rng = np.random.default_rng(19)
         rows = rng.standard_normal((12, 2000))
-        out = long_run_variance(rows)  # default bandwidth 2000**0.2 ~ 4.57
+        out = long_run_variance(rows)  # bandwidth 2000**0.2 ~ 4.57
         assert np.all(np.abs(out - 1.0) < 0.15)
 
     def test_ar1_long_run_variance(self):
         # AR(1) with coefficient 0.5 and unit innovations has long-run
-        # variance 1/(1-0.5)^2 = 4; a generous bandwidth keeps the kernel
-        # truncation bias inside the tolerance
+        # variance 1/(1-0.5)^2 = 4; at 10^6 periods the bandwidth n^0.2 ~ 15.8
+        # keeps the kernel truncation bias inside the tolerance
         from scipy.signal import lfilter
 
         rng = np.random.default_rng(20)
-        rows = lfilter([1.0], [1.0, -0.5], rng.standard_normal((30, 5000)), axis=1)
-        out = long_run_variance(rows, bandwidth=40.0)
+        rows = lfilter([1.0], [1.0, -0.5], rng.standard_normal((4, 10**6)), axis=1)
+        out = long_run_variance(rows)
         assert abs(np.mean(out) - 4.0) / 4.0 < 0.15
 
-    def test_bartlett_kernel_shape(self):
-        x = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-        assert np.allclose(bartlett_kernel(x), [0.0, 0.0, 0.5, 1.0, 0.5, 0.0, 0.0])
-
     def test_matches_double_sum_reference(self):
-        # (1/n) sum_{t1,t2} k((t1-t2)/bandwidth) e_t1 e_t2, formed explicitly
+        # (1/n) sum_{t1,t2} k((t1-t2)/ell) e_t1 e_t2 with the Bartlett kernel
+        # and ell = n^0.2, formed explicitly; 32 and 243 put a lag at ell itself
         rng = np.random.default_rng(21)
-        n = 80
-        rows = rng.standard_normal((5, n))
-        lags = np.subtract.outer(np.arange(n), np.arange(n))
-        for bandwidth in (0.5, 2.4, n**0.2, 10.0):
-            weights = bartlett_kernel(lags / bandwidth)
+        for n in (2, 3, 32, 80, 243, 1000):
+            rows = rng.standard_normal((5, n))
+            lags = np.subtract.outer(np.arange(n), np.arange(n))
+            weights = np.maximum(0.0, 1.0 - np.abs(lags) / n**0.2)
             expected = np.einsum("it,ts,is->i", rows, weights, rows) / n
-            out = long_run_variance(rows, bandwidth=bandwidth)
+            out = long_run_variance(rows)
             assert np.allclose(out, expected, rtol=1e-12, atol=0.0)
 
     def test_zero_row_is_floored(self):
@@ -361,8 +350,7 @@ class TestLongRunVariance:
         with pytest.raises(DimensionError):
             long_run_variance(np.ones(10))
 
-    def test_bandwidth_bounds(self):
-        with pytest.raises(ValueError):
-            long_run_variance(np.ones((2, 10)), bandwidth=10.0)
-        with pytest.raises(ValueError):
-            long_run_variance(np.ones((2, 10)), bandwidth=0.0)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_periods(self, n):
+        with pytest.raises(DimensionError, match="n >= 2"):
+            long_run_variance(np.ones((2, n)))

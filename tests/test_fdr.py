@@ -18,6 +18,7 @@ from alphascreen.fdr import (
     split_from_fits,
     split_statistics,
 )
+from alphascreen.linalg import least_squares
 from alphascreen.panels import FactorPanel, ReturnPanel
 
 
@@ -289,6 +290,12 @@ class TestEvaluate:
         assert metrics.power > 0.5
 
 
+def known_null_correction(fit, nulls):
+    """The premium-corrected alphas of ``fit`` with the given rows as the control set."""
+    b = fit.latent.loadings_hat
+    return fit.mean_adjusted - b @ least_squares(b[nulls], fit.mean_adjusted[nulls])
+
+
 class TestNegativeControl:
     def build_noiseless_null(self, seed=12):
         rng = np.random.default_rng(seed)
@@ -303,21 +310,19 @@ class TestNegativeControl:
 
     def test_null_panel_correction_is_zero(self):
         returns, fac = self.build_noiseless_null()
-        cfg = NegativeControlConfig(mode="explicit_set", explicit_indices=range(20))
-        corrected = negative_control_from_fit(a.estimate_alpha(returns, fac, rank=2), cfg)
+        corrected = known_null_correction(a.estimate_alpha(returns, fac, rank=2), np.arange(20))
         assert np.abs(corrected).max() < 1e-8
 
     def test_threshold_rule_agrees_with_explicit_nulls(self):
         # sparse signals: screening keeps essentially all true nulls, so the
-        # two control modes deliver nearly identical corrections
+        # threshold rule and the known null set deliver nearly identical
+        # corrections
         sc = a.SimulationScenario(n=1000, p=500, pi=0.1, nu=0.3, seed=13)
         rng = a.simulation.replication_rng(sc.seed, 0)
         X, F, truth, _ = a.generate_panel(sc, rng)
         nulls = np.setdiff1d(np.arange(X.n_entities), truth)
         fit = a.estimate_alpha(X, F)
-        explicit = negative_control_from_fit(
-            fit, NegativeControlConfig(mode="explicit_set", explicit_indices=nulls)
-        )
+        explicit = known_null_correction(fit, nulls)
         screened = negative_control_from_fit(
             fit, NegativeControlConfig(mode="threshold_rule", gamma_scale=0.5)
         )
@@ -329,15 +334,21 @@ class TestNegativeControl:
         with pytest.raises(ValueError, match="gamma_scale must be finite and positive"):
             NegativeControlConfig(mode="threshold_rule", gamma_scale=scale)
 
-    def test_empty_explicit_set_rejected(self):
-        with pytest.raises(NegativeControlError):
-            NegativeControlConfig(mode="explicit_set", explicit_indices=())
+    def test_threshold_rule_is_the_only_mode(self):
+        with pytest.raises(ValueError, match="explicit_set"):
+            NegativeControlConfig(mode="explicit_set")
 
     def test_control_set_too_small(self):
-        returns, fac = self.build_noiseless_null()
-        cfg = NegativeControlConfig(mode="explicit_set", explicit_indices=[0, 1])
-        with pytest.raises(NegativeControlError, match="cannot identify"):
-            negative_control_from_fit(a.estimate_alpha(returns, fac, rank=2), cfg)
+        sc = a.SimulationScenario(n=80, p=60, pi=0.1, nu=1.0, seed=14)
+        X, F, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 0))
+        fit = a.estimate_alpha(X, F)
+        rank = fit.latent.rank_hat
+        # a cut halfway between the rank-th and the next smallest |alpha|
+        magnitudes = np.sort(np.abs(fit.alpha_hat))
+        gamma = 0.5 * (magnitudes[rank - 1] + magnitudes[rank])
+        cfg = NegativeControlConfig(gamma_scale=gamma * math.sqrt(sc.n) / math.log(sc.n))
+        with pytest.raises(NegativeControlError, match=f"of size {rank} cannot identify"):
+            negative_control_from_fit(fit, cfg)
 
     def test_threshold_rule_empty_advises_larger_scale(self):
         sc = a.SimulationScenario(n=80, p=60, pi=0.5, nu=2.0, seed=14)
@@ -360,7 +371,6 @@ class TestNegativeControl:
         b = rng0.standard_normal((p, r_o + r_c)) * 0.25 + 0.1
         plain_sum = np.zeros(p)
         corrected_sum = np.zeros(p)
-        cfg = NegativeControlConfig(mode="explicit_set", explicit_indices=nulls)
         for rep in range(reps):
             rng = np.random.default_rng((16, rep))
             factors = rng.standard_normal((n, r_o + r_c)) * 2.0
@@ -369,7 +379,7 @@ class TestNegativeControl:
             X, F = make_panels(values, factors[:, :r_o])
             fit = a.estimate_alpha(X, F, rank=r_c)
             plain_sum += fit.alpha_hat
-            corrected_sum += negative_control_from_fit(fit, cfg)
+            corrected_sum += known_null_correction(fit, nulls)
         plain_bias = plain_sum / reps - alpha_true
         corrected_bias = corrected_sum / reps - alpha_true
         plain_rms = float(np.sqrt(np.mean(plain_bias**2)))

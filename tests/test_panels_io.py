@@ -231,6 +231,30 @@ class TestTableReader:
         assert fast[:2] == per_cell[:2]
         assert np.array_equal(fast[2], per_cell[2])
 
+    @pytest.mark.parametrize("source, cell", [("_fast_table", "0.1"), ("_parse_table", '"0.1"')])
+    def test_panel_keeps_the_read_only_array_the_reader_made(
+        self, tmp_path, monkeypatch, source, cell
+    ):
+        made = {}
+
+        def recording(name):
+            reader = getattr(table_io, name)
+
+            def record(*args):
+                made[name] = reader(*args)
+                return made[name]
+
+            return record
+
+        for name in ("_fast_table", "_parse_table"):
+            monkeypatch.setattr(table_io, name, recording(name))
+        path = tmp_path / "returns.csv"
+        path.write_text(f"entity_id,1,2,3,4\na,{cell},0.2,0.3,0.4\nb,0.5,0.6,0.7,0.8\n")
+        values = load_returns_csv(path).values
+        assert [name for name, table in made.items() if table is not None] == [source]
+        assert values is made[source][2]
+        assert not values.flags.writeable
+
     @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ('"0.25"', 0.25)])
     def test_float_tokens_numpy_refuses_are_accepted(self, tmp_path, cell, value):
         path = tmp_path / "returns.csv"
