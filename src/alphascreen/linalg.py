@@ -1,5 +1,7 @@
 """Dense linear-algebra primitives used throughout the estimation pipeline,
 and the package's one BLAS thread policy (:func:`one_blas_thread`).
+Both call numpy's bundled OpenBLAS, the only BLAS library the package
+loads.
 
 The primitives are deterministic and pure.  The solver deliberately goes
 through an orthogonal (QR) factorization; normal equations are never
@@ -9,7 +11,6 @@ formed explicitly.
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -85,7 +86,7 @@ def _solve_upper_triangular(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``x`` with ``r @ x = rhs`` for upper triangular ``r``, bit for bit
     ``scipy.linalg.solve_triangular(r, rhs)``.
 
-    Calls LAPACK ``dtrtrs`` in scipy's bundled OpenBLAS with the arguments
+    Calls LAPACK ``dtrtrs`` in numpy's bundled OpenBLAS with the arguments
     scipy's ``_solve_triangular`` passes, so that importing scipy is not
     needed; without that routine it imports scipy and calls it.
     """
@@ -102,9 +103,9 @@ def _solve_upper_triangular(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     else:
         a, uplo, trans = np.asfortranarray(r.T), b"L", b"T"
     x = np.array(rhs, dtype=float, order="F")  # dtrtrs overwrites it with the solution
-    n = ctypes.c_int(a.shape[0])
-    nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
-    info = ctypes.c_int(0)
+    n = ctypes.c_int64(a.shape[0])
+    nrhs = ctypes.c_int64(1 if x.ndim == 1 else x.shape[1])
+    info = ctypes.c_int64(0)
     _DTRTRS(
         uplo, trans, b"N", ctypes.byref(n), ctypes.byref(nrhs),
         a.ctypes.data, ctypes.byref(n), x.ctypes.data, ctypes.byref(n), ctypes.byref(info),
@@ -119,84 +120,62 @@ def _solve_upper_triangular(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-# numpy and scipy wheels each bundle an OpenBLAS in ``<package>.libs``;
-# numpy's has 64-bit integers and a ``64_`` symbol suffix.  scipy's is
-# found without importing scipy.
-_SCIPY_SPEC = importlib.util.find_spec("scipy")
-_OPENBLAS_DIRS = tuple(
-    Path(init_file).parent.with_name(f"{name}.libs")
-    for name, init_file in (("numpy", np.__file__), ("scipy", _SCIPY_SPEC and _SCIPY_SPEC.origin))
-    if init_file
-)
+# numpy's wheel bundles an OpenBLAS in ``numpy.libs``, with 64-bit integers
+# and a ``64_`` symbol suffix; numpy has loaded it by the time this runs.
+_OPENBLAS_DIR = Path(np.__file__).parent.with_name("numpy.libs")
 
 
-def _bundled_openblas() -> list:
-    """A handle on each loadable bundled OpenBLAS in ``_OPENBLAS_DIRS``."""
-    libs = []
-    for path in sorted(p for d in _OPENBLAS_DIRS for p in d.glob("libscipy_openblas*.so*")):
+def _load_openblas() -> tuple:
+    """``(dtrtrs, controls)`` of the OpenBLAS in ``_OPENBLAS_DIR``: its LAPACK
+    ``dtrtrs`` or None, and its ``(set_num_threads, get_num_threads)`` pair
+    in a tuple, or ``()``."""
+    for path in sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*")):
         try:
-            libs.append(ctypes.CDLL(str(path)))
+            lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-    return libs
-
-
-def _find_dtrtrs(libs: list):
-    """scipy's LAPACK ``dtrtrs`` (32-bit integers) among ``libs``, or None."""
-    for lib in libs:
-        dtrtrs = getattr(lib, "scipy_dtrtrs_", None)
+        dtrtrs = getattr(lib, "scipy_dtrtrs_64_", None)
         if dtrtrs is not None:
             # (uplo, trans, diag, n, nrhs, a, lda, b, ldb, info, three char lengths)
-            i, data, char = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.c_char_p
+            i, data, char = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p
             dtrtrs.argtypes = [char] * 3 + [i, i, data, i, data, i, i] + [ctypes.c_size_t] * 3
             dtrtrs.restype = None
-            return dtrtrs
-    return None
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if setter is None or getter is None:
+            return dtrtrs, ()
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return dtrtrs, ((setter, getter),)
+    return None, ()
 
 
-def _openblas_thread_controls(libs: list) -> tuple:
-    """``(set_num_threads, get_num_threads)`` of each bundled OpenBLAS in ``libs``."""
-    controls = []
-    for lib in libs:
-        for suffix in ("64_", ""):
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return tuple(controls)
-
-
-# Looked up, never set, at import; numpy has loaded its library by then,
-# and scipy's is loaded here (a later scipy import maps no second copy).
-# Every thread of the process, a study's pool included, shares the lookup.
-_OPENBLAS = _bundled_openblas()
-_BLAS_CONTROLS = _openblas_thread_controls(_OPENBLAS)
-_DTRTRS = _find_dtrtrs(_OPENBLAS)
+# Looked up, never set, at import.  Every thread of the process, a study's
+# pool included, shares the lookup.
+_DTRTRS, _BLAS_CONTROLS = _load_openblas()
 _cap_lock = threading.Lock()
 _cap_holders = 0
-_saved_counts: list = []
+_saved_count = 1
 
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with each bundled OpenBLAS at one thread.
+    """Run the block with numpy's bundled OpenBLAS at one thread.
 
-    numpy and scipy each start their own OpenBLAS thread pool, and the
-    two pools contend for the cores when calls into both alternate, as
-    they do in every fit.  The cap is process-wide and reference-counted,
-    so blocks may nest and run in several threads at once: the first to
-    enter saves the thread counts and sets one, and the last to leave
-    restores them, also when a block raises.  The lock guards only the
-    count, never the block.  Without a bundled OpenBLAS nothing is done.
+    Each fit makes many small BLAS and LAPACK calls, and a study runs fits
+    on several threads at once; at one BLAS thread each, the calls do not
+    contend with the study's threads for the cores.  The cap is
+    process-wide and reference-counted, so blocks may nest and run in
+    several threads at once: the first to enter saves the thread count
+    and sets one, and the last to leave restores it, also when a block
+    raises.  The lock guards only the count, never the block.  Without a
+    bundled OpenBLAS nothing is done.
     """
-    global _cap_holders, _saved_counts
+    global _cap_holders, _saved_count
     with _cap_lock:
         if _cap_holders == 0:
-            _saved_counts = [get_threads() for _, get_threads in _BLAS_CONTROLS]
-            for set_threads, _ in _BLAS_CONTROLS:
+            for set_threads, get_threads in _BLAS_CONTROLS:
+                _saved_count = get_threads()
                 set_threads(1)
         _cap_holders += 1
     try:
@@ -205,5 +184,5 @@ def one_blas_thread():
         with _cap_lock:
             _cap_holders -= 1
             if _cap_holders == 0:
-                for (set_threads, _), count in zip(_BLAS_CONTROLS, _saved_counts):
-                    set_threads(count)
+                for set_threads, _ in _BLAS_CONTROLS:
+                    set_threads(_saved_count)

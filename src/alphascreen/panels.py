@@ -40,7 +40,11 @@ def _freeze(values, shape_name: str) -> np.ndarray:
 
 def _check_strictly_increasing(time_index, what: str):
     for a, b in zip(time_index, time_index[1:]):
-        if not a < b:
+        try:
+            increasing = a < b
+        except TypeError:  # a number beside text, as in a header ...,5,x6,...
+            increasing = False
+        if not increasing:
             raise ValueError(f"{what} time index is not strictly increasing at {a!r} -> {b!r}")
 
 

@@ -73,9 +73,9 @@ def fitted_lengths(monkeypatch):
 
 @pytest.fixture()
 def caller_blas_threads():
-    """Set each bundled OpenBLAS to two threads, so that a cap to one shows
-    and a count left at one is caught; the process's own counts come back
-    after the test.  Yields the counts set."""
+    """Set numpy's bundled OpenBLAS to two threads, so that a cap to one
+    shows and a count left at one is caught; the process's own count comes
+    back after the test.  Yields the counts set."""
     controls = alphascreen.linalg._BLAS_CONTROLS
     saved = [get_threads() for _, get_threads in controls]
     for set_threads, _ in controls:

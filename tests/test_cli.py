@@ -233,6 +233,19 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "period" in result.output
 
+    def test_mixed_period_header_is_usage_error(self, runner, tmp_path):
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
+        header, rest = read(rpath).split("\n", 1)
+        assert ",5,6," in header
+        rpath.write_text(header.replace(",5,6,", ",5,x6,") + "\n" + rest)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--returns", str(rpath), "--factors", str(fpath), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "time index is not strictly increasing at 5 -> 'x6'" in result.output
+        assert not out.exists()
+
     def test_panel_too_short_is_runtime_error(self, runner, tmp_path):
         rng = np.random.default_rng(33)
         X = a.ReturnPanel(rng.standard_normal((5, 10)), [f"e{i}" for i in range(5)], range(10))
@@ -415,13 +428,16 @@ class TestImport:
             assert result.stdout.strip() == "[]", module
 
     def test_a_replication_and_an_analyze_leave_numpy_ma_unimported(self, tmp_path):
-        # numpy.ma (about 1.2 MB and 12 ms) loads with np.unique
+        # numpy.ma (about 1.2 MB and 12 ms) loads with np.unique.  The same
+        # process must import no scipy module and map one OpenBLAS, numpy's:
+        # the triangular solve and the thread cap call numpy's, not scipy's.
         sc = a.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=31)
         returns, factors, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 0))
         save_returns_csv(returns, tmp_path / "returns.csv")
         save_factors_csv(factors, tmp_path / "factors.csv")
         code = (
-            "import sys\n"
+            "import json, sys\n"
+            "from pathlib import Path\n"
             "from alphascreen import simulation as sim\n"
             "from alphascreen.cli import main\n"
             "sc = sim.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=31)\n"
@@ -429,14 +445,26 @@ class TestImport:
             f"main(['analyze', '--returns', {str(tmp_path / 'returns.csv')!r},\n"
             f"      '--factors', {str(tmp_path / 'factors.csv')!r}, '--out', {str(tmp_path)!r}],\n"
             "     standalone_mode=False)\n"
-            "print('numpy.ma' in sys.modules)\n"
+            "maps = Path('/proc/self/maps')\n"
+            "print(json.dumps({\n"
+            "    'numpy.ma': 'numpy.ma' in sys.modules,\n"
+            "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "    'mapped': sorted({line.split()[-1] for line in maps.read_text().splitlines()\n"
+            "                      if 'libscipy_openblas' in line}) if maps.exists() else None,\n"
+            "}))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=_package_env(), check=True, capture_output=True,
             text=True, timeout=120,
         )
         assert (tmp_path / "selection.csv").is_file()
-        assert result.stdout.splitlines()[-1] == "False"
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen["numpy.ma"] is False
+        assert seen["scipy"] == []
+        if seen["mapped"] is not None:  # /proc/self/maps exists
+            numpy_libs = Path(np.__file__).parent.with_name("numpy.libs")
+            numpys = [str(p.resolve()) for p in numpy_libs.glob("libscipy_openblas64_*.so*")]
+            assert len(numpys) == 1 and [str(Path(m).resolve()) for m in seen["mapped"]] == numpys
 
 
 def _has_glibc():

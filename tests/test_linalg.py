@@ -1,10 +1,4 @@
-import json
-import os
-import subprocess
-import sys
-import textwrap
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +75,7 @@ class TestLeastSquares:
 
 
 class TestTriangularSolve:
-    """``least_squares`` calls LAPACK ``dtrtrs`` in scipy's bundled OpenBLAS
+    """``least_squares`` calls LAPACK ``dtrtrs`` in numpy's bundled OpenBLAS
     itself; ``scipy.linalg.solve_triangular`` is the bit-exact reference."""
 
     @staticmethod
@@ -97,7 +91,7 @@ class TestTriangularSolve:
 
     @pytest.mark.parametrize("n", [60, 100, 200])
     def test_equals_solve_triangular(self, n):
-        assert linalg._DTRTRS is not None  # scipy's wheel bundles its OpenBLAS
+        assert linalg._DTRTRS is not None  # numpy's wheel bundles its OpenBLAS
         self.assert_matches_scipy(n, np.random.default_rng(n))
 
     @pytest.mark.parametrize("shape", [(30,), (30, 4)], ids=["vector", "matrix"])
@@ -108,10 +102,10 @@ class TestTriangularSolve:
             least_squares(np.random.default_rng(0).standard_normal((30, 3)), response)
 
     def test_falls_back_to_scipy_without_the_symbol(self, tmp_path, monkeypatch):
-        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
-        monkeypatch.setattr(linalg, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
-        monkeypatch.setattr(linalg, "_DTRTRS", linalg._find_dtrtrs(linalg._bundled_openblas()))
-        assert linalg._DTRTRS is None  # nothing found in the patched directories
+        (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
+        monkeypatch.setattr(linalg, "_OPENBLAS_DIR", tmp_path)
+        monkeypatch.setattr(linalg, "_DTRTRS", linalg._load_openblas()[0])
+        assert linalg._DTRTRS is None  # nothing loadable in the patched directory
         calls, solve = [], scipy.linalg.solve_triangular
 
         def spy(*args, **kwargs):
@@ -128,11 +122,15 @@ def _thread_counts():
 
 
 _PANEL = simulation.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
+_CAPPED = [1] * len(linalg._BLAS_CONTROLS)
 
 
 class TestOneBlasThread:
-    """Each block runs at one thread (numpy's and scipy's bundled OpenBLAS:
-    ``[1, 1]``); ``caller_blas_threads`` set both to two beforehand."""
+    """Each block runs numpy's bundled OpenBLAS at one thread (``_CAPPED``);
+    ``caller_blas_threads`` set it to two beforehand."""
+
+    def test_controls_numpys_openblas_alone(self):
+        assert len(linalg._BLAS_CONTROLS) == 1
 
     def test_the_last_thread_to_leave_restores_the_callers_counts(self, caller_blas_threads):
         def hold(entered, release, seen):
@@ -143,23 +141,29 @@ class TestOneBlasThread:
 
         first, second = [(threading.Event(), threading.Event(), []) for _ in range(2)]
         threads = [threading.Thread(target=hold, args=args) for args in (first, second)]
-        threads[0].start()
-        assert first[0].wait(timeout=60)
-        threads[1].start()
-        assert second[0].wait(timeout=60)
-        first[1].set()  # the first to enter leaves first
-        threads[0].join(timeout=60)
-        assert _thread_counts() == [1, 1]  # the second is still inside
-        second[1].set()
-        threads[1].join(timeout=60)
-        assert first[2] == [[1, 1]] and second[2] == [[1, 1]]
+        try:
+            threads[0].start()
+            assert first[0].wait(timeout=60)
+            threads[1].start()
+            assert second[0].wait(timeout=60)
+            first[1].set()  # the first to enter leaves first
+            threads[0].join(timeout=60)
+            assert _thread_counts() == _CAPPED  # the second is still inside
+        finally:
+            # a failed assertion must leave no thread inside the cap
+            for _, release, _ in (first, second):
+                release.set()
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join(timeout=60)
+        assert first[2] == [_CAPPED] and second[2] == [_CAPPED]
         assert _thread_counts() == caller_blas_threads
 
     def test_nested_blocks(self, caller_blas_threads):
         with one_blas_thread():
             with one_blas_thread():
-                assert _thread_counts() == [1, 1]
-            assert _thread_counts() == [1, 1]
+                assert _thread_counts() == _CAPPED
+            assert _thread_counts() == _CAPPED
         assert _thread_counts() == caller_blas_threads
 
     def test_restored_when_the_block_raises(self, caller_blas_threads):
@@ -169,7 +173,7 @@ class TestOneBlasThread:
                     raise RuntimeError("inside")
         assert _thread_counts() == caller_blas_threads
         with one_blas_thread():  # the next block caps again
-            assert _thread_counts() == [1, 1]
+            assert _thread_counts() == _CAPPED
         assert _thread_counts() == caller_blas_threads
 
     @pytest.mark.parametrize(
@@ -194,49 +198,5 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(module, inner, probe)
         call(returns, factors)  # called directly, outside any runner
-        assert seen and all(counts == [1, 1] for counts in seen)
+        assert seen and all(counts == _CAPPED for counts in seen)
         assert _thread_counts() == caller_blas_threads
-
-    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
-    def test_governs_scipys_blas_after_a_late_scipy_import(self):
-        """The package loads scipy's OpenBLAS before scipy does; scipy must
-        then map no second copy, so that the cap still reaches its calls.
-        Counts as ``caller_blas_threads`` sets them."""
-        code = textwrap.dedent(
-            """
-            import json
-            from pathlib import Path
-            import alphascreen
-            import scipy.linalg
-            from alphascreen import linalg
-            scipy.linalg.solve_triangular([[2.0]], [1.0])
-            counts = lambda: [get() for _, get in linalg._BLAS_CONTROLS]
-            for set_threads, _ in linalg._BLAS_CONTROLS:
-                set_threads(2)
-            with linalg.one_blas_thread():
-                inside = counts()
-            mapped = {
-                line.split()[-1] for line in Path("/proc/self/maps").read_text().splitlines()
-                if "libscipy_openblas" in line
-            }
-            print(json.dumps({
-                "mapped": sorted(mapped),
-                "loaded": sorted(str(Path(lib._name).resolve()) for lib in linalg._OPENBLAS),
-                "inside": inside,
-                "outside": counts(),
-            }))
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(linalg.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
-            timeout=120,
-        )
-        seen = json.loads(result.stdout)
-        # numpy's and scipy's library, each mapped once, both the package's handles
-        assert len(seen["loaded"]) == 2 and seen["mapped"] == seen["loaded"]
-        assert seen["inside"] == [1, 1]
-        assert seen["outside"] == [2, 2]

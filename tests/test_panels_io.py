@@ -52,8 +52,14 @@ class TestReturnPanel:
             ReturnPanel(np.ones((2, 3)), ["a", "b"], [1, 2, 3])
 
     def test_non_increasing_time(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ReturnPanel(np.ones((1, 4)), ["a"], [1, 3, 2, 4])
+        # a header that mixes numbers and text, such as ...,5,x6,..., is
+        # refused with the same error, not with the TypeError of 5 < "x6"
+        for time_index, at in [
+            ([1, 3, 2, 4], "3 -> 2"), ([4, 5, "x6", 7], "5 -> 'x6'"), (["t1", 2, 3, 4], "'t1' -> 2")
+        ]:
+            message = f"^return panel time index is not strictly increasing at {at}$"
+            with pytest.raises(ValueError, match=message):
+                ReturnPanel(np.ones((1, 4)), ["a"], time_index)
 
     def test_non_finite_located(self):
         values = np.ones((2, 4))

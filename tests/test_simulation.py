@@ -592,6 +592,9 @@ def _thread_counts():
     return [get() for _, get in linalg._BLAS_CONTROLS]
 
 
+_CAPPED = [1] * len(linalg._BLAS_CONTROLS)  # numpy's bundled OpenBLAS at one thread
+
+
 def _worker_probe(scenario):
     """Run in a pool worker: the OpenBLAS thread counts one ``sn``
     replication computes at, and the SN table the worker loaded for it."""
@@ -634,7 +637,7 @@ class TestSerialBlasThreads:
         sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
         _, _, failures = run_study_detailed(sc, ["probe"], [0.2], replications=3)
         assert failures == []
-        assert seen == [[1, 1]] * 3  # numpy's and scipy's bundled OpenBLAS
+        assert seen == [_CAPPED] * 3
         assert _thread_counts() == caller_blas_threads
 
     @pytest.mark.parametrize(
@@ -652,16 +655,15 @@ class TestSerialBlasThreads:
         )
         with expected:
             run_study_detailed(sc, ["probe"], [0.2], replications=2)
-        assert seen and all(counts == [1, 1] for counts in seen)
+        assert seen and all(counts == _CAPPED for counts in seen)
         assert _thread_counts() == caller_blas_threads
 
     def test_no_op_without_openblas(self, tmp_path, monkeypatch, caller_blas_threads):
         controls = linalg._BLAS_CONTROLS
-        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
-        monkeypatch.setattr(linalg, "_OPENBLAS_DIRS", (tmp_path, tmp_path / "missing"))
-        libs = linalg._bundled_openblas()
-        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", linalg._openblas_thread_controls(libs))
-        assert linalg._BLAS_CONTROLS == ()  # nothing found in the patched directories
+        (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
+        monkeypatch.setattr(linalg, "_OPENBLAS_DIR", tmp_path)
+        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", linalg._load_openblas()[1])
+        assert linalg._BLAS_CONTROLS == ()  # nothing loadable in the patched directory
         with linalg.one_blas_thread():
             assert [get() for _, get in controls] == caller_blas_threads
         assert [get() for _, get in controls] == caller_blas_threads
@@ -690,7 +692,7 @@ class TestThreadPool:
         sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
         threaded = run_study_detailed(sc, ["probe"], [0.2], replications=4, parallelism=2)
         assert threaded[2] == []
-        assert [counts for _, counts in seen] == [[1, 1]] * 4  # numpy's and scipy's OpenBLAS
+        assert [counts for _, counts in seen] == [_CAPPED] * 4
         assert threading.get_ident() not in {ident for ident, _ in seen}  # all on pool threads
         assert _thread_counts() == caller_blas_threads
         assert linalg._cap_holders == 0
@@ -702,7 +704,7 @@ class TestThreadPool:
         sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
         with pytest.raises(_Interrupt):
             run_study_detailed(sc, ["probe"], [0.2], replications=8, parallelism=2)
-        assert seen and all(counts == [1, 1] for _, counts in seen)
+        assert seen and all(counts == _CAPPED for _, counts in seen)
         assert _thread_counts() == caller_blas_threads
 
     def test_more_threads_than_cores_under_frequent_switches(self, caller_blas_threads):
@@ -733,7 +735,7 @@ class TestPoolWorker:
         sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(start_method)) as pool:
             seen, worker_table = pool.submit(_worker_probe, sc).result(timeout=120)
-        assert seen == [[1, 1]]  # numpy's and scipy's bundled OpenBLAS
+        assert seen == [_CAPPED]
         assert np.array_equal(worker_table, table)
         assert _thread_counts() == caller_blas_threads  # the parent keeps its settings
 
