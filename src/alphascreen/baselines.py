@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -190,20 +190,28 @@ def _check_residual_variation(rss: np.ndarray, rows: np.ndarray, message: str) -
 def bh_procedure(p_values: np.ndarray, beta: float) -> np.ndarray:
     """Step-up rule: reject the k smallest p-values where k is the largest
     index with p_(k) <= k * beta / m.  Returns sorted rejected indices."""
+    return _bh_rejections(p_values, [beta])[0]
+
+
+def _bh_rejections(p_values: np.ndarray, betas: Sequence[float]) -> list[np.ndarray]:
+    """:func:`bh_procedure` at each level in ``betas``: one stable sort of
+    the p-values, then one comparison per level."""
     p = np.asarray(p_values, dtype=float).ravel()
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("p-values must lie in [0, 1]")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    for beta in betas:
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
     m = p.size
-    if m == 0:
-        return np.array([], dtype=int)
     order = np.argsort(p, kind="stable")
-    passed = np.flatnonzero(p[order] <= (np.arange(1, m + 1) * beta) / m)
-    if passed.size == 0:
-        return np.array([], dtype=int)
-    k_hat = passed[-1] + 1
-    return np.sort(order[:k_hat])
+    p_sorted = p[order]
+    ranks = np.arange(1, m + 1)
+    rejected = []
+    for beta in betas:
+        passed = np.flatnonzero(p_sorted <= (ranks * beta) / m)
+        k_hat = passed[-1] + 1 if passed.size else 0
+        rejected.append(np.sort(order[:k_hat]))
+    return rejected
 
 
 @one_blas_thread()

@@ -217,7 +217,7 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     fits = PanelFits(returns, factors, rank=rank)
     try:
         result = spec.statistic(fits)
-        rejected, cutoff_name, cutoff = spec.rule(result, beta)
+        rejected, cutoff_name, cutoff = spec.rule(result, [beta])[0]
         if spec.fit is not None:
             alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
         else:

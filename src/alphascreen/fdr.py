@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -184,22 +184,34 @@ def select_threshold(
     statistics, so nothing is lost by the restriction.  Returns
     ``(+inf, empty)`` when no cutoff qualifies.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    return _select_thresholds(t_prod, [beta])[0]
+
+
+def _select_thresholds(
+    t_prod: np.ndarray, betas: Sequence[float]
+) -> list[tuple[float, np.ndarray]]:
+    """:func:`select_threshold` at each level in ``betas``: one sort and one
+    count of the statistics, then one comparison per level."""
+    for beta in betas:
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
     t = np.asarray(t_prod, dtype=float).ravel()
     candidates = _sorted_distinct(np.abs(t[t != 0.0]))
     if candidates.size == 0:
-        return math.inf, np.array([], dtype=int)
+        return [(math.inf, np.array([], dtype=int)) for _ in betas]
     t_sorted = np.sort(t)
     n_pos = t.size - np.searchsorted(t_sorted, candidates, side="left")
     n_neg = np.searchsorted(t_sorted, -candidates, side="right")
-    ok = (1.0 + n_neg) / np.maximum(n_pos, 1) <= beta
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return math.inf, np.array([], dtype=int)
-    threshold = float(candidates[hits[0]])
-    rejected = np.flatnonzero(t >= threshold)
-    return threshold, rejected
+    fdp_hat = (1.0 + n_neg) / np.maximum(n_pos, 1)
+    decisions = []
+    for beta in betas:
+        first = int(np.argmax(fdp_hat <= beta))  # 0 also when no cutoff qualifies
+        if fdp_hat[first] <= beta:
+            threshold = float(candidates[first])
+            decisions.append((threshold, np.flatnonzero(t >= threshold)))
+        else:
+            decisions.append((math.inf, np.array([], dtype=int)))
+    return decisions
 
 
 def negative_control_from_fit(fit: PanelFit, config: NegativeControlConfig) -> np.ndarray:
@@ -244,8 +256,11 @@ def _entity_mask(indices: Iterable[int], n_entities: int) -> np.ndarray:
 
 def fdp_power(rejected: Iterable[int], truth: Iterable[int], n_entities: int) -> FdrMetrics:
     """Realized FDP and power of a rejection set against known non-nulls."""
-    rej = _entity_mask(rejected, n_entities)
-    tru = _entity_mask(truth, n_entities)
+    return _fdp_power(_entity_mask(rejected, n_entities), _entity_mask(truth, n_entities))
+
+
+def _fdp_power(rej: np.ndarray, tru: np.ndarray) -> FdrMetrics:
+    """:func:`fdp_power` of a rejection mask against a truth mask."""
     # Python ints, so FDP and power are the same floats as plain set counts give
     r_count = int(np.count_nonzero(rej))
     hits = int(np.count_nonzero(rej & tru))

@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives used throughout the estimation pipeline,
-and the package's one BLAS thread policy (:func:`one_blas_thread`).
-Both call numpy's bundled OpenBLAS, the only BLAS library the package
-loads.
+the package's one BLAS thread policy (:func:`one_blas_thread`), and the
+linear filter of the panel generator (:func:`lfilter`).  The first two
+call numpy's bundled OpenBLAS, the only BLAS library the package loads;
+the filter calls scipy's compiled routine without importing scipy.
 
 The primitives are deterministic and pure.  The solver deliberately goes
 through an orthogonal (QR) factorization; normal equations are never
@@ -11,6 +12,8 @@ formed explicitly.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -186,3 +189,58 @@ def one_blas_thread():
             if _cap_holders == 0:
                 for set_threads, _ in _BLAS_CONTROLS:
                     set_threads(_saved_count)
+
+
+def _load_linear_filter():
+    """scipy's compiled ``_linear_filter``, the routine behind
+    ``scipy.signal.lfilter``, or None without its file or the symbol.
+
+    The extension file is loaded by path under a package-private module
+    name, so that neither ``scipy`` nor ``scipy.signal`` is imported
+    (``scipy.signal`` alone takes about a second); ``find_spec`` of a
+    top-level package imports nothing.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    folders = scipy.submodule_search_locations if scipy is not None else None
+    # the loader calls ``PyInit_`` + the name's last part, so it must be ``_sigtools``
+    name = f"{__package__}._sigtools"
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(folder, "signal", "_sigtools" + suffix)
+            if not path.is_file():
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                loader.exec_module(module)
+            except ImportError:
+                continue
+            return getattr(module, "_linear_filter", None)
+    return None
+
+
+_LINEAR_FILTER = _load_linear_filter()
+
+
+def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x, axis=axis)`` bit for bit, for float
+    arrays and without initial conditions.
+
+    A denominator of two or more coefficients goes to scipy's compiled
+    routine, as ``lfilter`` sends it, with the interpreter lock released.
+    A one-coefficient denominator takes ``lfilter``'s own path: each line
+    is convolved with ``b / a[0]`` and cut to its length, a loop over the
+    lines.  Without the compiled routine, ``scipy.signal.lfilter`` is
+    imported and called.
+    """
+    if _LINEAR_FILTER is None:
+        from scipy.signal import lfilter as scipy_lfilter
+
+        return scipy_lfilter(b, a, x, axis=axis)
+    if len(a) > 1:
+        return _LINEAR_FILTER(b, a, x, axis)
+    b = np.asarray(b, dtype=float) / a[0]
+    full = np.apply_along_axis(lambda line: np.convolve(b, line), axis, x)
+    return np.take(full, np.arange(x.shape[axis]), axis=axis)

@@ -21,22 +21,23 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it on first use: load it with the package
 
-from .baselines import bh_procedure, bh_statistics, sbh_from_fit, sn_from_fit
+from .baselines import _bh_rejections, bh_statistics, sbh_from_fit, sn_from_fit
 from .estimation import PanelFit, estimate_alpha
 from .fdr import (
     NegativeControlConfig,
-    fdp_power,
+    _entity_mask,
+    _fdp_power,
+    _select_thresholds,
     fit_halves,
-    select_threshold,
     split_from_fits,
 )
-from .linalg import one_blas_thread
+from .linalg import lfilter, one_blas_thread
 from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
@@ -117,8 +118,6 @@ class ArmaComponent:
 
     def stationary_sd(self) -> float:
         """Standard deviation of the stationary process with these coefficients."""
-        from scipy.signal import lfilter  # scipy.signal imports scipy.stats: keep both off import
-
         ma_poly, ar_poly = self.polynomials()
         impulse = np.zeros(ARMA_BURN_IN)
         impulse[0] = 1.0
@@ -358,7 +357,8 @@ def _ar1_correlate(z: np.ndarray, rho: float) -> np.ndarray:
     Runs the exact recursion ``e_0 = z_0``,
     ``e_i = rho e_{i-1} + sqrt(1-rho^2) z_i``, which applies the
     lower-triangular Cholesky factor of the Toeplitz family without ever
-    materializing it.  ``z`` has unit-variance rows, shape (p,) or (p, m).
+    materializing it, as one compiled filter call over the prescaled
+    rows.  ``z`` has unit-variance rows, shape (p,) or (p, m).
     """
     if abs(rho) >= 1.0:
         raise ValueError(f"|rho| must be below 1, got {rho}")
@@ -367,9 +367,8 @@ def _ar1_correlate(z: np.ndarray, rho: float) -> np.ndarray:
         return z.copy()
     x = z * math.sqrt(1.0 - rho**2)
     x[0] = z[0]
-    for i in range(1, z.shape[0]):
-        x[i] += rho * x[i - 1]
-    return x
+    # each filter step adds rho e_{i-1} to the prescaled row, as the recursion does
+    return lfilter(np.ones(1), np.array([1.0, -rho]), x, axis=0)
 
 
 def _garch_series(
@@ -430,8 +429,6 @@ def arma_mixture_errors(
     series simulated with a 200-period burn-in and standardized to unit
     stationary variance.
     """
-    from scipy.signal import lfilter  # see ArmaComponent.stationary_sd
-
     mixture = tuple(mixture)
     assign = _assign_components(p, mixture, rng)
     # One draw holds every entity's normals in entity order: n + burn-in
@@ -440,15 +437,17 @@ def arma_mixture_errors(
     starts = np.cumsum(lengths) - lengths
     draws = rng.standard_normal(int(lengths.sum()))
     out = np.empty((p, n))
-    rest = np.flatnonzero(assign == len(mixture))
-    out[rest] = draws[starts[rest, None] + np.arange(n)]
+    # the remainder's draws are whole segments: a mask over the draw, a
+    # byte per entry, gathers them without an index array of 8 bytes each
+    rest = assign == len(mixture)
+    out[rest] = draws[np.repeat(rest, lengths)].reshape(-1, n)
     for k, comp in enumerate(mixture):
         rows = np.flatnonzero(assign == k)
         if rows.size == 0:
             continue
         innov = comp.sd * draws[starts[rows, None] + np.arange(n + ARMA_BURN_IN)]
         ma_poly, ar_poly = comp.polynomials()
-        filtered = lfilter(ma_poly, ar_poly, innov, axis=1)[:, ARMA_BURN_IN:]
+        filtered = lfilter(ma_poly, ar_poly, innov)[:, ARMA_BURN_IN:]
         out[rows] = filtered / comp.stationary_sd()
     return out
 
@@ -473,6 +472,18 @@ def _assemble_panel(
     values += alpha[:, None]  # alpha + B F' is B F' + alpha, bit for bit
     values += errors
     return values
+
+
+@lru_cache(maxsize=16)
+def _panel_labels(p: int, n: int, r_observed: int) -> tuple[tuple, tuple, tuple]:
+    """Entity ids, observed factor names and periods of a generated panel,
+    made once per design: the panels keep these tuples as they are."""
+    width = len(str(p))
+    return (
+        tuple(f"e{i + 1:0{width}d}" for i in range(p)),
+        tuple(f"f{j + 1}" for j in range(r_observed)),
+        tuple(range(1, n + 1)),
+    )
 
 
 @one_blas_thread()
@@ -512,13 +523,9 @@ def generate_panel(
     values = _assemble_panel(alpha, loadings, factors, errors)
     del errors
     values.setflags(write=False)  # so that ReturnPanel keeps it instead of a copy
-    width = len(str(p))
-    returns = ReturnPanel(
-        values, [f"e{i + 1:0{width}d}" for i in range(p)], list(range(1, n + 1))
-    )
-    observed = FactorPanel(
-        factors[:, :r_o].copy(), [f"f{j + 1}" for j in range(r_o)], list(range(1, n + 1))
-    )
+    entity_ids, factor_names, periods = _panel_labels(p, n, r_o)
+    returns = ReturnPanel(values, entity_ids, periods)
+    observed = FactorPanel(factors[:, :r_o].copy(), factor_names, periods)
     truth = np.flatnonzero(alpha != 0.0)
     return returns, observed, truth, PopulationOracle(alpha=alpha, sigma_e=sigma_e)
 
@@ -561,15 +568,18 @@ class PanelFits:
         self.__dict__.pop(name, None)
 
 
-def _threshold_rule(result, beta):
-    threshold, rejected = select_threshold(result.t_prod, beta)
-    return rejected, "threshold", threshold
+def _threshold_rule(result, betas):
+    return [
+        (rejected, "threshold", threshold)
+        for threshold, rejected in _select_thresholds(result.t_prod, betas)
+    ]
 
 
-def _bh_rule(result, beta):
-    rejected = bh_procedure(result.p_values, beta)
-    p_cutoff = float(result.p_values[rejected].max()) if rejected.size else 0.0
-    return rejected, "p_cutoff", p_cutoff
+def _bh_rule(result, betas):
+    return [
+        (rejected, "p_cutoff", float(result.p_values[rejected].max()) if rejected.size else 0.0)
+        for rejected in _bh_rejections(result.p_values, betas)
+    ]
 
 
 class Method(NamedTuple):
@@ -579,7 +589,8 @@ class Method(NamedTuple):
         ``statistic(fits)`` on a :class:`PanelFits`; returns a
         ``SplitTestResult`` or a ``PValueResult``.
     rule
-        ``rule(result, beta)`` returns ``(rejected, cutoff_name, cutoff)``:
+        ``rule(result, betas)`` returns one ``(rejected, cutoff_name, cutoff)``
+        per level in ``betas``, from one sort of the statistics:
         ``select_threshold`` with its ``threshold``, or ``bh_procedure``
         with ``p_cutoff``, the largest rejected p-value (0 when none).
     fit
@@ -624,6 +635,8 @@ def _replication_rows(scenario, replication, methods, betas, rank=None):
     with one_blas_thread():
         rng = replication_rng(scenario.seed, replication)
         returns, factors, truth, _ = generate_panel(scenario, rng)
+        p = returns.n_entities
+        truth_mask = _entity_mask(truth, p)
         fits = PanelFits(returns, factors, rank=rank)
         rows = []
         for k, name in enumerate(methods):
@@ -631,9 +644,8 @@ def _replication_rows(scenario, replication, methods, betas, rank=None):
             result = method.statistic(fits)
             if method.fit is not None and last_reader[method.fit] == k:
                 fits.release(method.fit)
-            for beta in betas:
-                rejected = method.rule(result, beta)[0]
-                m = fdp_power(rejected, truth, returns.n_entities)
+            for beta, (rejected, _, _) in zip(betas, method.rule(result, betas)):
+                m = _fdp_power(_entity_mask(rejected, p), truth_mask)
                 rows.append((name, beta, m.fdp, m.power))
     return rows
 

@@ -350,6 +350,6 @@ class TestSelfNormalized:
             rejected = bh_procedure(sn_statistics(X, F).p_values, 0.05)
             sn_pow.append(a.fdp_power(rejected, truth, sc.p).power)
             yd = a.METHODS["yd"]
-            rejected = yd.rule(yd.statistic(a.PanelFits(X, F)), 0.05)[0]
+            rejected = yd.rule(yd.statistic(a.PanelFits(X, F)), [0.05])[0][0]
             yd_pow.append(a.fdp_power(rejected, truth, sc.p).power)
         assert np.mean(sn_pow) < np.mean(yd_pow) - 0.15

@@ -467,6 +467,35 @@ class TestImport:
             assert len(numpys) == 1 and [str(Path(m).resolve()) for m in seen["mapped"]] == numpys
 
 
+    def test_a_garch_arma_replication_imports_no_scipy(self):
+        # The ARMA and AR(1) filters call scipy's compiled routine, loaded by
+        # path; importing scipy.signal for it took about 1.1 s and 67 MB.
+        code = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from alphascreen import simulation as sim\n"
+            "sc = sim.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, temporal_mode='garch_arma',\n"
+            "                            seed=31)\n"
+            "sim._replication_rows(sc, 0, list(sim.METHODS), [0.1])\n"
+            "maps = Path('/proc/self/maps')\n"
+            "print(json.dumps({\n"
+            "    'scipy': sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+            "    'mapped': sorted({line.split()[-1] for line in maps.read_text().splitlines()\n"
+            "                      if 'libscipy_openblas' in line}) if maps.exists() else None,\n"
+            "}))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_package_env(), check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen["scipy"] == []
+        if seen["mapped"] is not None:  # /proc/self/maps exists
+            numpy_libs = Path(np.__file__).parent.with_name("numpy.libs")
+            numpys = [str(p.resolve()) for p in numpy_libs.glob("libscipy_openblas64_*.so*")]
+            assert len(numpys) == 1 and [str(Path(m).resolve()) for m in seen["mapped"]] == numpys
+
+
 def _has_glibc():
     try:
         return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")

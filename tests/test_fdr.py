@@ -282,7 +282,7 @@ class TestEvaluate:
         X, F, truth, _ = a.generate_panel(sc, rng)
         method = a.METHODS["yd"]
         res = method.statistic(a.PanelFits(X, F))
-        rejected, cutoff_name, threshold = method.rule(res, 0.2)
+        rejected, cutoff_name, threshold = method.rule(res, [0.2])[0]
         assert cutoff_name == "threshold"
         if math.isfinite(threshold):
             assert np.array_equal(rejected, np.flatnonzero(res.t_prod >= threshold))

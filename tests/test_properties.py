@@ -1,12 +1,21 @@
 """Invariants the method promises, checked on random inputs against plain
 reference code."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from alphascreen.baselines import bh_procedure
+from alphascreen.baselines import _bh_rejections, bh_procedure
 from alphascreen.estimation import estimate_alpha
-from alphascreen.fdr import NegativeControlConfig, fit_halves, split_from_fits
+from alphascreen.fdr import (
+    NegativeControlConfig,
+    _select_thresholds,
+    _sorted_distinct,
+    fit_halves,
+    select_threshold,
+    split_from_fits,
+)
 from alphascreen.panels import FactorPanel, ReturnPanel
 from alphascreen.simulation import (
     METHODS,
@@ -113,7 +122,7 @@ def decisions(fits, statistics, betas=(0.05, 0.1, 0.2)):
     rejected = {}
     for name, statistic in statistics.items():
         result = statistic(fits)
-        rejected[name] = [METHODS[name].rule(result, beta)[0].tolist() for beta in betas]
+        rejected[name] = [d[0].tolist() for d in METHODS[name].rule(result, betas)]
     return rejected
 
 
@@ -160,3 +169,77 @@ def brute_force_bh(p_values, beta):
 @hyp_settings(max_examples=200, deadline=None)
 def test_bh_procedure_matches_brute_force(p_values, beta):
     assert bh_procedure(np.array(p_values), beta).tolist() == brute_force_bh(p_values, beta)
+
+
+def per_level_threshold(t_prod, beta):
+    """``select_threshold`` as written for one level, a sort per call: the
+    reference for the rule that serves every level from one sort."""
+    t = np.asarray(t_prod, dtype=float).ravel()
+    candidates = _sorted_distinct(np.abs(t[t != 0.0]))
+    if candidates.size == 0:
+        return math.inf, np.array([], dtype=int)
+    t_sorted = np.sort(t)
+    n_pos = t.size - np.searchsorted(t_sorted, candidates, side="left")
+    n_neg = np.searchsorted(t_sorted, -candidates, side="right")
+    hits = np.flatnonzero((1.0 + n_neg) / np.maximum(n_pos, 1) <= beta)
+    if hits.size == 0:
+        return math.inf, np.array([], dtype=int)
+    threshold = float(candidates[hits[0]])
+    return threshold, np.flatnonzero(t >= threshold)
+
+
+def per_level_bh(p_values, beta):
+    """``bh_procedure`` as written for one level, a stable sort per call."""
+    p = np.asarray(p_values, dtype=float).ravel()
+    m = p.size
+    if m == 0:
+        return np.array([], dtype=int)
+    order = np.argsort(p, kind="stable")
+    passed = np.flatnonzero(p[order] <= (np.arange(1, m + 1) * beta) / m)
+    if passed.size == 0:
+        return np.array([], dtype=int)
+    return np.sort(order[: passed[-1] + 1])
+
+
+LEVELS = st.lists(st.floats(0.001, 0.999) | st.sampled_from([0.05, 0.1, 0.15, 0.2]), max_size=6)
+
+
+def same_indices(got, want):
+    return np.array_equal(got, want) and got.dtype == want.dtype
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 4.0]) | st.floats(-50.0, 50.0),
+        max_size=60,
+    ),
+    LEVELS,
+    st.booleans(),
+)
+@hyp_settings(max_examples=300, deadline=None)
+def test_threshold_rule_at_all_levels_equals_one_level_at_a_time(values, betas, negative):
+    # ties, zeros and, with ``negative``, statistics that are all at or below zero
+    t = -np.abs(np.array(values)) if negative else np.array(values)
+    decisions = _select_thresholds(t, betas)
+    assert len(decisions) == len(betas)
+    for beta, (threshold, rejected) in zip(betas, decisions):
+        want_threshold, want_rejected = per_level_threshold(t, beta)
+        assert threshold == want_threshold and same_indices(rejected, want_rejected)
+        public_threshold, public_rejected = select_threshold(t, beta)
+        assert public_threshold == want_threshold and same_indices(public_rejected, want_rejected)
+
+
+@given(
+    st.lists(st.sampled_from([0.0, 1.0, 1e-4, 0.01, 0.05, 0.5]) | st.floats(0.0, 1.0), max_size=60),
+    LEVELS,
+)
+@hyp_settings(max_examples=300, deadline=None)
+def test_bh_rule_at_all_levels_equals_one_level_at_a_time(p_values, betas):
+    # ties and p-values of exactly 0 and 1
+    p = np.array(p_values, dtype=float)
+    rejections = _bh_rejections(p, betas)
+    assert len(rejections) == len(betas)
+    for beta, rejected in zip(betas, rejections):
+        want = per_level_bh(p, beta)
+        assert same_indices(rejected, want)
+        assert same_indices(bh_procedure(p, beta), want)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.machinery
 import json
 import math
 import multiprocessing
@@ -8,6 +9,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,15 +91,19 @@ class TestToeplitzFactor:
         z = rng.standard_normal((50, 3))
         assert np.array_equal(_ar1_correlate(z, 0.0), z)
 
-    @pytest.mark.parametrize("shape", [(40,), (40, 7)])
-    def test_recursion_equals_lfilter(self, shape):
-        # scipy's IIR filter, which the row loop replaced, is the bit-exact reference
-        rho = -0.37
+    @pytest.mark.parametrize("shape", [(40,), (40, 7), (1000, 200), (100, 60)])
+    def test_recursion_equals_lfilter(self, shape, monkeypatch):
+        # scipy's IIR filter is the bit-exact reference, both for its compiled
+        # routine as the package loads it and for the fallback that imports it
         z = np.random.default_rng(6).standard_normal(shape)
-        x = z * math.sqrt(1.0 - rho**2)
-        x[0] = z[0]
-        expected = lfilter([1.0], [1.0, -rho], x, axis=0)
-        assert np.array_equal(_ar1_correlate(z, rho), expected)
+        assert linalg._LINEAR_FILTER is not None  # scipy's wheel ships the extension
+        for handle in (linalg._LINEAR_FILTER, None):
+            monkeypatch.setattr(linalg, "_LINEAR_FILTER", handle)
+            for rho in (0.3, 0.5, 0.9, -0.37):
+                x = z * math.sqrt(1.0 - rho**2)
+                x[0] = z[0]
+                expected = lfilter([1.0], [1.0, -rho], x, axis=0)
+                assert np.array_equal(_ar1_correlate(z, rho), expected), (handle, rho)
 
     def test_implied_factor_squares_to_toeplitz(self):
         p, rho = 6, 0.5
@@ -157,6 +163,84 @@ class TestGarch:
         f = garch_factors(30_000, 3, [(0.1, 0.1, 0.8)] * 3, target, rng)
         rel = np.linalg.norm(np.cov(f.T) - target) / np.linalg.norm(target)
         assert rel < 0.10
+
+
+@pytest.fixture(params=["compiled", "fallback"])
+def filter_path(request, monkeypatch):
+    """Run with scipy's compiled filter as the package loads it, then with
+    the handle forced to None, so that ``scipy.signal.lfilter`` is called."""
+    if request.param == "compiled":
+        assert linalg._LINEAR_FILTER is not None  # scipy's wheel ships the extension
+    else:
+        monkeypatch.setattr(linalg, "_LINEAR_FILTER", None)
+    return request.param
+
+
+def lfilter_arma_mixture_errors(n, p, mixture, rng):
+    """``arma_mixture_errors`` as written on ``scipy.signal.lfilter``: the
+    bit-exact reference for the package's filter."""
+    assign = _assign_components(p, mixture, rng)
+    lengths = np.where(assign < len(mixture), n + sim.ARMA_BURN_IN, n)
+    starts = np.cumsum(lengths) - lengths
+    draws = rng.standard_normal(int(lengths.sum()))
+    out = np.empty((p, n))
+    rest = np.flatnonzero(assign == len(mixture))
+    out[rest] = draws[starts[rest, None] + np.arange(n)]
+    impulse = np.zeros(sim.ARMA_BURN_IN)
+    impulse[0] = 1.0
+    for k, comp in enumerate(mixture):
+        rows = np.flatnonzero(assign == k)
+        innov = comp.sd * draws[starts[rows, None] + np.arange(n + sim.ARMA_BURN_IN)]
+        ma_poly, ar_poly = comp.polynomials()
+        psi = lfilter(ma_poly, ar_poly, impulse)
+        sd = comp.sd * math.sqrt(float(np.sum(psi * psi)))
+        out[rows] = lfilter(ma_poly, ar_poly, innov, axis=1)[:, sim.ARMA_BURN_IN :] / sd
+    return out
+
+
+class TestCompiledFilter:
+    """The ARMA filters of the generator equal ``scipy.signal.lfilter`` bit
+    for bit, through scipy's compiled routine and through the fallback; the
+    AR(1) filter is checked in ``TestToeplitzFactor``."""
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_each_default_component_equals_lfilter(self, filter_path, k):
+        comp = default_arma_mixture()[k]
+        ma_poly, ar_poly = comp.polynomials()
+        innov = np.random.default_rng(k).standard_normal((41, 400))
+        assert np.array_equal(linalg.lfilter(ma_poly, ar_poly, innov), lfilter(ma_poly, ar_poly, innov))
+        impulse = np.zeros(sim.ARMA_BURN_IN)
+        impulse[0] = 1.0
+        psi = lfilter(ma_poly, ar_poly, impulse)
+        assert comp.stationary_sd() == comp.sd * math.sqrt(float(np.sum(psi * psi)))
+
+    def test_mixture_errors_equal_lfilter(self, filter_path):
+        mixture = default_arma_mixture()
+        got = arma_mixture_errors(200, 1000, mixture, np.random.default_rng(8))
+        want = lfilter_arma_mixture_errors(200, 1000, mixture, np.random.default_rng(8))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ma", [(0.4, -0.3, 0.2), (0.3, 0.2, -0.1, 0.25)], ids=["ma3", "ma4"])
+    def test_pure_ma_takes_lfilters_convolution(self, filter_path, ma):
+        # lfilter convolves when the denominator is one coefficient; its
+        # compiled recursion sums in another order from three MA terms on
+        ma_poly, ar_poly = ArmaComponent(weight=1.0, ma=ma).polynomials()
+        innov = np.random.default_rng(3).standard_normal((20, 300)) * 7.0
+        assert np.array_equal(linalg.lfilter(ma_poly, ar_poly, innov), lfilter(ma_poly, ar_poly, innov))
+        assert np.array_equal(
+            linalg.lfilter(ma_poly, ar_poly, innov.T, axis=0), lfilter(ma_poly, ar_poly, innov.T, axis=0)
+        )
+
+    def test_fallback_without_a_loadable_file(self, tmp_path, monkeypatch):
+        scipy_dir = tmp_path / "scipy"
+        (scipy_dir / "signal").mkdir(parents=True)
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            (scipy_dir / "signal" / f"_sigtools{suffix}").write_bytes(b"not an extension")
+        found = SimpleNamespace(submodule_search_locations=[str(scipy_dir)])
+        monkeypatch.setattr(linalg.importlib.util, "find_spec", lambda name: found)
+        assert linalg._load_linear_filter() is None
+        monkeypatch.setattr(linalg.importlib.util, "find_spec", lambda name: None)
+        assert linalg._load_linear_filter() is None
 
 
 class TestArmaMixture:
@@ -548,7 +632,7 @@ class TestRunStudy:
         for name in methods:
             result = METHODS[name].statistic(fits)
             for beta in betas:
-                m = a.fdp_power(METHODS[name].rule(result, beta)[0], truth, sc.p)
+                m = a.fdp_power(METHODS[name].rule(result, [beta])[0][0], truth, sc.p)
                 rows.append((name, beta, m.fdp, m.power))
         return rows
 
@@ -708,21 +792,28 @@ class TestThreadPool:
         assert _thread_counts() == caller_blas_threads
 
     def test_more_threads_than_cores_under_frequent_switches(self, caller_blas_threads):
-        # the shared state is the cap's count and the SN table cache; a lost
-        # update would leave a thread count wrong or the rows different
-        baselines._sn_limit_table.cache_clear()
-        sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
-        serial = run_study_detailed(sc, list(METHODS), [0.2], replications=8)
-        baselines._sn_limit_table.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threaded = run_study_detailed(sc, list(METHODS), [0.2], replications=8, parallelism=6)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
-        assert _thread_counts() == caller_blas_threads
-        assert linalg._cap_holders == 0
+        # the shared state is the cap's count, the SN table cache and the
+        # panel labels; a lost update would leave a thread count wrong or the
+        # rows different.  The garch_arma design runs the compiled filter on
+        # every thread at once.
+        for mode in ("iid_normal", "garch_arma"):
+            baselines._sn_limit_table.cache_clear()
+            sim._panel_labels.cache_clear()
+            sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, temporal_mode=mode, seed=23)
+            serial = run_study_detailed(sc, list(METHODS), [0.05, 0.2], replications=8)
+            baselines._sn_limit_table.cache_clear()
+            sim._panel_labels.cache_clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threaded = run_study_detailed(
+                    sc, list(METHODS), [0.05, 0.2], replications=8, parallelism=6
+                )
+            finally:
+                sys.setswitchinterval(interval)
+            assert threaded == serial, mode
+            assert _thread_counts() == caller_blas_threads
+            assert linalg._cap_holders == 0
 
 
 class TestPoolWorker:
@@ -741,18 +832,30 @@ class TestPoolWorker:
 
 
 class TestWorkingSet:
+    @staticmethod
+    def peak_panels(sc, methods):
+        """Peak traced allocation of one replication, in panels of 8 p n bytes."""
+        baselines._sn_limit_table()  # loaded once per process, not per replication
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim._replication_rows(sc, 0, methods, [0.05, 0.1, 0.15])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / (sc.p * sc.n * 8)
+
     @pytest.mark.parametrize("factory", [a.table1_normal_scenario, a.table1_lognormal_scenario])
     def test_one_table1_replication_holds_at_most_four_panels(self, factory):
         # A two-thread pool holds two replications at once, so a study's peak
         # resident size grows with this peak; it was 6.2 panels before fits
         # were released early and temporaries made in place.
-        sc = factory(nu=0.3)
-        baselines._sn_limit_table()  # loaded once per process, not per replication
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sim._replication_rows(sc, 0, ["yd", "yd_r", "sbh", "sn", "bh"], [0.05, 0.1, 0.15])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * sc.p * sc.n * 8, f"{peak / (sc.p * sc.n * 8):.2f} panels"
+        peak = self.peak_panels(factory(nu=0.3), ["yd", "yd_r", "sbh", "sn", "bh"])
+        assert peak <= 4, f"{peak:.2f} panels"
+
+    def test_one_garch_arma_replication_holds_at_most_four_panels(self):
+        # The compiled filter returns a new array, so the AR(1) step holds
+        # three panels; the generator must stay below the full fit's peak
+        # of about 3.55 panels, so that it does not raise a study's.
+        peak = self.peak_panels(a.table2_garch_arma_scenario(nu=0.3), list(METHODS))
+        assert peak <= 4, f"{peak:.2f} panels"
