@@ -63,12 +63,21 @@ ARMA_BURN_IN = 200
 GARCH_BURN_IN = 500
 
 
+def _poly_roots(coefs: Sequence[float]) -> np.ndarray:
+    """Roots of c0 + c1 z + c2 z^2 + ..., unsorted: the eigenvalues of the
+    companion matrix numpy.polynomial's ``polyroots`` builds, without importing it."""
+    c = np.trim_zeros(np.asarray(coefs, dtype=float), "b")
+    if len(c) < 3:
+        return np.array([-c[0] / c[1]] if len(c) == 2 else [])
+    companion = np.zeros((len(c) - 1, len(c) - 1))
+    companion.reshape(-1)[len(c) - 1::len(c)] = 1
+    companion[:, -1] -= c[:-1] / c[-1]
+    return np.linalg.eigvals(companion)
+
+
 def _poly_roots_outside_unit_circle(coefs: Sequence[float]) -> bool:
     """True when 1 + c1 z + c2 z^2 + ... has all roots outside |z| = 1."""
-    if not coefs:
-        return True
-    roots = np.polynomial.polynomial.polyroots([1.0, *coefs])
-    return bool(np.all(np.abs(roots) > 1.0))
+    return bool(np.all(np.abs(_poly_roots([1.0, *coefs])) > 1.0))
 
 
 def _plain(value):

@@ -448,6 +448,7 @@ class TestImport:
             "maps = Path('/proc/self/maps')\n"
             "print(json.dumps({\n"
             "    'numpy.ma': 'numpy.ma' in sys.modules,\n"
+            "    'numpy.polynomial': 'numpy.polynomial' in sys.modules,\n"
             "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
             "    'mapped': sorted({line.split()[-1] for line in maps.read_text().splitlines()\n"
             "                      if 'libscipy_openblas' in line}) if maps.exists() else None,\n"
@@ -460,6 +461,7 @@ class TestImport:
         assert (tmp_path / "selection.csv").is_file()
         seen = json.loads(result.stdout.splitlines()[-1])
         assert seen["numpy.ma"] is False
+        assert seen["numpy.polynomial"] is False  # about 2.3 ms of imports for a root check
         assert seen["scipy"] == []
         if seen["mapped"] is not None:  # /proc/self/maps exists
             numpy_libs = Path(np.__file__).parent.with_name("numpy.libs")
@@ -480,6 +482,7 @@ class TestImport:
             "maps = Path('/proc/self/maps')\n"
             "print(json.dumps({\n"
             "    'scipy': sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+            "    'numpy.polynomial': 'numpy.polynomial' in sys.modules,\n"
             "    'mapped': sorted({line.split()[-1] for line in maps.read_text().splitlines()\n"
             "                      if 'libscipy_openblas' in line}) if maps.exists() else None,\n"
             "}))\n"
@@ -490,6 +493,7 @@ class TestImport:
         )
         seen = json.loads(result.stdout.splitlines()[-1])
         assert seen["scipy"] == []
+        assert seen["numpy.polynomial"] is False  # the ARMA components' root checks
         if seen["mapped"] is not None:  # /proc/self/maps exists
             numpy_libs = Path(np.__file__).parent.with_name("numpy.libs")
             numpys = [str(p.resolve()) for p in numpy_libs.glob("libscipy_openblas64_*.so*")]

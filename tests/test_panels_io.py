@@ -1,4 +1,5 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,12 +147,41 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             load_factors_csv(path)
 
+    def test_labels_with_delimiters_round_trip(self, tmp_path):
+        # only the label cells that need it are quoted, as csv.QUOTE_MINIMAL does
+        values = np.random.default_rng(7).standard_normal((3, 5))
+        ids = ["a,b", 'say "hi"', "two\nlines"]
+        panel = ReturnPanel(values, ids, [1, 2, 3, 4, 5])
+        save_returns_csv(panel, tmp_path / "returns.csv")
+        back = load_returns_csv(tmp_path / "returns.csv")
+        assert back.entity_ids == panel.entity_ids
+        assert np.array_equal(back.values, values)
+        factors = FactorPanel(values.T, ["mkt,rf", "smb", '"hml"'], ["a,1", "b,2", "c,3", "d,4", "e,5"])
+        save_factors_csv(factors, tmp_path / "factors.csv")
+        text = (tmp_path / "factors.csv").read_text()
+        assert text.startswith('period,"mkt,rf",smb,"""hml"""\n"a,1",')
+        back = load_factors_csv(tmp_path / "factors.csv")
+        assert back.names == factors.names and back.time_index == factors.time_index
+        assert np.array_equal(back.values, factors.values)
+        with open(tmp_path / "factors.csv", newline="") as handle:
+            assert list(csv.reader(handle))[0] == ["period", *factors.names]
+
+    def test_plain_labels_stay_unquoted(self, tmp_path):
+        panel = small_panel(p=2, n=4)
+        save_returns_csv(panel, tmp_path / "returns.csv")
+        expected = ["entity_id,1,2,3,4"] + [
+            eid + "," + ",".join(map(repr, row.tolist()))
+            for eid, row in zip(panel.entity_ids, panel.values)
+        ]
+        assert (tmp_path / "returns.csv").read_text() == "\n".join(expected) + "\n"
+
 
 HEADERS = {"entity_id": "entity_id,t1,t2,...", "period": "period,f1,..."}
 
-# Cells that numpy's reader and float() treat differently, or that the csv
-# format gives a meaning: comments, digit separators, padding, quotes,
-# non-finite values, empty cells and cells holding a delimiter.
+# Cells outside the byte path's number grammar that float() may still
+# read, or that the csv format gives a meaning: comments, digit
+# separators, padding, quotes, non-finite values, empty cells and cells
+# holding a delimiter.
 ADVERSARIAL_CELLS = [
     "#", "2.0#junk", "1_0", " 1.5 ", "\t-2\t", '"3.5"', '" 4 "', '"1,5"', '"',
     "nan", "-inf", "Infinity", "", " ", "0x10", "1e", "+.5e-3", "1 2", "\x00",
@@ -161,6 +191,18 @@ cells = st.one_of(
     st.floats().map(repr),
     st.integers(-999, 999).map(str),
     st.text(alphabet=' \t"#_.,eE+-0123456789naif\x00', max_size=5),
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+digit_strings = st.builds(
+    lambda sign, digits, point: sign + digits[:point] + "." * (0 < point < len(digits)) + digits[point:],
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=19), st.integers(0, 19),
+)
+exponents = st.builds(lambda e, sign, n: e + sign + n, st.sampled_from("eE"),
+                      st.sampled_from(["", "+", "-"]), st.integers(0, 400).map(str))
+number_cells = st.one_of(
+    finite.map(repr), finite.map("%.6f".__mod__), finite.map("%e".__mod__),
+    st.builds(str.__add__, digit_strings, exponents | st.just("")),
 )
 
 
@@ -183,6 +225,30 @@ def table_texts(draw, first):
                          max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def plain_table_texts(draw, first):
+    """CSV text with number cells in the byte path's grammar, LF or CRLF
+    endings, blank lines and sometimes no final line break, and whether it
+    is plain: sometimes one row is a cell short and another a cell long, or
+    a label holds a lone carriage return, which ends a line."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 5))
+    widths = [n] * rows
+    if rows > 1 and draw(st.integers(0, 4)) == 0:
+        widths[0], widths[-1] = n - 1, n + 1
+    lines = [",".join([first, *map(str, range(1, n + 1))])]
+    names = draw(st.lists(st.sampled_from(["e1", " e2 ", "", "#", "x y", "\t", "a\rb"]),
+                          min_size=rows, max_size=rows))
+    for width, name in zip(widths, names):
+        lines.append(",".join([name, *draw(st.lists(number_cells, min_size=width, max_size=width))]))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + end
+    plain = widths == [n] * rows and "a\rb" not in names
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")), plain
 
 
 def table_outcome(read):
@@ -217,6 +283,19 @@ class TestTableReader:
         path.write_bytes(text.encode())
         assert_reader_matches_per_cell_parser(path, HEADERS[first])
 
+    @pytest.mark.parametrize("first", sorted(HEADERS))
+    @given(data=st.data())
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_plain_tables_take_the_byte_path(self, tmp_path_factory, first, data):
+        text, plain = data.draw(plain_table_texts(first))
+        path = tmp_path_factory.getbasetemp() / "plain.csv"
+        path.write_bytes(text.encode())
+        # a small conversion step splits even these tables into several
+        with mock.patch.object(table_io, "_CHUNK", data.draw(st.sampled_from([1, 40, 1 << 18]))):
+            table = table_io._byte_table(text.encode(), HEADERS[first])
+            assert (table is not None) == plain
+            assert_reader_matches_per_cell_parser(path, HEADERS[first])
+
     @pytest.mark.parametrize("width", [0, 1])
     def test_field_size_limit_is_the_csv_modules(self, tmp_path, width):
         # a cell one character over the limit is refused by the per-cell parser only
@@ -226,18 +305,25 @@ class TestTableReader:
         assert_reader_matches_per_cell_parser(path, HEADERS["entity_id"])
 
     def test_plain_file_takes_the_fast_path(self, tmp_path):
+        # LF and CRLF endings, blank lines and exponent cells stay on the byte path
         path = tmp_path / "returns.csv"
         save_returns_csv(small_panel(p=5, n=8), path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        with open(path, newline="") as handle:
-            lines = handle.readlines()
-        fast = table_io._fast_table(lines, HEADERS["entity_id"])
-        assert fast is not None
-        per_cell = table_io._parse_table(lines, path, HEADERS["entity_id"])
-        assert fast[:2] == per_cell[:2]
-        assert np.array_equal(fast[2], per_cell[2])
+        lf = path.read_bytes()
+        exponent = b"entity_id,1,2,3,4\na,1e-05,-2.5E+01,3.25e2,0.5\nb,0.5,7e0,-1.0e-300,2E22\n"
+        for data in [
+            lf, lf.replace(b"\n", b"\r\n"), b"\n\r\n" + lf.replace(b"\n", b"\n\n", 3) + b"\n",
+            lf.rstrip(b"\n"), exponent,
+        ]:
+            path.write_bytes(data)
+            with open(path, newline="") as handle:
+                lines = handle.readlines()
+            fast = table_io._byte_table(data, HEADERS["entity_id"])
+            assert fast is not None
+            per_cell = table_io._parse_table(lines, path, HEADERS["entity_id"])
+            assert fast[:2] == per_cell[:2]
+            assert np.array_equal(fast[2], per_cell[2])
 
-    @pytest.mark.parametrize("source, cell", [("_fast_table", "0.1"), ("_parse_table", '"0.1"')])
+    @pytest.mark.parametrize("source, cell", [("_byte_table", "0.1"), ("_parse_table", '"0.1"')])
     def test_panel_keeps_the_read_only_array_the_reader_made(
         self, tmp_path, monkeypatch, source, cell
     ):
@@ -252,7 +338,7 @@ class TestTableReader:
 
             return record
 
-        for name in ("_fast_table", "_parse_table"):
+        for name in ("_byte_table", "_parse_table"):
             monkeypatch.setattr(table_io, name, recording(name))
         path = tmp_path / "returns.csv"
         path.write_text(f"entity_id,1,2,3,4\na,{cell},0.2,0.3,0.4\nb,0.5,0.6,0.7,0.8\n")
@@ -279,3 +365,104 @@ class TestTableReader:
         path.write_text(f"entity_id,1,2,3,4\n{row}\n")
         with pytest.raises(ValueError, match=message):
             load_returns_csv(path)
+
+
+def decimal_values(tokens):
+    cells = table_io._decimal_cells("".join(token + "," for token in tokens).encode())
+    return None if cells is None else cells[0]
+
+
+def assert_reads_as_float(tokens, wide=np.longdouble):
+    # wide=np.float64 stands for a platform whose long double is a double
+    with mock.patch.object(table_io, "_WIDE", wide):
+        values = decimal_values(tokens)
+    assert values is not None
+    expected = np.array([float(token) for token in tokens])
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64)), tokens
+
+
+wides = pytest.mark.parametrize("wide", [np.longdouble, np.float64], ids=["longdouble", "float64"])
+
+
+class TestDecimalCells:
+    """The byte path's number conversion reads what float() reads, bit for bit."""
+
+    @wides
+    @given(st.lists(finite, min_size=1, max_size=40))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_repr_of_doubles(self, wide, values):
+        assert_reads_as_float([repr(v) for v in values], wide)
+
+    @wides
+    @given(st.lists(finite, min_size=1, max_size=40), st.sampled_from(["%.17g", "%.6f", "%e"]))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_printf_renderings(self, wide, values, style):
+        assert_reads_as_float([style % v for v in values], wide)
+
+    @wides
+    @given(st.lists(st.tuples(digit_strings, st.none() | exponents), min_size=1, max_size=40))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_digit_strings_with_a_point_anywhere(self, wide, cells):
+        assert_reads_as_float([digits + (exponent or "") for digits, exponent in cells], wide)
+
+    @wides
+    def test_signed_zeros_leading_zeros_and_long_mantissas(self, wide):
+        assert_reads_as_float([
+            "-0.0", "0.0", "-0", "0", "-0e5", "000.000", "-00012.50", "0.000000000000000000001",
+            "0000000000000000000001", "9223372036854775807", "-9223372036854775808",
+            "99999999999999999999", "-99999999999999999999", "123456789012345678901234567890",
+            "1e22", "1e23", "1e-22", "1e-23", "1.7976931348623157e308", "5e-324", "1e400", "-1e-400",
+            "1e99999999999999999999", "1e-99999999999999999999", "4.9406564584124654e-324",
+        ], wide)
+
+    @wides
+    def test_exact_range_is_exact_in_the_type(self, wide):
+        dtype, top, reach = table_io._exact_range(wide)
+        assert all(int(dtype(m)) == m for m in (top, -top, 2**53 + 1) if m <= top)
+        assert all(int(dtype(10**k)) == 10**k for k in range(reach + 1))
+        assert int(dtype(10 ** (reach + 1))) != 10 ** (reach + 1)
+
+    def test_integer_overflow_saturates(self):
+        # the conversion takes a mantissa at or above 10**18 in size for an
+        # overflowed one and reads it with float()
+        parsed = np.fromstring(b"99999999999999999999,-99999999999999999999", np.int64, sep=",")
+        assert (np.abs(parsed.astype(float)) >= 1e18).all()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="needs x87 extended precision")
+    @pytest.mark.parametrize(
+        "token, value, rounded_twice",
+        [
+            # rounded to 64 bits the quotient lands on the midpoint between
+            # 0.9582652054360887 and ...888, and then rounds to the even one
+            ("0.958265205436088785", 0.9582652054360888, 0.9582652054360887),
+            # 2**53 + 1 is a midpoint itself; ties go to even
+            ("9007199254740993", 9007199254740992.0, 9007199254740992.0),
+        ],
+    )
+    def test_midpoints_are_read_by_float(self, monkeypatch, token, value, rounded_twice):
+        reparsed = []
+
+        def recording(cells, starts, ends):
+            reparsed.extend(cells[a:b] for a, b in zip(starts, ends))
+            return reparse(cells, starts, ends)
+
+        reparse = table_io._reparse
+        monkeypatch.setattr(table_io, "_reparse", recording)
+        values = decimal_values(["0.5", token, "-1.25"])
+        assert values.tolist() == [0.5, value, -1.25]
+        assert reparsed == [token.encode()]
+        scale = 10 ** len(token.partition(".")[2])
+        assert (np.longdouble(int(token.replace(".", ""))) / scale).astype(float) == rounded_twice
+        monkeypatch.setattr(table_io, "_WIDE", np.float64)
+        reparsed.clear()
+        assert decimal_values([token]).tolist() == [value]
+        assert reparsed == [token.encode()]  # beyond 2**53: outside Clinger's fast path
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["", "-", "+1", "1.", ".5", "1..2", "1.2.3", "1e", "1e+", "e5", "1e5e3", "1e5.3", "1e-5.3",
+         "1e+5e3", "1.e5",
+         "--1", "1-2", "1e--2", "1e-+2", "1 ", " 1", "0x10", "inf", "nan", "1_0", "1,", "١"],
+    )
+    def test_cells_outside_the_grammar_are_left_to_float(self, cell):
+        assert decimal_values(["0.5", cell]) is None

@@ -278,6 +278,20 @@ class TestArmaMixture:
         with pytest.raises(ValueError, match="invertible"):
             ArmaComponent(weight=0.1, ar=(), ma=(-1.2,))
 
+    def test_roots_equal_numpy_polynomials(self):
+        # the stationarity and invertibility checks get bit-identical roots
+        # without importing numpy.polynomial
+        from numpy.polynomial.polynomial import polyroots
+
+        rng = np.random.default_rng(17)
+        coefficient_sets = [[1.0, *(-c for c in comp.ar)] for comp in default_arma_mixture()]
+        coefficient_sets += [[1.0, *comp.ma] for comp in default_arma_mixture()]
+        coefficient_sets += [[1.0], [1.0, 0.4, 0.0, 0.0], [2.0, 0.0, 0.0, 1.0]]
+        coefficient_sets += [list(rng.standard_normal(rng.integers(1, 8))) for _ in range(300)]
+        for coefs in coefficient_sets:
+            roots, expected = np.sort(sim._poly_roots(coefs)), polyroots(coefs)
+            assert roots.dtype == expected.dtype and np.array_equal(roots, expected), coefs
+
 
 class TestScenario:
     def test_json_round_trip(self):
