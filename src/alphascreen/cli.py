@@ -228,12 +228,14 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     rej = set(np.atleast_1d(rejected).tolist())
     lines = ["entity_id,alpha_hat,statistic,rejected"]
     for i, eid in enumerate(returns.entity_ids):
-        lines.append(f"{eid},{fmt(alpha_hat[i])},{fmt(result.statistics[i])},{1 if i in rej else 0}")
+        lines.append(
+            f"{io._label(eid)},{fmt(alpha_hat[i])},{fmt(result.statistics[i])},{1 if i in rej else 0}"
+        )
     lines.append(
         f"# method={method},beta={fmt(beta)},{cutoff_name}={fmt(cutoff)},rank_hat={rank_hat},n={n},p={p}"
     )
     report = out / "selection.csv"
-    report.write_text("\n".join(lines) + "\n")
+    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"{len(rej)} of {p} entities selected; report at {report}")
 
 

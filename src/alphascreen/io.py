@@ -21,7 +21,8 @@ skipped), no field over the csv field size limit and every number cell
 in the grammar ``-?digits[.digits][e[+-]digits]``.  Anything else falls
 back to the per-cell ``csv``/``float()`` parser, which alone writes
 error messages and also reads quoted and padded cells, ``1_0`` and
-``inf``.  Both paths accept the same files and read the same values,
+``inf``; it decodes the file as UTF-8, as the savers write it, and names
+the line of a byte that is not.  Both paths accept the same files and read the same values,
 bit for bit.
 
 The byte path reads a cell as an integer mantissa M and a power of ten,
@@ -36,7 +37,7 @@ parser about 90 ms.
 from __future__ import annotations
 
 import csv
-from io import BytesIO, TextIOWrapper
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +286,14 @@ def _read_table(path, header: str):
     data = Path(path).read_bytes()
     table = _byte_table(data, header)
     if table is None:
-        table = _parse_table(TextIOWrapper(BytesIO(data), newline="").readlines(), path, header)
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"{path}: line {line} holds the byte 0x{data[exc.start]:02x}, which is not UTF-8"
+            ) from None
+        table = _parse_table(StringIO(text, newline="").readlines(), path, header)
     columns, first_column, values = table
     values.setflags(write=False)
     return columns, first_column, values
@@ -301,7 +309,7 @@ def _label(value) -> str:
     """A label cell, quoted as the csv module's QUOTE_MINIMAL does when it holds
     a comma, a quote or a line break."""
     text = str(value)
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -310,7 +318,7 @@ def save_returns_csv(panel: ReturnPanel, path):
     lines = ["entity_id," + ",".join(map(_label, panel.time_index))]
     for eid, row in zip(panel.entity_ids, panel.values):
         lines.append(_label(eid) + "," + ",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_factors_csv(path) -> FactorPanel:
@@ -324,7 +332,7 @@ def save_factors_csv(panel: FactorPanel, path):
     lines = ["period," + ",".join(map(_label, panel.names))]
     for t, row in zip(panel.time_index, panel.values):
         lines.append(_label(t) + "," + ",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_metrics_report(reports, path):

@@ -48,12 +48,23 @@ def _check_strictly_increasing(time_index, what: str):
             raise ValueError(f"{what} time index is not strictly increasing at {a!r} -> {b!r}")
 
 
+def _check_unique(labels: tuple, what: str):
+    if len(set(labels)) == len(labels):
+        return
+    first = {}
+    for j, label in enumerate(labels):
+        i = first.setdefault(label, j)
+        if i != j:
+            raise ValueError(f"{what} {label!r} appears twice, at positions {i} and {j}")
+
+
 @dataclass(frozen=True, eq=False)
 class ReturnPanel:
     """Excess returns for ``p`` entities over ``n`` periods.
 
     values
-        (p, n) matrix; row i holds the return series of ``entity_ids[i]``.
+        (p, n) matrix; row i holds the return series of ``entity_ids[i]``,
+        one distinct id per row.
     """
 
     values: np.ndarray
@@ -77,6 +88,7 @@ class ReturnPanel:
             raise DimensionError("entity_ids length does not match row count")
         if len(self.time_index) != n:
             raise DimensionError("time_index length does not match column count")
+        _check_unique(self.entity_ids, "return panel entity id")
         _check_strictly_increasing(self.time_index, "return panel")
 
     @property
@@ -96,7 +108,8 @@ class ReturnPanel:
 
 @dataclass(frozen=True, eq=False)
 class FactorPanel:
-    """Observed factor realizations: one row per period, one column per factor."""
+    """Observed factor realizations: one row per period, one column per
+    distinctly named factor."""
 
     values: np.ndarray
     names: tuple
@@ -112,6 +125,7 @@ class FactorPanel:
             raise DimensionError("factor names length does not match column count")
         if len(self.time_index) != n:
             raise DimensionError("time_index length does not match row count")
+        _check_unique(self.names, "factor panel name")
         if n <= r + 1:
             raise DimensionError(
                 f"need more than r+1 = {r + 1} periods to regress on {r} factors"

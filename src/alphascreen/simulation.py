@@ -19,7 +19,7 @@ import math
 import numbers
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -383,15 +383,19 @@ def _ar1_correlate(z: np.ndarray, rho: float) -> np.ndarray:
 def _garch_series(
     n: int, omega: float, a1: float, b1: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Raw GARCH(1,1) path with Gaussian innovations, no burn-in removed."""
-    z = rng.standard_normal(n)
-    x = np.empty(n)
+    """Raw GARCH(1,1) path with Gaussian innovations, no burn-in removed.
+
+    The recursion runs on Python floats, which step faster than numpy
+    scalars and round the same.
+    """
+    z = rng.standard_normal(n).tolist()
+    x = [0.0] * n
     sigma2 = omega / (1.0 - a1 - b1)
     for t in range(n):
         if t > 0:
             sigma2 = omega + a1 * x[t - 1] ** 2 + b1 * sigma2
         x[t] = math.sqrt(sigma2) * z[t]
-    return x
+    return np.array(x)
 
 
 def garch_factors(
@@ -667,33 +671,6 @@ def _isolated(call: Callable) -> tuple:
         return None, repr(exc)
 
 
-def _run_replications(jobs, methods, betas, workers, rank) -> list[tuple]:
-    """``(rows, None)`` or ``(None, message)`` per ``(scenario, replication)`` job, in job order.
-
-    With more than one worker the jobs run on one pool of threads in this
-    process, all inside one BLAS cap, and their results are read in
-    submission order, so a failure is recorded against its own job.
-    numpy and LAPACK release the interpreter lock for most of a
-    replication.  An exception that escapes the isolation (an
-    interrupt) cancels the jobs not yet started.
-    """
-    if workers > 1:
-        with one_blas_thread():
-            pool = ThreadPoolExecutor(max_workers=workers)
-            try:
-                futures = [
-                    pool.submit(_replication_rows, scenario, rep, methods, betas, rank)
-                    for scenario, rep in jobs
-                ]
-                return [_isolated(future.result) for future in futures]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [
-        _isolated(lambda: _replication_rows(scenario, rep, methods, betas, rank))
-        for scenario, rep in jobs
-    ]
-
-
 def _warn_caller(message: str) -> None:
     """A ``RuntimeWarning`` that points at the first caller outside this module."""
     frame, level = sys._getframe(1), 2
@@ -765,12 +742,12 @@ def run_studies(
     ``math.nan`` means: one object, so that two such reports still
     compare equal.
 
-    The replications of all scenarios run in the calling thread or on one
-    pool of ``min(parallelism, len(scenarios) * replications)`` threads
-    in this process.  Every replication runs its BLAS at one thread, and
-    the process's thread counts come back afterwards (see
-    :func:`.linalg.one_blas_thread`).  A crash inside a C extension ends
-    the whole call, on either path.
+    The replications of all scenarios run on one pool of
+    ``min(parallelism, len(scenarios) * replications)`` threads in this
+    process, each at one BLAS thread; the process's thread counts come
+    back afterwards (see :func:`.linalg.one_blas_thread`).  An interrupt
+    cancels the replications not yet started, and a crash inside a C
+    extension ends the whole call.
 
     Returns
     -------
@@ -792,7 +769,19 @@ def run_studies(
             raise ValueError(f"beta must lie in (0, 1), got {b}")
 
     jobs = [(scenario, rep) for scenario in scenarios for rep in range(replications)]
-    outcomes = _run_replications(jobs, methods, betas, min(parallelism, len(jobs)), rank)
+    with one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=min(parallelism, len(jobs)))
+        try:
+            futures = [
+                pool.submit(_replication_rows, scenario, rep, methods, betas, rank)
+                for scenario, rep in jobs
+            ]
+            # one wake-up per study, not one per replication that would contend
+            # with the workers for the interpreter lock
+            wait(futures, return_when=FIRST_EXCEPTION)
+            outcomes = [_isolated(future.result) for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [
         _study(outcomes[first : first + replications], methods, betas)
         for first in range(0, len(outcomes), replications)

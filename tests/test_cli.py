@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import json
 import os
@@ -317,6 +318,47 @@ class TestAnalyze:
         meta = read(out / "selection.csv").splitlines()[-1]
         assert "p_cutoff=" in meta and "rank_hat=" in meta
 
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_selection_quotes_ids_as_the_panel_files_do(self, runner, tmp_path, method):
+        _, fpath, X, _, _ = self.make_panel_files(tmp_path)
+        ids = ["fund A, LP", 'say "hi"', "two\nlines", *X.entity_ids[3:]]
+        rpath = tmp_path / "quoted.csv"
+        save_returns_csv(a.ReturnPanel(X.values, ids, X.time_index), rpath)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["analyze", "--returns", str(rpath), "--factors", str(fpath),
+             "--method", method, "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        with open(out / "selection.csv", newline="") as handle:
+            rows = [row for row in csv.reader(handle) if not row[0].startswith("#")]
+        assert all(len(row) == 4 for row in rows)
+        assert [row[0] for row in rows[1:]] == ids
+
+    @pytest.mark.parametrize(
+        "panel, old, new, message",
+        [
+            ("returns", b"\ne02,", b"\ne01,", "entity id 'e01' appears twice, at positions 0 and 1"),
+            ("factors", b",f3\n", b",f1\n", "factor panel name 'f1' appears twice, at positions 0 and 2"),
+            ("returns", b"\ne03,", b"\ncaf\xe9,", "returns.csv: line 4 holds the byte 0xe9"),
+        ],
+        ids=["entity-id", "factor-name", "latin-1"],
+    )
+    def test_broken_panel_file_is_usage_error(self, runner, tmp_path, panel, old, new, message):
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
+        path = {"returns": rpath, "factors": fpath}[panel]
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--returns", str(rpath), "--factors", str(fpath), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
 
 class TestReplicateTable:
     def test_unknown_table_is_usage_error(self, runner, tmp_path):
@@ -374,7 +416,7 @@ class TestReplicateTable:
                  "--out", str(tmp_path / threads)],
             )
             assert result.exit_code == 0, result.output
-        assert pools == [2]  # both blocks, normal and lognormal, share one pool
+        assert pools == [1, 2]  # both blocks, normal and lognormal, share one pool
         assert (tmp_path / "2" / "table_1.csv").read_bytes() == (
             tmp_path / "1" / "table_1.csv"
         ).read_bytes()

@@ -68,6 +68,14 @@ class TestReturnPanel:
         with pytest.raises(ValueError, match="row 1, column 2"):
             ReturnPanel(values, ["a", "b"], [1, 2, 3, 4])
 
+    def test_duplicate_entity_ids_refused(self):
+        for ids, message in [
+            (["a", "a"], "'a' appears twice, at positions 0 and 1"),
+            (["a", "b", "c", "b", "a"], "'b' appears twice, at positions 1 and 3"),
+        ]:
+            with pytest.raises(ValueError, match=f"^return panel entity id {message}$"):
+                ReturnPanel(np.ones((len(ids), 4)), ids, [1, 2, 3, 4])
+
     def test_slice_periods(self):
         panel = small_panel()
         head = panel.slice_periods(0, 4)
@@ -83,6 +91,13 @@ class TestFactorPanel:
         values = np.column_stack([base, base + 5.0])
         with pytest.raises(DimensionError, match="linearly dependent"):
             FactorPanel(values, ["f1", "f2"], list(range(8)))
+
+    def test_duplicate_names_refused(self):
+        values = np.random.default_rng(0).standard_normal((8, 3))  # independent columns
+        with pytest.raises(
+            ValueError, match="^factor panel name 'mkt' appears twice, at positions 0 and 2$"
+        ):
+            FactorPanel(values, ["mkt", "smb", "mkt"], list(range(8)))
 
     def test_needs_more_periods_than_factors(self):
         with pytest.raises(DimensionError):
@@ -146,6 +161,17 @@ class TestCsvRoundTrip:
         path.write_text("time,f1\n1,0.5\n")
         with pytest.raises(ValueError, match="header"):
             load_factors_csv(path)
+
+    def test_byte_outside_utf8_located(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        panel = ReturnPanel(np.ones((2, 4)), ["a", "café"], [1, 2, 3, 4])
+        save_returns_csv(panel, path)
+        assert b"\ncaf\xc3\xa9," in path.read_bytes()
+        assert load_returns_csv(path).entity_ids == ("a", "café")
+        path.write_bytes(b"entity_id,1,2,3,4\na,0.1,0.2,0.3,0.4\ncaf\xe9,0.1,0.2,0.3,0.4\n")
+        with pytest.raises(ValueError) as caught:
+            load_returns_csv(path)
+        assert str(caught.value) == f"{path}: line 3 holds the byte 0xe9, which is not UTF-8"
 
     def test_labels_with_delimiters_round_trip(self, tmp_path):
         # only the label cells that need it are quoted, as csv.QUOTE_MINIMAL does

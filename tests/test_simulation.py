@@ -151,6 +151,30 @@ class TestGarch:
         lag1 = np.corrcoef(sq[:-1], sq[1:])[0, 1]
         assert lag1 > 2.0 / np.sqrt(10_000)
 
+    @staticmethod
+    def numpy_scalar_series(n, omega, a1, b1, rng):
+        """The recursion stepped on numpy scalars in a float array."""
+        z = rng.standard_normal(n)
+        x = np.empty(n)
+        sigma2 = omega / (1.0 - a1 - b1)
+        for t in range(n):
+            if t > 0:
+                sigma2 = omega + a1 * x[t - 1] ** 2 + b1 * sigma2
+            x[t] = math.sqrt(sigma2) * z[t]
+        return x
+
+    @pytest.mark.parametrize(
+        "omega, a1, b1",
+        [(0.1, 0.1, 0.8), (2.0, 0.0, 0.0), (1e-3, 0.0, 0.0), (0.05, 0.3, 0.6),
+         (0.5, 0.0, 0.9), (0.2, 0.6, 0.0), (3.7, 0.05, 0.94)],
+    )
+    def test_python_float_loop_equals_the_numpy_scalar_loop(self, omega, a1, b1):
+        for seed in range(20):
+            x = _garch_series(700, omega, a1, b1, np.random.default_rng(seed))
+            reference = self.numpy_scalar_series(700, omega, a1, b1, np.random.default_rng(seed))
+            assert x.dtype == np.float64 and x.shape == (700,)
+            assert np.array_equal(x.view(np.int64), reference.view(np.int64)), seed
+
     def test_nonstationary_rejected(self):
         # garch_factors shares the scenario's one GARCH check
         for triple in [(0.1, 0.5, 0.5), (math.nan, 0.1, 0.8), (math.inf, 0.1, 0.8)]:
@@ -526,7 +550,7 @@ class TestRunStudy:
         run_study_detailed(sc, ["bh", "sn"], [0.2], replications=3, parallelism=2)
         with pytest.warns(RuntimeWarning, match="single-replication"):
             run_study_detailed(sc, ["sn"], [0.2], replications=1, parallelism=8)
-        assert pools == [(2, {}), (2, {})]  # workers need no start-up hook
+        assert pools == [(2, {}), (2, {}), (1, {})]  # workers need no start-up hook
 
     def test_parallelism_below_one_rejected(self):
         for parallelism in (0, -1):
@@ -712,7 +736,7 @@ class _Interrupt(BaseException):
     """Escapes the per-replication isolation, as an interrupt would."""
 
 
-class TestSerialBlasThreads:
+class TestBlasAtOneWorker:
     def probe(self, monkeypatch, raises=None):
         """Add a method ``probe`` that records the BLAS thread counts each
         replication runs at, then computes ``yd`` or raises."""
@@ -783,12 +807,15 @@ class TestThreadPool:
         monkeypatch.setattr(sim, "METHODS", {**METHODS, "probe": probe})
         return seen
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
     def test_each_worker_thread_at_one_blas_thread_then_the_callers_count(
-        self, monkeypatch, caller_blas_threads
+        self, monkeypatch, caller_blas_threads, parallelism
     ):
         seen = self.probe(monkeypatch)
         sc = SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
-        threaded = run_study_detailed(sc, ["probe"], [0.2], replications=4, parallelism=2)
+        threaded = run_study_detailed(
+            sc, ["probe"], [0.2], replications=4, parallelism=parallelism
+        )
         assert threaded[2] == []
         assert [counts for _, counts in seen] == [_CAPPED] * 4
         assert threading.get_ident() not in {ident for ident, _ in seen}  # all on pool threads
