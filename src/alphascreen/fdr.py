@@ -163,26 +163,15 @@ def split_statistics(
     return split_from_fits(fit_halves(returns, factors), studentize, negative_control)
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of a 1-d float array in ascending order, NaNs
-    (sorted last) counted as one: ``np.unique``, which imports ``numpy.ma``."""
-    v = np.sort(values)
-    first = np.empty(v.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(v[1:], v[:-1], out=first[1:])
-    first[1:] &= ~np.isnan(v[:-1])
-    return v[first]
-
-
 def select_threshold(
     t_prod: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray]:
     """Smallest cutoff whose estimated FDP falls below ``beta``.
 
-    Candidate cutoffs are the distinct magnitudes of the nonzero
-    statistics; the criterion is piecewise constant between order
-    statistics, so nothing is lost by the restriction.  Returns
-    ``(+inf, empty)`` when no cutoff qualifies.
+    Candidate cutoffs are the magnitudes of the nonzero statistics; the
+    criterion is piecewise constant between order statistics, so nothing
+    is lost by the restriction.  Returns ``(+inf, empty)`` when no cutoff
+    qualifies.
     """
     return _select_thresholds(t_prod, [beta])[0]
 
@@ -196,7 +185,7 @@ def _select_thresholds(
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
     t = np.asarray(t_prod, dtype=float).ravel()
-    candidates = _sorted_distinct(np.abs(t[t != 0.0]))
+    candidates = np.sort(np.abs(t[t != 0.0]))
     if candidates.size == 0:
         return [(math.inf, np.array([], dtype=int)) for _ in betas]
     t_sorted = np.sort(t)

@@ -90,7 +90,11 @@ def _parse_table(lines: list[str], path, header: str):
     expected header, such as ``"period,f1,..."``; its first cell must
     open the file.
     """
-    rows = [row for row in csv.reader(lines) if row]
+    reader = csv.reader(lines)
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # such as a field over the csv field size limit
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: file is empty")
     head = rows[0]
@@ -299,16 +303,30 @@ def _read_table(path, header: str):
     return columns, first_column, values
 
 
+def _panel(kind, path, values, labels, periods):
+    """``kind(values, labels, periods)`` with the period cells read as numbers
+    where they are; a panel check that fails raises its own exception class
+    with ``path`` before the message."""
+    try:
+        return kind(values, labels, [_parse_period(tok) for tok in periods])
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}", *exc.args[1:])
+        raise
+
+
 def load_returns_csv(path) -> ReturnPanel:
     """Read a returns panel; header row holds the time index."""
     periods, entity_ids, values = _read_table(path, "entity_id,t1,t2,...")
-    return ReturnPanel(values, entity_ids, [_parse_period(tok) for tok in periods])
+    return _panel(ReturnPanel, path, values, entity_ids, periods)
 
 
 def _label(value) -> str:
     """A label cell, quoted as the csv module's QUOTE_MINIMAL does when it holds
-    a comma, a quote or a line break."""
+    a comma, a quote or a line break.  A label with leading or trailing
+    whitespace is refused, because the loaders strip it."""
     text = str(value)
+    if text != text.strip():
+        raise ValueError(f"label {text!r} has leading or trailing whitespace, which loading strips")
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -325,7 +343,7 @@ def load_factors_csv(path) -> FactorPanel:
     """Read observed factors; one row per period."""
     names, periods, values = _read_table(path, "period,f1,...")
     names = [name.strip() for name in names]
-    return FactorPanel(values, names, [_parse_period(tok) for tok in periods])
+    return _panel(FactorPanel, path, values, names, periods)
 
 
 def save_factors_csv(panel: FactorPanel, path):

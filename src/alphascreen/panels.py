@@ -131,7 +131,11 @@ class FactorPanel:
                 f"need more than r+1 = {r + 1} periods to regress on {r} factors"
             )
         _check_strictly_increasing(self.time_index, "factor panel")
-        sv = np.linalg.svd(demean_columns(arr), compute_uv=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centred = demean_columns(arr)
+        if not np.all(np.isfinite(centred)):
+            raise ValueError("factor panel values overflow when demeaned")
+        sv = np.linalg.svd(centred, compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise DimensionError(
                 "factor columns are linearly dependent after demeaning"

@@ -63,21 +63,9 @@ ARMA_BURN_IN = 200
 GARCH_BURN_IN = 500
 
 
-def _poly_roots(coefs: Sequence[float]) -> np.ndarray:
-    """Roots of c0 + c1 z + c2 z^2 + ..., unsorted: the eigenvalues of the
-    companion matrix numpy.polynomial's ``polyroots`` builds, without importing it."""
-    c = np.trim_zeros(np.asarray(coefs, dtype=float), "b")
-    if len(c) < 3:
-        return np.array([-c[0] / c[1]] if len(c) == 2 else [])
-    companion = np.zeros((len(c) - 1, len(c) - 1))
-    companion.reshape(-1)[len(c) - 1::len(c)] = 1
-    companion[:, -1] -= c[:-1] / c[-1]
-    return np.linalg.eigvals(companion)
-
-
 def _poly_roots_outside_unit_circle(coefs: Sequence[float]) -> bool:
     """True when 1 + c1 z + c2 z^2 + ... has all roots outside |z| = 1."""
-    return bool(np.all(np.abs(_poly_roots([1.0, *coefs])) > 1.0))
+    return bool(np.all(np.abs(np.roots([*reversed(coefs), 1.0])) > 1.0))
 
 
 def _plain(value):
@@ -639,27 +627,26 @@ METHODS = {
 
 
 def _replication_rows(scenario, replication, methods, betas, rank=None):
-    """``(method, beta, fdp, power)`` rows of one replication, run at one BLAS thread.
+    """``(method, beta, fdp, power)`` rows of one replication.
 
     Each fit is released after the last method in ``methods`` that reads
     it, so the replication holds no fit that no later method needs.
     """
     last_reader = {METHODS[name].fit: k for k, name in enumerate(methods)}
-    with one_blas_thread():
-        rng = replication_rng(scenario.seed, replication)
-        returns, factors, truth, _ = generate_panel(scenario, rng)
-        p = returns.n_entities
-        truth_mask = _entity_mask(truth, p)
-        fits = PanelFits(returns, factors, rank=rank)
-        rows = []
-        for k, name in enumerate(methods):
-            method = METHODS[name]
-            result = method.statistic(fits)
-            if method.fit is not None and last_reader[method.fit] == k:
-                fits.release(method.fit)
-            for beta, (rejected, _, _) in zip(betas, method.rule(result, betas)):
-                m = _fdp_power(_entity_mask(rejected, p), truth_mask)
-                rows.append((name, beta, m.fdp, m.power))
+    rng = replication_rng(scenario.seed, replication)
+    returns, factors, truth, _ = generate_panel(scenario, rng)
+    p = returns.n_entities
+    truth_mask = _entity_mask(truth, p)
+    fits = PanelFits(returns, factors, rank=rank)
+    rows = []
+    for k, name in enumerate(methods):
+        method = METHODS[name]
+        result = method.statistic(fits)
+        if method.fit is not None and last_reader[method.fit] == k:
+            fits.release(method.fit)
+        for beta, (rejected, _, _) in zip(betas, method.rule(result, betas)):
+            m = _fdp_power(_entity_mask(rejected, p), truth_mask)
+            rows.append((name, beta, m.fdp, m.power))
     return rows
 
 

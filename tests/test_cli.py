@@ -342,8 +342,11 @@ class TestAnalyze:
             ("returns", b"\ne02,", b"\ne01,", "entity id 'e01' appears twice, at positions 0 and 1"),
             ("factors", b",f3\n", b",f1\n", "factor panel name 'f1' appears twice, at positions 0 and 2"),
             ("returns", b"\ne03,", b"\ncaf\xe9,", "returns.csv: line 4 holds the byte 0xe9"),
+            # a quoted id longer than the csv module's field size limit
+            ("returns", b"\ne03,", b'\n"' + b"x" * 200_000 + b'",',
+             "returns.csv: line 4: field larger than field limit (131072)"),
         ],
-        ids=["entity-id", "factor-name", "latin-1"],
+        ids=["entity-id", "factor-name", "latin-1", "long-field"],
     )
     def test_broken_panel_file_is_usage_error(self, runner, tmp_path, panel, old, new, message):
         rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)

@@ -9,7 +9,6 @@ import alphascreen as a
 from alphascreen.errors import DimensionError, NegativeControlError
 from alphascreen.fdr import (
     NegativeControlConfig,
-    _sorted_distinct,
     chronological_split,
     fit_halves,
     fdp_power,
@@ -192,12 +191,6 @@ class TestSelectThreshold:
 
     # ties, signed zeros, NaN and both infinities, among ordinary values
     SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf, 5e-324])
-
-    @given(st.lists(st.one_of(SPECIAL, st.floats(allow_nan=True)), max_size=40))
-    @hyp_settings(max_examples=200, deadline=None)
-    def test_sorted_distinct_is_np_unique(self, values):
-        v = np.abs(np.array(values, dtype=float))  # the candidates are magnitudes
-        assert np.array_equal(_sorted_distinct(v), np.unique(v), equal_nan=True)
 
     @given(st.lists(st.one_of(SPECIAL, st.integers(-3, 3).map(float)), max_size=40))
     @hyp_settings(max_examples=200, deadline=None)

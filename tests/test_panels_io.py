@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 import alphascreen.io as table_io
 from alphascreen.errors import AlignmentError, DimensionError
@@ -103,6 +103,12 @@ class TestFactorPanel:
         with pytest.raises(DimensionError):
             FactorPanel(np.random.default_rng(0).standard_normal((3, 2)), ["a", "b"], [1, 2, 3])
 
+    def test_values_that_overflow_when_demeaned_refused(self):
+        # the column mean overflows; the rank check would otherwise see NaN
+        values = np.array([[1.7e308, 0.5], [1.7e308, -1.0], [1.7e308, 2.0], [0.5, 0.25]])
+        with pytest.raises(ValueError, match="^factor panel values overflow when demeaned$"):
+            FactorPanel(values, ["f1", "f2"], [1, 2, 3, 4])
+
 
 class TestAlignment:
     def test_mismatch_names_period(self):
@@ -191,6 +197,42 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.values, factors.values)
         with open(tmp_path / "factors.csv", newline="") as handle:
             assert list(csv.reader(handle))[0] == ["period", *factors.names]
+
+    def test_padded_labels_refused_on_save(self, tmp_path):
+        values = np.random.default_rng(7).standard_normal((2, 5))
+        for ids, padded in [([" a", "b"], " a"), (["a", "b "], "b "), (["a", "\tb"], "\tb")]:
+            with pytest.raises(ValueError) as caught:
+                save_returns_csv(ReturnPanel(values, ids, [1, 2, 3, 4, 5]), tmp_path / "r.csv")
+            assert str(caught.value).startswith(f"label {padded!r} has leading or trailing")
+        factors = FactorPanel(values.T, [" mkt", "smb"], [1, 2, 3, 4, 5])
+        with pytest.raises(ValueError, match="^label ' mkt' has leading or trailing whitespace"):
+            save_factors_csv(factors, tmp_path / "f.csv")
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "f.csv").exists()
+        # the loaders strip labels, so a padded hand-made file still loads
+        path = tmp_path / "factors.csv"
+        path.write_text("period, mkt ,smb\n1,0.1,0.2\n2,0.3,0.1\n 3 ,0.2,0.7\n4,0.5,0.4\n")
+        back = load_factors_csv(path)
+        assert back.names == ("mkt", "smb") and back.time_index == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            ("entity_id,1,2,3,4\na,0.1,nan,0.3,0.4\n", ValueError,
+             "return panel contains a non-finite value at row 0, column 1"),
+            ("entity_id,1,2,3\na,0.1,0.2,0.3\n", DimensionError,
+             "return panel needs at least 4 periods"),
+            ("entity_id,1,3,2,4\na,0.1,0.2,0.3,0.4\n", ValueError,
+             "return panel time index is not strictly increasing at 3 -> 2"),
+        ],
+        ids=["non-finite", "too-few-periods", "time-order"],
+    )
+    def test_panel_check_names_the_file(self, tmp_path, text, kind, message):
+        path = tmp_path / "returns.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_returns_csv(path)
+        assert type(caught.value) is kind
+        assert str(caught.value).startswith(f"{path}: {message}")
 
     def test_plain_labels_stay_unquoted(self, tmp_path):
         panel = small_panel(p=2, n=4)
@@ -281,7 +323,7 @@ def table_outcome(read):
     """What a table read returns, or the type and message of what it raises."""
     try:
         header_cells, first_column, values = read()
-    except (ValueError, csv.Error) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return header_cells, first_column, values.shape, values.dtype, values
 
@@ -391,6 +433,96 @@ class TestTableReader:
         path.write_text(f"entity_id,1,2,3,4\n{row}\n")
         with pytest.raises(ValueError, match=message):
             load_returns_csv(path)
+
+
+READERS = pytest.mark.parametrize("reader", ["byte-path", "per-cell"])
+
+
+def read_with(reader, load, path):
+    """``load(path)``; ``per-cell`` reads with the per-cell parser alone, and
+    ``byte-path`` takes the byte path wherever the file allows it."""
+    if reader == "per-cell":
+        with mock.patch.object(table_io, "_byte_table", lambda data, header: None):
+            return load(path)
+    return load(path)
+
+
+labels = st.text(max_size=5) | st.sampled_from(["a", " a", "a ", "a,b", '"', "\r", "x\ny", "é"])
+
+
+PANELS = {
+    "returns": (ReturnPanel, save_returns_csv, load_returns_csv, "entity_ids"),
+    "factors": (FactorPanel, save_factors_csv, load_factors_csv, "names"),
+}
+
+
+@st.composite
+def saved_panels(draw, kind):
+    """A returns or factors panel with string labels, integer periods (the
+    loaders read period labels as numbers) and any finite values."""
+    if kind == "returns":
+        n_labels, n_periods = draw(st.integers(1, 4)), draw(st.integers(4, 7))
+        shape = (n_labels, n_periods)
+    else:
+        n_labels = draw(st.integers(1, 3))
+        n_periods = n_labels + draw(st.integers(2, 4))
+        shape = (n_periods, n_labels)
+    size = n_labels * n_periods
+    values = np.reshape(draw(st.lists(finite, min_size=size, max_size=size)), shape)
+    names = draw(st.lists(labels, min_size=n_labels, max_size=n_labels, unique=True))
+    periods = draw(st.sets(st.integers(-10**6, 10**6), min_size=n_periods, max_size=n_periods))
+    try:
+        return PANELS[kind][0](values, names, sorted(periods))
+    except ValueError:  # dependent factor columns, or a column mean that overflows
+        assume(False)
+
+
+FILE_PIECES = [
+    b"entity_id", b"period", b",", b"\n", b"\r\n", b"\r", b'"', b" ", b"0.5", b"-2e1", b"1e999",
+    b"1.7e308", b"nan", b"3", b"a", b"\xe9", b"\x00", b"#",
+]
+file_bytes = st.binary(max_size=80) | st.builds(
+    bytes.__add__,
+    st.sampled_from([b"", b"entity_id,1,2,3,4\n", b"period,f1,f2\n"]),
+    st.lists(st.sampled_from(FILE_PIECES) | st.binary(max_size=3), max_size=40).map(b"".join),
+)
+
+
+class TestPanelFileProperties:
+    @READERS
+    @pytest.mark.parametrize("kind", sorted(PANELS))
+    @given(data=st.data())
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_save_then_load_is_exact_or_the_save_raises(self, tmp_path_factory, reader, kind, data):
+        panel = data.draw(saved_panels(kind))
+        _, save, load, labels_of = PANELS[kind]
+        path = tmp_path_factory.getbasetemp() / f"{kind}.csv"
+        path.unlink(missing_ok=True)
+        try:
+            save(panel, path)
+        except ValueError:
+            assert any(label != label.strip() for label in getattr(panel, labels_of))
+            assert not path.exists()
+            return
+        back = read_with(reader, load, path)
+        assert getattr(back, labels_of) == getattr(panel, labels_of)
+        assert back.time_index == panel.time_index
+        assert back.values.shape == panel.values.shape
+        assert back.values.tobytes() == panel.values.tobytes()
+
+    @READERS
+    @pytest.mark.parametrize("kind", sorted(PANELS))
+    @given(data=file_bytes)
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_any_bytes_load_or_raise_a_value_error_naming_the_file(
+        self, tmp_path_factory, reader, kind, data
+    ):
+        path = tmp_path_factory.getbasetemp() / f"{kind}-bytes.csv"
+        path.write_bytes(data)
+        try:
+            read_with(reader, PANELS[kind][2], path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
 
 
 def decimal_values(tokens):

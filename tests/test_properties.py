@@ -11,7 +11,6 @@ from alphascreen.estimation import estimate_alpha
 from alphascreen.fdr import (
     NegativeControlConfig,
     _select_thresholds,
-    _sorted_distinct,
     fit_halves,
     select_threshold,
     split_from_fits,
@@ -175,7 +174,7 @@ def per_level_threshold(t_prod, beta):
     """``select_threshold`` as written for one level, a sort per call: the
     reference for the rule that serves every level from one sort."""
     t = np.asarray(t_prod, dtype=float).ravel()
-    candidates = _sorted_distinct(np.abs(t[t != 0.0]))
+    candidates = np.unique(np.abs(t[t != 0.0]))
     if candidates.size == 0:
         return math.inf, np.array([], dtype=int)
     t_sorted = np.sort(t)

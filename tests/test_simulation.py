@@ -303,18 +303,18 @@ class TestArmaMixture:
             ArmaComponent(weight=0.1, ar=(), ma=(-1.2,))
 
     def test_roots_equal_numpy_polynomials(self):
-        # the stationarity and invertibility checks get bit-identical roots
-        # without importing numpy.polynomial
+        # the stationarity and invertibility verdict equals the one from
+        # numpy.polynomial's roots, trailing zero coefficients included
         from numpy.polynomial.polynomial import polyroots
 
         rng = np.random.default_rng(17)
-        coefficient_sets = [[1.0, *(-c for c in comp.ar)] for comp in default_arma_mixture()]
-        coefficient_sets += [[1.0, *comp.ma] for comp in default_arma_mixture()]
-        coefficient_sets += [[1.0], [1.0, 0.4, 0.0, 0.0], [2.0, 0.0, 0.0, 1.0]]
-        coefficient_sets += [list(rng.standard_normal(rng.integers(1, 8))) for _ in range(300)]
+        coefficient_sets = [[-c for c in comp.ar] for comp in default_arma_mixture()]
+        coefficient_sets += [list(comp.ma) for comp in default_arma_mixture()]
+        coefficient_sets += [[], [0.4, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 1.5], [-2.0, 1.0]]
+        coefficient_sets += [list(rng.standard_normal(rng.integers(0, 7))) for _ in range(300)]
         for coefs in coefficient_sets:
-            roots, expected = np.sort(sim._poly_roots(coefs)), polyroots(coefs)
-            assert roots.dtype == expected.dtype and np.array_equal(roots, expected), coefs
+            expected = bool(np.all(np.abs(polyroots([1.0, *coefs])) > 1.0))
+            assert sim._poly_roots_outside_unit_circle(coefs) is expected, coefs
 
 
 class TestScenario:
@@ -718,8 +718,9 @@ _CAPPED = [1] * len(linalg._BLAS_CONTROLS)  # numpy's bundled OpenBLAS at one th
 
 
 def _worker_probe(scenario):
-    """Run in a pool worker: the OpenBLAS thread counts one ``sn``
-    replication computes at, and the SN table the worker loaded for it."""
+    """Run in a pool worker: the OpenBLAS thread counts the ``sn`` replication
+    of a one-replication study computes at, and the SN table the worker
+    loaded for it."""
     seen = []
 
     def statistic(fits):
@@ -728,7 +729,9 @@ def _worker_probe(scenario):
 
     sim.METHODS = {**METHODS, "probe": METHODS["sn"]._replace(statistic=statistic)}
     assert baselines._sn_limit_table.cache_info().currsize == 0  # nothing loaded yet
-    sim._replication_rows(scenario, 0, ["probe"], [0.2])
+    with warnings.catch_warnings():  # a forked worker inherits the tests' filters
+        warnings.filterwarnings("ignore", "single-replication study", RuntimeWarning)
+        run_study_detailed(scenario, ["probe"], [0.2], 1)
     return seen, baselines._sn_limit_table()
 
 
@@ -858,8 +861,8 @@ class TestThreadPool:
 
 
 class TestPoolWorker:
-    # The study pool is threads, but the library's fits cap BLAS themselves,
-    # so a replication run in a caller's own process pool is capped too.
+    # The study pool is threads, but a study run in a caller's own process
+    # pool caps BLAS in that worker too.
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_one_blas_thread_and_the_parents_sn_table(self, start_method, caller_blas_threads):
         table = baselines._sn_limit_table()
