@@ -10,6 +10,7 @@ from __future__ import annotations
 import ctypes
 import json
 import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import io
 from .io import fmt
 from .errors import AlignmentError, AlphascreenError
+from .linalg import one_blas_thread, park_blas_workers
 from .panels import check_aligned
 from .simulation import (
     METHODS,
@@ -151,9 +153,23 @@ def _keep_freed_heap_mapped() -> None:
 
 
 @click.group(context_settings={"auto_envvar_prefix": "ALPHASCREEN"})
-def main():
-    """FDR-controlled alpha screening under latent-confounder factor models."""
+@click.pass_context
+def main(ctx):
+    """FDR-controlled alpha screening under latent-confounder factor models.
+
+    \f
+    Makes the process-wide settings of every command: the heap policy,
+    one BLAS cap held until the command ends (the library's caps inside
+    it only count, so OpenBLAS's thread count does not change again),
+    and then, while the process has one thread, OpenBLAS's worker threads
+    parked, which would otherwise busy-wait on a core for about 130 ms
+    after ``import numpy``.  The order matters: a change of the thread
+    count starts the workers again.
+    """
     _keep_freed_heap_mapped()
+    ctx.with_resource(one_blas_thread())
+    if threading.active_count() == 1:  # no other thread can be in a BLAS call
+        park_blas_workers()
 
 
 @main.command()

@@ -1,8 +1,9 @@
 """Dense linear-algebra primitives used throughout the estimation pipeline,
-the package's one BLAS thread policy (:func:`one_blas_thread`), and the
-linear filter of the panel generator (:func:`lfilter`).  The first two
-call numpy's bundled OpenBLAS, the only BLAS library the package loads;
-the filter calls scipy's compiled routine without importing scipy.
+the package's one BLAS thread policy (:func:`one_blas_thread`, and
+:func:`park_blas_workers` for the CLI), and the linear filter of the panel
+generator (:func:`lfilter`).  The first two call numpy's bundled OpenBLAS,
+the only BLAS library the package loads; the filter calls scipy's compiled
+routine without importing scipy.
 
 The primitives are deterministic and pure.  The solver deliberately goes
 through an orthogonal (QR) factorization; normal equations are never
@@ -22,7 +23,9 @@ import numpy as np
 
 from .errors import DimensionError, RankDeficientError
 
-__all__ = ["RANK_RTOL", "demean_columns", "least_squares", "one_blas_thread"]
+__all__ = [
+    "RANK_RTOL", "demean_columns", "least_squares", "one_blas_thread", "park_blas_workers",
+]
 
 # Relative singular-value cutoff below which a design matrix is declared
 # rank deficient.
@@ -129,9 +132,9 @@ _OPENBLAS_DIR = Path(np.__file__).parent.with_name("numpy.libs")
 
 
 def _load_openblas() -> tuple:
-    """``(dtrtrs, controls)`` of the OpenBLAS in ``_OPENBLAS_DIR``: its LAPACK
-    ``dtrtrs`` or None, and its ``(set_num_threads, get_num_threads)`` pair
-    in a tuple, or ``()``."""
+    """``(dtrtrs, controls, shutdown)`` of the OpenBLAS in ``_OPENBLAS_DIR``:
+    its LAPACK ``dtrtrs`` or None, its ``(set_num_threads, get_num_threads)``
+    pair in a tuple, or ``()``, and its ``blas_thread_shutdown_`` or None."""
     for path in sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
@@ -143,19 +146,22 @@ def _load_openblas() -> tuple:
             i, data, char = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p
             dtrtrs.argtypes = [char] * 3 + [i, i, data, i, data, i, i] + [ctypes.c_size_t] * 3
             dtrtrs.restype = None
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
         setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
         getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         if setter is None or getter is None:
-            return dtrtrs, ()
+            return dtrtrs, (), shutdown
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
-        return dtrtrs, ((setter, getter),)
-    return None, ()
+        return dtrtrs, ((setter, getter),), shutdown
+    return None, (), None
 
 
 # Looked up, never set, at import.  Every thread of the process, a study's
 # pool included, shares the lookup.
-_DTRTRS, _BLAS_CONTROLS = _load_openblas()
+_DTRTRS, _BLAS_CONTROLS, _BLAS_SHUTDOWN = _load_openblas()
 _cap_lock = threading.Lock()
 _cap_holders = 0
 _saved_count = 1
@@ -171,8 +177,13 @@ def one_blas_thread():
     process-wide and reference-counted, so blocks may nest and run in
     several threads at once: the first to enter saves the thread count
     and sets one, and the last to leave restores it, also when a block
-    raises.  The lock guards only the count, never the block.  Without a
-    bundled OpenBLAS nothing is done.
+    raises.  Blocks entered under an outer holder, such as a CLI command,
+    only count.  The lock guards only the count, never the block.  Without
+    a bundled OpenBLAS nothing is done.
+
+    The cap leaves OpenBLAS's worker threads running: it never calls
+    :func:`park_blas_workers`, which is safe only while no BLAS call runs,
+    and a library caller may have one running in another thread.
     """
     global _cap_holders, _saved_count
     with _cap_lock:
@@ -189,6 +200,22 @@ def one_blas_thread():
             if _cap_holders == 0:
                 for set_threads, _ in _BLAS_CONTROLS:
                     set_threads(_saved_count)
+
+
+def park_blas_workers() -> None:
+    """Stop the worker threads of numpy's bundled OpenBLAS.
+
+    ``import numpy`` starts one worker per extra core, and each busy-waits
+    for about 130 ms before it sleeps, taking a core from the process's
+    own threads.  Call this only inside :func:`one_blas_thread` and while
+    no other thread can make a BLAS call: OpenBLAS re-creates the workers
+    on its next change of thread count, which the cap makes when it is
+    first entered and when it is last left, and stopping them under a
+    running BLAS call is unsafe.  Without OpenBLAS's
+    ``blas_thread_shutdown_`` nothing is done.
+    """
+    if _BLAS_SHUTDOWN is not None:
+        _BLAS_SHUTDOWN()
 
 
 def _load_linear_filter():

@@ -16,10 +16,14 @@ from .linalg import RANK_RTOL, demean_columns
 __all__ = ["ReturnPanel", "FactorPanel", "check_aligned"]
 
 
-def _freeze(values, shape_name: str) -> np.ndarray:
-    # A read-only float array that owns its memory is kept as it is: its
-    # maker has stopped writing to it (generate_panel hands its panel over
-    # so).  Anything else is copied, so that no caller can write to the panel.
+def _freeze(values, shape_name: str) -> tuple[np.ndarray, float]:
+    """The values as a read-only 2-d float array, and their sum of squares,
+    which is inf when it overflows.  A non-finite value is refused.
+
+    A read-only float array that owns its memory is kept as it is: its
+    maker has stopped writing to it (generate_panel hands its panel over
+    so).  Anything else is copied, so that no caller can write to the panel.
+    """
     handed_over = (
         type(values) is np.ndarray
         and values.dtype == float
@@ -29,13 +33,15 @@ def _freeze(values, shape_name: str) -> np.ndarray:
     arr = values if handed_over else np.array(values, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{shape_name} values must be a 2-d matrix")
-    if not np.all(np.isfinite(arr)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("ij,ij->", arr, arr)  # non-finite with any non-finite value
+    if not np.isfinite(squares) and not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(
             f"{shape_name} contains a non-finite value at row {bad[0]}, column {bad[1]}"
         )
     arr.setflags(write=False)
-    return arr
+    return arr, squares
 
 
 def _check_strictly_increasing(time_index, what: str):
@@ -72,7 +78,14 @@ class ReturnPanel:
     time_index: tuple
 
     def __post_init__(self):
-        arr = _freeze(self.values, "return panel")
+        arr, squares = _freeze(self.values, "return panel")
+        if not np.isfinite(squares):
+            # every fit sums squared returns, and would fail later on inf
+            i, j = np.unravel_index(np.argmax(np.abs(arr)), arr.shape)
+            raise ValueError(
+                f"return panel values overflow when squared and summed: the largest in "
+                f"magnitude, {float(arr[i, j])!r}, is at row {i}, column {j}"
+            )
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
         object.__setattr__(self, "time_index", tuple(self.time_index))
@@ -116,7 +129,7 @@ class FactorPanel:
     time_index: tuple
 
     def __post_init__(self):
-        arr = _freeze(self.values, "factor panel")
+        arr, _ = _freeze(self.values, "factor panel")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "time_index", tuple(self.time_index))

@@ -42,6 +42,23 @@ REFERENCE_REJECTED = {
 }
 
 
+@pytest.fixture(autouse=True)
+def blas_cap_released():
+    """Fail a test that leaves a BLAS cap held or numpy's OpenBLAS thread
+    count changed, then put both back for the tests that follow."""
+    controls = alphascreen.linalg._BLAS_CONTROLS
+    before = [get_threads() for _, get_threads in controls]
+    yield
+    holders = alphascreen.linalg._cap_holders
+    after = [get_threads() for _, get_threads in controls]
+    if holders == 0 and after == before:
+        return
+    alphascreen.linalg._cap_holders = 0
+    for (set_threads, _), count in zip(controls, before):
+        set_threads(count)
+    pytest.fail(f"left {holders} BLAS cap(s) held and OpenBLAS at {after} threads, not {before}")
+
+
 @pytest.fixture()
 def load_scenario():
     """Load a checked-in scenario file by name, such as ``"global_null"``."""

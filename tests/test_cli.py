@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import alphascreen as a
-from alphascreen import cli, simulation
+from alphascreen import cli, linalg, simulation
 from alphascreen.cli import main
 from alphascreen.io import load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv
 from alphascreen.linalg import _BLAS_CONTROLS
@@ -183,8 +183,7 @@ class TestAnalyze:
     def test_selection_independent_of_the_environments_blas_threads(self, tmp_path):
         """Each method's ``selection.csv`` is the same byte for byte whether the
         environment caps OpenBLAS at one thread or leaves its thread count
-        unset.  Only the fits and ``bh`` are capped, so this also guards the
-        uncapped steps of ``sbh``, ``sn`` and ``yd_th``.  On a 1-CPU host
+        unset: the command runs under one cap either way.  On a 1-CPU host
         OpenBLAS starts one thread either way, so there this check cannot
         tell the two cases apart."""
         scenario = a.SimulationScenario(n=200, p=1000, pi=0.1, nu=0.3, seed=33)
@@ -260,6 +259,63 @@ class TestAnalyze:
              "--method", "yd", "--out", str(tmp_path / "o")],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("method", ["yd", "bh", "sn"])
+    @pytest.mark.parametrize("big", ["1.7e308", "1e200"])
+    def test_cell_whose_square_overflows_is_usage_error(self, runner, tmp_path, big, method):
+        # refused where the file loads: the fits would exit 1 with an
+        # unrelated message (no eigenvalue above the floor, no OLS variance)
+        scenario = a.SimulationScenario(n=60, p=40, pi=0.1, nu=0.8, seed=32)
+        rpath, fpath, _, _, _ = self.make_panel_files(tmp_path, scenario)
+        lines = read(rpath).splitlines()
+        cells = lines[4].split(",")  # the row of entity 3
+        cells[6] = big  # period 5
+        lines[4] = ",".join(cells)
+        rpath.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["analyze", "--returns", str(rpath), "--factors", str(fpath),
+             "--method", method, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert (
+            f"{rpath}: return panel values overflow when squared and summed: the largest in "
+            f"magnitude, {float(big)!r}, is at row 3, column 5"
+        ) in " ".join(result.output.split())  # click wraps the message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failure, code", [("nan-cell", 2), ("too-short", 1)])
+    def test_cap_released_when_analyze_fails(
+        self, runner, tmp_path, monkeypatch, caller_blas_threads, failure, code
+    ):
+        if failure == "nan-cell":  # a bad file: a usage error
+            rpath, fpath, _, _, _ = self.make_panel_files(tmp_path)
+            lines = read(rpath).splitlines()
+            entity, _, rest = lines[1].split(",", 2)
+            lines[1] = f"{entity},nan,{rest}"
+            rpath.write_text("\n".join(lines) + "\n")
+        else:  # an AlphascreenError from the fit: a runtime error
+            rng = np.random.default_rng(33)
+            X = a.ReturnPanel(rng.standard_normal((5, 10)), [f"e{i}" for i in range(5)], range(10))
+            F = a.FactorPanel(rng.standard_normal((10, 3)), ["f1", "f2", "f3"], range(10))
+            rpath, fpath = tmp_path / "r.csv", tmp_path / "f.csv"
+            save_returns_csv(X, rpath)
+            save_factors_csv(F, fpath)
+        held = []
+        load = cli.io.load_returns_csv
+        monkeypatch.setattr(
+            cli.io, "load_returns_csv", lambda path: held.append(linalg._cap_holders) or load(path)
+        )
+        result = runner.invoke(
+            main, ["analyze", "--returns", str(rpath), "--factors", str(fpath),
+                   "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == code, result.output
+        assert failure != "nan-cell" or "non-finite value at row 0, column 0" in result.output
+        assert held == [1]  # the command's own cap, held from the start
+        assert linalg._cap_holders == 0
+        assert [get() for _, get in _BLAS_CONTROLS] == caller_blas_threads
 
     def test_premium_corrected_method_reduces_false_selections(self, runner, tmp_path):
         scenario = a.SimulationScenario(n=200, p=150, pi=0.4, nu=0.5, seed=34)
@@ -543,6 +599,79 @@ class TestImport:
             numpy_libs = Path(np.__file__).parent.with_name("numpy.libs")
             numpys = [str(p.resolve()) for p in numpy_libs.glob("libscipy_openblas64_*.so*")]
             assert len(numpys) == 1 and [str(Path(m).resolve()) for m in seen["mapped"]] == numpys
+
+
+def _openblas_starts_a_worker():
+    """On Linux with two CPUs or more, where ``import numpy`` starts a worker
+    thread, and with the symbol of numpy's OpenBLAS that stops it."""
+    if not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2:
+        return False
+    numpy_libs = Path(np.__file__).parent.with_name("numpy.libs")
+    return any(
+        hasattr(ctypes.CDLL(str(path)), "blas_thread_shutdown_")
+        for path in numpy_libs.glob("libscipy_openblas64_*.so*")
+    )
+
+
+class TestBlasWorker:
+    # A 60x100 simulate in a fresh process, with a probe in place of ``yd``
+    # that records the process's threads and OpenBLAS's thread count while
+    # each replication runs; the count before and after the command too.
+    SIMULATE = (
+        "import json, os, sys\n"
+        "from alphascreen import linalg, simulation as sim\n"
+        "from alphascreen.cli import main\n"
+        "def counts():\n"
+        "    return [get() for _, get in linalg._BLAS_CONTROLS]\n"
+        "seen, yd = [], sim.METHODS['yd']\n"
+        "def statistic(fits):\n"
+        "    seen.append([len(os.listdir('/proc/self/task')), counts()])\n"
+        "    return yd.statistic(fits)\n"
+        "sim.METHODS = {**sim.METHODS, 'yd': yd._replace(statistic=statistic)}\n"
+        "before = counts()\n"
+        "main(['simulate', '--scenario', sys.argv[1], '--method', 'yd', '--reps', '2',\n"
+        "      '--threads', '1', '--out', sys.argv[2]], standalone_mode=False)\n"
+        "print(json.dumps({'seen': seen, 'before': before, 'after': counts()}))\n"
+    )
+
+    @pytest.mark.skipif(
+        not _openblas_starts_a_worker(), reason="needs /proc, two CPUs and OpenBLAS's shutdown"
+    )
+    def test_a_command_runs_with_the_worker_parked(self, tmp_path):
+        # The worker busy-waits for about 130 ms after import numpy, taking
+        # a core from a 2-thread study; the CLI caps BLAS for the whole
+        # command, then parks it, so it is not a third thread here.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            a.SimulationScenario(n=60, p=100, pi=0.1, nu=0.8, seed=31).to_dict()
+        ))
+        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in _package_env().items() if k not in blas_vars}
+        outputs = []
+        for i, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / f"out{i}"
+            result = subprocess.run(
+                [sys.executable, "-c", self.SIMULATE, str(scenario), str(out)],
+                env={**env, **extra}, check=True, capture_output=True, text=True, timeout=120,
+            )
+            seen = json.loads(result.stdout.splitlines()[-1])
+            # the main thread and the pool's one thread, at one BLAS thread
+            assert seen["seen"] == [[2, [1]]] * 2, extra
+            assert seen["after"] == seen["before"]
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads, parks", [(1, [1]), (2, [])])
+    def test_parks_only_while_the_process_has_one_thread(
+        self, runner, monkeypatch, threads, parks
+    ):
+        # another thread may be inside a BLAS call, where stopping the
+        # workers is unsafe
+        parked = []
+        monkeypatch.setattr(cli, "park_blas_workers", lambda: parked.append(linalg._cap_holders))
+        monkeypatch.setattr(cli.threading, "active_count", lambda: threads)
+        assert runner.invoke(main, ["analyze", "--help"]).exit_code == 0
+        assert parked == parks  # under the command's cap
 
 
 def _has_glibc():

@@ -1,4 +1,6 @@
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +177,22 @@ class TestOneBlasThread:
         with one_blas_thread():  # the next block caps again
             assert _thread_counts() == _CAPPED
         assert _thread_counts() == caller_blas_threads
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+    def test_never_parks_openblas_workers(self, caller_blas_threads):
+        # stopping the workers is unsafe while a BLAS call runs, and a library
+        # caller may run one in another thread; only the CLI parks them
+        before = len(os.listdir("/proc/self/task"))
+        with one_blas_thread():
+            inside = len(os.listdir("/proc/self/task"))
+        assert inside == before == len(os.listdir("/proc/self/task"))
+
+    def test_parking_is_a_no_op_without_the_symbol(self, tmp_path, monkeypatch):
+        (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
+        monkeypatch.setattr(linalg, "_OPENBLAS_DIR", tmp_path)
+        monkeypatch.setattr(linalg, "_BLAS_SHUTDOWN", linalg._load_openblas()[2])
+        assert linalg._BLAS_SHUTDOWN is None  # nothing loadable in the patched directory
+        linalg.park_blas_workers()  # raises nothing
 
     @pytest.mark.parametrize(
         "module, inner, call",

@@ -1,4 +1,5 @@
 import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -67,6 +68,32 @@ class TestReturnPanel:
         values[1, 2] = np.nan
         with pytest.raises(ValueError, match="row 1, column 2"):
             ReturnPanel(values, ["a", "b"], [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("big", [1.7e308, 1e200, -1e200])
+    def test_values_whose_squares_overflow_refused_at_the_largest(self, big):
+        # each fit sums squared returns, and at inf would fail with an
+        # unrelated message (no eigenvalue above the floor, no OLS variance)
+        values = np.random.default_rng(0).standard_normal((40, 60))
+        values[3, 5] = big
+        values[7, 1] = 1e150  # its square alone stays finite
+        message = (
+            "return panel values overflow when squared and summed: the largest in "
+            f"magnitude, {big!r}, is at row 3, column 5"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ReturnPanel(values, [f"e{i}" for i in range(40)], list(range(60)))
+
+    def test_non_finite_named_before_an_overflow(self):
+        values = np.ones((2, 4))
+        values[0, 1], values[1, 3] = 1e300, -np.inf
+        message = "^return panel contains a non-finite value at row 1, column 3$"
+        with pytest.raises(ValueError, match=message):
+            ReturnPanel(values, ["a", "b"], [1, 2, 3, 4])
+
+    def test_largest_squares_that_sum_finitely_kept(self):
+        values = np.full((2, 4), 1e153)
+        assert np.isfinite(np.sum(values * values))
+        assert ReturnPanel(values, ["a", "b"], [1, 2, 3, 4]).values.max() == 1e153
 
     def test_duplicate_entity_ids_refused(self):
         for ids, message in [
@@ -459,21 +486,23 @@ PANELS = {
 @st.composite
 def saved_panels(draw, kind):
     """A returns or factors panel with string labels, integer periods (the
-    loaders read period labels as numbers) and any finite values."""
+    loaders read period labels as numbers) and any finite values a panel
+    takes: a return panel refuses values whose sum of squares overflows,
+    so its at most 28 values are drawn within 1e153 in magnitude."""
     if kind == "returns":
         n_labels, n_periods = draw(st.integers(1, 4)), draw(st.integers(4, 7))
-        shape = (n_labels, n_periods)
+        shape, values = (n_labels, n_periods), st.floats(-1e153, 1e153)
     else:
         n_labels = draw(st.integers(1, 3))
         n_periods = n_labels + draw(st.integers(2, 4))
-        shape = (n_periods, n_labels)
+        shape, values = (n_periods, n_labels), finite
     size = n_labels * n_periods
-    values = np.reshape(draw(st.lists(finite, min_size=size, max_size=size)), shape)
+    values = np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)
     names = draw(st.lists(labels, min_size=n_labels, max_size=n_labels, unique=True))
     periods = draw(st.sets(st.integers(-10**6, 10**6), min_size=n_periods, max_size=n_periods))
     try:
         return PANELS[kind][0](values, names, sorted(periods))
-    except ValueError:  # dependent factor columns, or a column mean that overflows
+    except ValueError:  # dependent factor columns, or values that overflow
         assume(False)
 
 
