@@ -488,7 +488,8 @@ def saved_panels(draw, kind):
     """A returns or factors panel with string labels, integer periods (the
     loaders read period labels as numbers) and any finite values a panel
     takes: a return panel refuses values whose sum of squares overflows,
-    so its at most 28 values are drawn within 1e153 in magnitude."""
+    so its at most 28 values are drawn within 1e153 in magnitude but for
+    one cell, which reaches 1.3e154, near the largest a panel takes."""
     if kind == "returns":
         n_labels, n_periods = draw(st.integers(1, 4)), draw(st.integers(4, 7))
         shape, values = (n_labels, n_periods), st.floats(-1e153, 1e153)
@@ -497,7 +498,10 @@ def saved_panels(draw, kind):
         n_periods = n_labels + draw(st.integers(2, 4))
         shape, values = (n_periods, n_labels), finite
     size = n_labels * n_periods
-    values = np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)
+    values = draw(st.lists(values, min_size=size, max_size=size))
+    if kind == "returns":
+        values[draw(st.integers(0, size - 1))] = draw(st.floats(-1.3e154, 1.3e154))
+    values = np.reshape(values, shape)
     names = draw(st.lists(labels, min_size=n_labels, max_size=n_labels, unique=True))
     periods = draw(st.sets(st.integers(-10**6, 10**6), min_size=n_periods, max_size=n_periods))
     try:
