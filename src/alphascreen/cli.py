@@ -90,9 +90,12 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _check_betas(betas: list[float]) -> list[float]:
-    """The CLI's one rule for target FDR levels; NaN fails it."""
+    """The CLI's one rule for target FDR levels; NaN and a repeat fail it."""
     if any(not 0.0 < b < 1.0 for b in betas):
         raise click.UsageError("every beta must lie strictly between 0 and 1")
+    repeated = [b for k, b in enumerate(betas) if b in betas[:k]]
+    if repeated:
+        raise click.UsageError(f"beta {repeated[0]:g} is given more than once")
     return betas
 
 

@@ -80,7 +80,9 @@ class NegativeControlConfig:
         the cut comfortably above the null estimation noise while staying
         below signal magnitudes of the size that makes the correction
         worthwhile; a scale of 1.0 puts the cut at ~0.46 for n around
-        100, which sweeps strong true signals into the control set.
+        100, which sweeps strong true signals into the control set.  The
+        cut is in return units, so ``yd_th`` decides differently when the
+        same returns are given in percent rather than in decimals.
     """
 
     mode: str = "threshold_rule"

@@ -727,7 +727,8 @@ def run_studies(
     replication is recorded against its scenario and skipped; the study
     continues.  A report without any surviving replication carries
     ``math.nan`` means: one object, so that two such reports still
-    compare equal.
+    compare equal.  A repeated method or level is refused with a
+    ``ValueError``; no scenarios give no studies.
 
     The replications of all scenarios run on one pool of
     ``min(parallelism, len(scenarios) * replications)`` threads in this
@@ -754,8 +755,15 @@ def run_studies(
     for b in betas:
         if not 0.0 < b < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {b}")
+    # a repeat would pool its rows with the first copy's in the reports
+    for what, values in (("method", methods), ("beta", betas)):
+        repeated = [v for k, v in enumerate(values) if v in values[:k]]
+        if repeated:
+            raise ValueError(f"{what} {repeated[0]!r} is given more than once")
 
     jobs = [(scenario, rep) for scenario in scenarios for rep in range(replications)]
+    if not jobs:
+        return []
     with one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=min(parallelism, len(jobs)))
         try:

@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
-from scipy import special, stats
+from scipy import stats
 
 import alphascreen as a
 import alphascreen.baselines
 from alphascreen.baselines import (
     SN_MC_PATHS,
-    _ndtr,
+    _two_sided_normal_p,
     _sn_limit_table,
     _sn_test_rows_in_place,
     bh_procedure,
@@ -110,6 +110,22 @@ class TestBhProcedure:
         assert bh_procedure(np.array([]), beta=0.1).size == 0
 
 
+TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def assert_close_to_scipy(z, p):
+    """``p`` within 1e-13 relative of ``2 * norm.sf(|z|)`` wherever that is a normal double."""
+    want = 2.0 * stats.norm.sf(np.abs(z))
+    normal = want >= TINY
+    assert np.all(np.abs(p[normal] - want[normal]) <= 1e-13 * want[normal])
+
+
+def assert_pvalues_of_statistics(result):
+    assert np.array_equal(result.p_values, _two_sided_normal_p(result.statistics))
+    assert_close_to_scipy(result.statistics, result.p_values)
+    assert np.all((result.p_values >= 0) & (result.p_values <= 1))
+
+
 class TestNormalCalibration:
     def test_zero_statistic_gives_unit_pvalue(self):
         assert np.isclose(2.0 * stats.norm.sf(0.0), 1.0)
@@ -135,8 +151,13 @@ class TestNormalCalibration:
         rng = a.simulation.replication_rng(sc.seed, 0)
         X, F, _, _ = a.generate_panel(sc, rng)
         result = sbh_statistics(X, F)
-        assert np.array_equal(result.p_values, 2.0 * stats.norm.sf(np.abs(result.statistics)))
-        assert np.all((result.p_values >= 0) & (result.p_values <= 1))
+        assert_pvalues_of_statistics(result)
+
+    def test_bh_pvalues_match_statistics(self):
+        sc = a.SimulationScenario(n=80, p=60, pi=0.1, nu=0.5, seed=2)
+        rng = a.simulation.replication_rng(sc.seed, 0)
+        X, F, _, _ = a.generate_panel(sc, rng)
+        assert_pvalues_of_statistics(bh_statistics(X, F))
 
     def test_sbh_mildly_anticonservative_under_normal_design(self):
         # normal i.i.d. design: the plug-in normal calibration runs a little
@@ -161,9 +182,10 @@ class TestNormalCalibration:
 
 
 def _branch_points():
-    """±1/sqrt(2), ±1 and ±8, where cephes ndtr, erf and erfc switch
-    branches, as ndtr's argument and scaled by sqrt(2) (ndtr passes
-    ``x / sqrt(2)`` on), each with its two neighbouring doubles."""
+    """±1/sqrt(2), ±1 and ±8, where cephes ndtr, erf and erfc (behind
+    ``scipy.stats.norm.sf``) switch branches, as ndtr's argument and scaled
+    by sqrt(2) (ndtr passes ``x / sqrt(2)`` on), each with its two
+    neighbouring doubles."""
     points = []
     for edge in (1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0)):
         for x in (edge, -edge):
@@ -171,32 +193,41 @@ def _branch_points():
     return np.array(points)
 
 
-class TestNormalCdf:
-    """``_ndtr`` replaces ``scipy.special.ndtr`` and must equal it bit for bit."""
+class TestTwoSidedNormalTail:
+    """``_two_sided_normal_p`` gives the ``bh`` and ``sbh`` p-values."""
 
     @staticmethod
-    def assert_identical(x):
-        got, want = _ndtr(x), special.ndtr(x)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    def assert_tail(z):
+        z = np.asarray(z, dtype=float)
+        p = _two_sided_normal_p(z)
+        assert_close_to_scipy(z, p)
+        assert np.all(p[np.abs(z) >= 38.6] == 0.0)
+        assert np.array_equal(np.isnan(p), np.isnan(z))
+        assert np.array_equal(_two_sided_normal_p(-z), p, equal_nan=True)
+        # Non-increasing in |z|.  Below the smallest normal double libm's
+        # erfc is not monotone (38.4298 gives 4e-323, 38.4299 gives
+        # 4.4e-323), so subnormal values only stay below every normal one.
+        finite = ~np.isnan(z)
+        order = np.argsort(np.abs(z[finite]), kind="stable")
+        assert np.all(np.diff(np.maximum(p[finite][order], TINY)) <= 0.0)
 
     def test_branch_points_and_their_neighbours(self):
-        self.assert_identical(_branch_points())
+        self.assert_tail(_branch_points())
 
     def test_special_values(self):
-        self.assert_identical(
-            np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, -1e300, 1e300, -5e-324])
-        )
+        self.assert_tail(np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, -1e300, 1e300, -5e-324]))
+        assert np.array_equal(_two_sided_normal_p(np.array([-0.0, 0.0])), [1.0, 1.0])
+        assert np.array_equal(_two_sided_normal_p(np.array([-np.inf, np.inf])), [0.0, 0.0])
 
     def test_dense_grid_through_the_underflow_tail(self):
         grid = np.linspace(-40.0, 0.0, 400_001)
-        assert _ndtr(grid)[0] == 0.0  # below about -38.5 the tail underflows
-        self.assert_identical(grid)
+        assert _two_sided_normal_p(grid)[0] == 0.0  # below about -38.5 the tail underflows
+        self.assert_tail(grid)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
     @hyp_settings(max_examples=300, deadline=None)
     def test_any_finite_doubles(self, values):
-        self.assert_identical(np.array(values))
+        self.assert_tail(np.array(values))
 
 
 def noiseless_panel(kind, n=40, p=6, seed=3):

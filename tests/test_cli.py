@@ -106,6 +106,17 @@ class TestSimulate:
         assert message in result.output
         assert not out.exists()
 
+    def test_repeated_beta_is_usage_error(self, runner, tiny_scenario, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["simulate", "--scenario", str(tiny_scenario), "--beta", "0.1,0.2,0.10",
+             "--reps", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "beta 0.1 is given more than once" in result.output
+        assert not out.exists()
+
     def test_env_var_override(self, runner, tiny_scenario, tmp_path):
         out = tmp_path / "env_out"
         result = runner.invoke(

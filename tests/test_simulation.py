@@ -629,6 +629,22 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="unknown method"):
             run_study_detailed(self.small_scenario(), ["nope"], [0.1], 2)
 
+    @pytest.mark.parametrize(
+        "methods, betas, message",
+        [
+            (["yd", "bh", "yd"], [0.1], "method 'yd' is given more than once"),
+            (["yd"], [0.1, 0.2, 0.10], "beta 0.1 is given more than once"),
+        ],
+        ids=["method", "beta"],
+    )
+    def test_repeated_method_or_level_rejected(self, methods, betas, message):
+        # a repeat would pool its rows with the first copy's and double its count
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_study_detailed(self.small_scenario(), methods, betas, 2)
+
+    def test_no_scenarios_give_no_studies(self):
+        assert run_studies([], ["yd"], [0.1], 2, parallelism=2) == []
+
     def test_detail_rows_match_per_method_reference(self, reference_rejected):
         # the shared-fit runner against each method's public panel-level
         # statistic and decision rule, refitting the panel every time
