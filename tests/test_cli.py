@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +16,9 @@ from click.testing import CliRunner
 import alphascreen as a
 from alphascreen import cli, linalg, simulation
 from alphascreen.cli import main
-from alphascreen.io import load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv
+from alphascreen.io import (
+    fmt, load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv,
+)
 from alphascreen.linalg import _BLAS_CONTROLS
 from alphascreen.simulation import METHODS
 
@@ -116,6 +119,26 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "beta 0.1 is given more than once" in result.output
         assert not out.exists()
+
+    def test_failed_replications_are_counted(self, tiny_scenario, tmp_path, monkeypatch):
+        original = simulation._replication_rows
+
+        def flaky(scenario, replication, *args, **kwargs):
+            if replication == 1:
+                raise RuntimeError("synthetic failure")
+            return original(scenario, replication, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "_replication_rows", flaky)
+        with pytest.warns(RuntimeWarning, match="1 of 3 replications failed"):
+            result = CliRunner().invoke(
+                main,
+                ["simulate", "--scenario", str(tiny_scenario), "--beta", "0.2", "--reps", "3",
+                 "--out", str(tmp_path / "out")],
+            )
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "1 replications failed\n"
+        report = read(tmp_path / "out" / "report.csv").splitlines()
+        assert report[1].endswith(",2")  # the replications column counts survivors
 
     def test_env_var_override(self, runner, tiny_scenario, tmp_path):
         out = tmp_path / "env_out"
@@ -445,6 +468,49 @@ class TestReplicateTable:
         assert result.exit_code == 2
         assert "nu must be finite and nonnegative" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "nu, message",
+        [
+            ("0.3,x", "cannot parse nu list '0.3,x'"),
+            (" , ", "no nu values given"),
+            ("0.2,0.3,0.30", "nu 0.3 is given more than once"),
+        ],
+        ids=["unparsable", "empty", "repeated"],
+    )
+    def test_unusable_nu_list_is_usage_error(self, runner, tmp_path, nu, message):
+        # a repeated nu would run its block's replications twice
+        result = runner.invoke(
+            main, ["replicate-table", "1", "--nu", nu, "--reps", "2", "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_overrides_every_blocks_seed(self, runner, tmp_path):
+        tables = {}
+        for name, seed in (("seeded", ["--seed", "5"]), ("default", [])):
+            result = runner.invoke(
+                main,
+                ["replicate-table", "1", "--nu", "0.3", "--reps", "2", *seed,
+                 "--out", str(tmp_path / name)],
+            )
+            assert result.exit_code == 0, result.output
+            lines = read(tmp_path / name / "table_1.csv").splitlines()[1:]
+            tables[name] = [line.split(",") for line in lines]
+        scenarios = [
+            replace(factory(nu=0.3), seed=5)
+            for factory in (a.table1_normal_scenario, a.table1_lognormal_scenario)
+        ]
+        studies = simulation.run_studies(scenarios, cli._TABLE_METHODS, cli._TABLE_BETAS, 2)
+        want = [
+            [fmt(r.mean_fdr), fmt(r.sd_fdr), fmt(r.mean_power), fmt(r.sd_power), str(r.replications)]
+            for reports, _, _ in studies
+            for r in reports
+        ]
+        assert [row[4:9] for row in tables["seeded"]] == want
+        assert [row[:4] for row in tables["seeded"]] == [row[:4] for row in tables["default"]]
+        assert [row[4:9] for row in tables["default"]] != want
 
     def test_table2_smoke(self, runner, tmp_path):
         result = runner.invoke(

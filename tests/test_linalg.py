@@ -77,24 +77,22 @@ class TestLeastSquares:
 
 
 class TestTriangularSolve:
-    """``least_squares`` calls LAPACK ``dtrtrs`` in numpy's bundled OpenBLAS
-    itself; ``scipy.linalg.solve_triangular`` is the bit-exact reference."""
+    """``least_squares`` solves the QR's triangular factor with
+    ``np.linalg.solve``; ``scipy.linalg.solve_triangular`` on the same
+    factors is the reference, within 1e-14 of the solution's largest
+    magnitude."""
 
-    @staticmethod
-    def assert_matches_scipy(n, rng):
+    @pytest.mark.parametrize("n", [60, 100, 200])
+    def test_within_tolerance_of_solve_triangular(self, n):
+        rng = np.random.default_rng(n)
         for k in range(1, 12):
             for shape in ((n,), (n, 1), (n, 7), (n, 1000)):
                 design, response = rng.standard_normal((n, k)), rng.standard_normal(shape)
                 q, r = np.linalg.qr(design)
                 want = scipy.linalg.solve_triangular(r, q.T @ response)
                 got = least_squares(design, response)
-                assert np.array_equal(got, want) and got.shape == want.shape
-                assert got.flags.f_contiguous == want.flags.f_contiguous
-
-    @pytest.mark.parametrize("n", [60, 100, 200])
-    def test_equals_solve_triangular(self, n):
-        assert linalg._DTRTRS is not None  # numpy's wheel bundles its OpenBLAS
-        self.assert_matches_scipy(n, np.random.default_rng(n))
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("shape", [(30,), (30, 4)], ids=["vector", "matrix"])
     def test_non_finite_response_raises_scipys_error(self, shape):
@@ -102,21 +100,6 @@ class TestTriangularSolve:
         response[3] = np.nan
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             least_squares(np.random.default_rng(0).standard_normal((30, 3)), response)
-
-    def test_falls_back_to_scipy_without_the_symbol(self, tmp_path, monkeypatch):
-        (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
-        monkeypatch.setattr(linalg, "_OPENBLAS_DIR", tmp_path)
-        monkeypatch.setattr(linalg, "_DTRTRS", linalg._load_openblas()[0])
-        assert linalg._DTRTRS is None  # nothing loadable in the patched directory
-        calls, solve = [], scipy.linalg.solve_triangular
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "solve_triangular", spy)
-        self.assert_matches_scipy(60, np.random.default_rng(1))
-        assert len(calls) == 2 * 11 * 4  # the fallback and the reference
 
 
 def _thread_counts():
@@ -190,7 +173,7 @@ class TestOneBlasThread:
     def test_parking_is_a_no_op_without_the_symbol(self, tmp_path, monkeypatch):
         (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
         monkeypatch.setattr(linalg, "_OPENBLAS_DIR", tmp_path)
-        monkeypatch.setattr(linalg, "_BLAS_SHUTDOWN", linalg._load_openblas()[2])
+        monkeypatch.setattr(linalg, "_BLAS_SHUTDOWN", linalg._load_openblas()[1])
         assert linalg._BLAS_SHUTDOWN is None  # nothing loadable in the patched directory
         linalg.park_blas_workers()  # raises nothing
 

@@ -53,6 +53,19 @@ class TestReturnPanel:
         with pytest.raises(DimensionError):
             ReturnPanel(np.ones((2, 3)), ["a", "b"], [1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "values, ids, periods, message",
+        [
+            (np.ones((0, 6)), [], range(6), "return panel needs at least one entity"),
+            (np.ones((2, 6)), ["a"], range(6), "entity_ids length does not match row count"),
+            (np.ones((2, 6)), ["a", "b"], range(5), "time_index length does not match column count"),
+        ],
+        ids=["no_entity", "short_ids", "short_time_index"],
+    )
+    def test_degenerate_shape_refused(self, values, ids, periods, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            ReturnPanel(values, ids, list(periods))
+
     def test_non_increasing_time(self):
         # a header that mixes numbers and text, such as ...,5,x6,..., is
         # refused with the same error, not with the TypeError of 5 < "x6"
@@ -125,6 +138,19 @@ class TestFactorPanel:
             ValueError, match="^factor panel name 'mkt' appears twice, at positions 0 and 2$"
         ):
             FactorPanel(values, ["mkt", "smb", "mkt"], list(range(8)))
+
+    @pytest.mark.parametrize(
+        "names, periods, message",
+        [
+            (["a"], range(8), "factor names length does not match column count"),
+            (["a", "b"], range(7), "time_index length does not match row count"),
+        ],
+        ids=["short_names", "short_time_index"],
+    )
+    def test_label_length_mismatch_refused(self, names, periods, message):
+        values = np.random.default_rng(0).standard_normal((8, 2))
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            FactorPanel(values, names, list(periods))
 
     def test_needs_more_periods_than_factors(self):
         with pytest.raises(DimensionError):

@@ -400,13 +400,24 @@ class TestScenario:
                 dict(arma_mixture=[dict(weight=0.1, sigma=1.0)]),
                 "arma_mixture entries must be ArmaComponent fields: .*'sigma'",
             ),
+            (
+                dict(garch_params=((0.1, 0.1, 0.8),) * 6),
+                r"^garch_params must hold 7 \(omega, a1, b1\) triples$",
+            ),
+            (dict(n=11), "^n = 11 too short to split with 3 observed factors$"),
+            (dict(temporal_mode="ar1"), "^unknown temporal_mode 'ar1'$"),
+            (
+                dict(arma_mixture=[dict(weight=0.75), dict(weight=0.5, ar=(0.3,))]),
+                "^mixture weights sum to 1.25 > 1$",
+            ),
         ],
         ids=[
             "fractional_p", "fractional_seed", "negative_seed", "string_r_total", "no_entities",
             "infinite_hetero", "indefinite_factor_cov", "asymmetric_factor_cov",
             "indefinite_loading_cov", "loading_mean_shape", "hetero_triple",
             "ragged_factor_cov", "ragged_loading_mean", "ragged_loading_cov",
-            "unknown_arma_key",
+            "unknown_arma_key", "garch_count", "n_too_short", "unknown_temporal_mode",
+            "mixture_weights_above_one",
         ],
     )
     def test_degenerate_field_is_named(self, fields, message):
@@ -629,6 +640,11 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="unknown method"):
             run_study_detailed(self.small_scenario(), ["nope"], [0.1], 2)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, math.nan], ids=str)
+    def test_level_outside_the_open_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\), got "):
+            run_studies([self.small_scenario()], ["yd"], [0.1, beta], 2)
+
     @pytest.mark.parametrize(
         "methods, betas, message",
         [
@@ -803,7 +819,7 @@ class TestBlasAtOneWorker:
         controls = linalg._BLAS_CONTROLS
         (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
         monkeypatch.setattr(linalg, "_OPENBLAS_DIR", tmp_path)
-        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", linalg._load_openblas()[1])
+        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", linalg._load_openblas()[0])
         assert linalg._BLAS_CONTROLS == ()  # nothing loadable in the patched directory
         with linalg.one_blas_thread():
             assert [get() for _, get in controls] == caller_blas_threads
