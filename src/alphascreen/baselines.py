@@ -14,11 +14,12 @@ statistic providers feed it:
   ships with the package as ``sn_limit_table.npy`` and every process
   loads it on first use.
 
-``bh_statistics`` additionally exposes the naive per-entity OLS t-test
-(no latent adjustment) as the plain-BH reference point.
+``bh_from_fit`` additionally exposes the naive per-entity OLS t-test
+(no latent adjustment) as the plain-BH reference point, from the (p,)
+summaries of the observed-factor regression that starts the full fit.
 
-``sbh_from_fit`` and ``sn_from_fit`` read an existing ``PanelFit``;
-``sbh_statistics`` and ``sn_statistics`` fit the panel first.
+``bh_from_fit`` reads an ``ObservedFit``, ``sbh_from_fit`` and
+``sn_from_fit`` a ``PanelFit``; the ``*_statistics`` forms fit first.
 """
 
 from __future__ import annotations
@@ -32,14 +33,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateNormalizerError
-from .estimation import PanelFit, estimate_alpha
-from .linalg import demean_columns, least_squares, one_blas_thread
-from .panels import FactorPanel, ReturnPanel, check_aligned
+from .estimation import ObservedFit, PanelFit, estimate_alpha, fit_observed
+from .linalg import demean_columns
+from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
     "PValueResult",
     "normal_z",
     "bh_procedure",
+    "bh_from_fit",
     "bh_statistics",
     "sbh_from_fit",
     "sbh_statistics",
@@ -54,7 +56,7 @@ class PValueResult:
     """Per-entity statistics with two-sided p-values.
 
     alpha_hat
-        The per-entity OLS intercepts behind ``bh_statistics``;
+        The per-entity OLS intercepts behind ``bh_from_fit``;
         None for the other methods, whose alphas come from a ``PanelFit``.
     """
 
@@ -142,35 +144,27 @@ def _bh_rejections(p_values: np.ndarray, betas: Sequence[float]) -> list[np.ndar
     return rejected
 
 
-@one_blas_thread()
-def bh_statistics(
-    returns: ReturnPanel, factors: FactorPanel
-) -> PValueResult:
+def bh_from_fit(observed: ObservedFit, returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Naive per-entity t-statistics of the OLS intercept on observed factors.
 
     Ignores latent structure and serial dependence entirely; serves as
     the uncorrected baseline fed to ``bh_procedure``.  With latent
     confounders carrying a nonzero premium the intercepts, returned as
     ``alpha_hat``, are biased and cross-sectionally dependent.
+    ``returns`` and ``factors`` are the panels ``observed`` was fitted on.
     """
-    check_aligned(returns, factors)
-    n = returns.n_periods
-    design = np.column_stack([np.ones(n), factors.values])
-    k = design.shape[1]
-    coef = least_squares(design, returns.values.T)
-    resid = returns.values - (design @ coef).T
-    resid *= resid  # squared in place: its layout, and so the sum's order, is kept
-    rss = np.sum(resid, axis=1)
     _check_residual_variation(
-        rss, returns.values, "an entity has no OLS residual variance beyond rounding"
+        observed.rss, returns.values, "an entity has no OLS residual variance beyond rounding"
     )
-    sigma2 = rss / (n - k)
-    # Var(intercept) = sigma^2 * [(D'D)^{-1}]_{00}, via the QR of the design.
-    q, r = np.linalg.qr(design)
-    g_inv_00 = float(np.sum(np.linalg.inv(r)[0, :] ** 2))
-    z = coef[0] / np.sqrt(sigma2 * g_inv_00)
+    sigma2 = observed.rss / (returns.n_periods - factors.n_factors - 1)
+    z = observed.intercepts / np.sqrt(sigma2 * observed.intercept_variance)
     p = _two_sided_normal_p(z)
-    return PValueResult(p_values=p, statistics=z, alpha_hat=coef[0])
+    return PValueResult(p_values=p, statistics=z, alpha_hat=observed.intercepts)
+
+
+def bh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
+    """Naive per-entity OLS t-test of each intercept; see :func:`bh_from_fit`."""
+    return bh_from_fit(fit_observed(returns, factors), returns, factors)
 
 
 def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> PValueResult:

@@ -15,7 +15,7 @@ annihilates the factor columns exactly while preserving the intercept:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .panels import FactorPanel, ReturnPanel, check_aligned
 
 __all__ = [
     "LatentFit",
+    "ObservedFit",
     "PanelFit",
     "regress_out_observed",
+    "fit_observed",
     "estimate_latent",
     "estimate_alpha",
     "long_run_variance",
@@ -86,6 +88,36 @@ def regress_out_observed(
     return loadings, adjusted
 
 
+def _centered_adjusted(returns: ReturnPanel, factors: FactorPanel) -> tuple[np.ndarray, np.ndarray]:
+    """The adjusted returns demeaned over time, in place, and their time means."""
+    _, centered = regress_out_observed(returns, factors)
+    means = centered.mean(axis=1)
+    centered -= means[:, None]
+    return centered, means
+
+
+class ObservedFit(NamedTuple):
+    """The regression of every return series on ``[1, F]``: its (p, n)
+    residuals ``centered``, the adjusted returns demeaned over time (None
+    once the full fit has read them); its (p,) ``intercepts``, their time
+    means, and ``rss``; and ``intercept_variance``, the variance of an
+    intercept per unit residual variance, ``1/n + mean(F)' (Fd'Fd)^{-1} mean(F)``."""
+
+    centered: Optional[np.ndarray]
+    intercepts: np.ndarray
+    rss: np.ndarray
+    intercept_variance: float
+
+
+@one_blas_thread()
+def fit_observed(returns: ReturnPanel, factors: FactorPanel) -> ObservedFit:
+    """The first pass of the three-step fit, kept with its ``[1, F]`` summaries."""
+    centered, intercepts = _centered_adjusted(returns, factors)
+    f_mean, fd = factors.values.mean(axis=0), demean_columns(factors.values)
+    variance = 1.0 / returns.n_periods + float(f_mean @ np.linalg.solve(fd.T @ fd, f_mean))
+    return ObservedFit(centered, intercepts, np.einsum("ij,ij->i", centered, centered), variance)
+
+
 def estimate_latent(
     adjusted: np.ndarray,
     rank: Optional[int] = None,
@@ -109,8 +141,12 @@ def estimate_latent(
     a = np.asarray(adjusted, dtype=float)
     if a.ndim != 2:
         raise DimensionError("adjusted returns must be a p-by-n matrix")
-    p, n = a.shape
-    centered = a - a.mean(axis=1, keepdims=True)
+    return _principal_components(a - a.mean(axis=1, keepdims=True), rank, max_rank)
+
+
+def _principal_components(centered: np.ndarray, rank: Optional[int], max_rank: int) -> LatentFit:
+    """:func:`estimate_latent` of the time-demeaned adjusted returns."""
+    p = centered.shape[0]
     gram = centered.T @ centered
     evals, evecs = np.linalg.eigh(gram)
     evals = evals[::-1].copy()
@@ -195,6 +231,7 @@ def estimate_alpha(
     returns: ReturnPanel,
     factors: FactorPanel,
     rank: Optional[int] = None,
+    observed: Optional[ObservedFit] = None,
 ) -> PanelFit:
     """Full three-step alpha estimate.
 
@@ -205,26 +242,29 @@ def estimate_alpha(
     rank
         Latent rank; estimated by the eigenvalue-ratio rule over at most
         ``MAX_RANK`` candidates when None.
+    observed
+        The :func:`fit_observed` of the same panels, to start from while it
+        holds its residuals; otherwise the regression is made here.
     """
+    if observed is None or observed.centered is None:
+        centered, mean_adjusted = _centered_adjusted(returns, factors)
+    else:
+        centered, mean_adjusted = observed.centered, observed.intercepts
     n, r_o = returns.n_periods, factors.n_factors
-    _, adjusted = regress_out_observed(returns, factors)
     # at least 1: a ReturnPanel has an entity and a FactorPanel n > r_o + 1 periods
     cap = min(MAX_RANK, returns.n_entities, n - r_o - 1)
-    latent = estimate_latent(adjusted, rank=rank, max_rank=cap)
+    latent = _principal_components(centered, rank, cap)
     b = latent.loadings_hat
-    mean_adjusted = adjusted.mean(axis=1)
     # least_squares also checks the rank of b, so the QR below sees a full-rank basis.
     premium = least_squares(b, mean_adjusted)
     q, _ = np.linalg.qr(b)
-    # In place, so that at most two (p, n) arrays of this fit are alive at once.
-    projected = q @ (q.T @ adjusted)
-    np.subtract(adjusted, projected, out=projected)
-    alpha_hat = projected.mean(axis=1)
-    projected -= alpha_hat[:, None]
+    # Residuals in place; the alphas are the projection of the time means.
+    residuals = q @ (q.T @ centered)
+    np.subtract(centered, residuals, out=residuals)
     return PanelFit(
-        alpha_hat=alpha_hat,
+        alpha_hat=mean_adjusted - q @ (q.T @ mean_adjusted),
         latent=latent,
-        residuals=projected,
+        residuals=residuals,
         mean_adjusted=mean_adjusted,
         latent_premium=premium,
     )

@@ -58,7 +58,8 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     -------
     ndarray, shape (k,) or (k, m)
         Coefficients minimizing the squared reconstruction error,
-        computed through a QR factorization.  They agree with scipy's
+        computed through a QR factorization whose triangular factor is
+        solved once, against ``q.T``.  They agree with scipy's
         ``solve_triangular`` on the same factors to within 1e-14 times
         their largest magnitude, not bit for bit.
 
@@ -90,7 +91,7 @@ def least_squares(design: np.ndarray, response: np.ndarray) -> np.ndarray:
         )
     np.asarray_chkfinite(b)  # a NaN response raises ValueError, not a NaN fit
     q, r = np.linalg.qr(a)
-    return np.linalg.solve(r, q.T @ b)
+    return np.linalg.solve(r, q.T) @ b
 
 
 # numpy's wheel bundles an OpenBLAS in ``numpy.libs``, with 64-bit integers

@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it on first use: load it with the package
 
-from .baselines import _bh_rejections, bh_statistics, sbh_from_fit, sn_from_fit
-from .estimation import PanelFit, estimate_alpha
+from .baselines import _bh_rejections, bh_from_fit, sbh_from_fit, sn_from_fit
+from .estimation import ObservedFit, PanelFit, estimate_alpha, fit_observed
 from .fdr import (
     NegativeControlConfig,
     _entity_mask,
@@ -544,10 +544,12 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
 class PanelFits:
     """The fits of one panel that the methods share, each made at most once.
 
-    ``full`` fits the whole panel and ``halves`` each chronological
-    half.  Both are made on first use, so a method list that needs only
-    one of them never makes the other, and :meth:`release` lets go of
-    one that no later method reads.
+    ``observed`` regresses the panel on its observed factors, ``full``
+    fits the whole panel from that regression, and ``halves`` each
+    chronological half.  Each is made on first use, and :meth:`release`
+    lets go of one that no later method reads.  The regression keeps its
+    (p, n) residuals for the full fit only until it or the halves are
+    made, so that no two fits hold panel-sized arrays at once.
     """
 
     def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
@@ -556,12 +558,23 @@ class PanelFits:
         self.rank = rank
 
     @cached_property
+    def observed(self) -> ObservedFit:
+        return fit_observed(self.returns, self.factors)
+
+    @cached_property
     def full(self) -> PanelFit:
-        return estimate_alpha(self.returns, self.factors, rank=self.rank)
+        fit = estimate_alpha(self.returns, self.factors, rank=self.rank, observed=self.observed)
+        self._drop_centered()
+        return fit
 
     @cached_property
     def halves(self) -> tuple[PanelFit, PanelFit]:
+        self._drop_centered()
         return fit_halves(self.returns, self.factors, self.rank)
+
+    def _drop_centered(self) -> None:
+        if "observed" in self.__dict__:
+            self.observed = self.observed._replace(centered=None)
 
     def release(self, name: str) -> None:
         """Drop the fit ``name`` (``"full"`` or ``"halves"``) if it was made;
@@ -595,9 +608,10 @@ class Method(NamedTuple):
         ``select_threshold`` with its ``threshold``, or ``bh_procedure``
         with ``p_cutoff``, the largest rejected p-value (0 when none).
     fit
-        The :class:`PanelFits` entry the statistic reads, ``"halves"`` or
-        ``"full"``; None for a method that fits no latent model, whose
-        result then carries its own ``alpha_hat`` and which has no latent rank.
+        The :class:`PanelFits` entry the statistic reads and releases,
+        ``"halves"`` or ``"full"``; None for a method that reads only
+        ``observed``, fits no latent model, carries its own ``alpha_hat``
+        and has no latent rank.
     """
 
     statistic: Callable
@@ -618,7 +632,7 @@ METHODS = {
         _threshold_rule,
         "halves",
     ),
-    "bh": Method(lambda fits: bh_statistics(fits.returns, fits.factors), _bh_rule, None),
+    "bh": Method(lambda fits: bh_from_fit(fits.observed, fits.returns, fits.factors), _bh_rule, None),
     "sbh": Method(
         lambda fits: sbh_from_fit(fits.full, fits.returns, fits.factors), _bh_rule, "full"
     ),

@@ -79,9 +79,9 @@ def fitted_lengths(monkeypatch):
     """Period count of every panel or half fitted by ``estimate_alpha``."""
     lengths = []
 
-    def counting(returns, factors, rank=None):
+    def counting(returns, factors, rank=None, observed=None):
         lengths.append(returns.n_periods)
-        return estimate_alpha(returns, factors, rank=rank)
+        return estimate_alpha(returns, factors, rank=rank, observed=observed)
 
     for module in (alphascreen.baselines, alphascreen.fdr, alphascreen.simulation):
         monkeypatch.setattr(module, "estimate_alpha", counting)

@@ -279,20 +279,31 @@ class TestDegenerateResidualVariance:
         assert np.all(np.isfinite(sbh_statistics(returns, factors).statistics))
         assert np.all(np.isfinite(sn_statistics(returns, factors).statistics))
 
-    def test_bh_statistics_leaves_its_inputs_and_equals_the_plain_expressions(self):
-        # the residuals are squared in place; this is the expression it replaced
-        sc = a.SimulationScenario(n=80, p=50, pi=0.1, nu=0.5, seed=4)
-        X, F, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 1))
+    @staticmethod
+    def assert_bh_is_plain_ols(X, F):
+        """``bh_statistics`` leaves its inputs and its z is the plain ``[1, F]``
+        OLS intercept t-statistic to within 1e-13 of max|z|: it reads the
+        regression that the full fit starts from instead of solving its own."""
         values, factors = X.values.copy(), F.values.copy()
         result = bh_statistics(X, F)
         assert np.array_equal(X.values, values) and np.array_equal(F.values, factors)
-        design = np.column_stack([np.ones(sc.n), F.values])
+        n = X.n_periods
+        design = np.column_stack([np.ones(n), F.values])
         coef = least_squares(design, X.values.T)
         resid = X.values - (design @ coef).T
-        sigma2 = np.sum(resid * resid, axis=1) / (sc.n - design.shape[1])
+        sigma2 = np.sum(resid * resid, axis=1) / (n - design.shape[1])
         _, r = np.linalg.qr(design)
         z = coef[0] / np.sqrt(sigma2 * float(np.sum(np.linalg.inv(r)[0, :] ** 2)))
-        assert np.array_equal(result.statistics, z)
+        assert np.max(np.abs(result.statistics - z)) <= 1e-13 * np.max(np.abs(z))
+        assert np.max(np.abs(result.alpha_hat - coef[0])) <= 1e-13 * np.max(np.abs(coef[0]))
+
+    def test_bh_statistics_leaves_its_inputs_and_equals_the_plain_expressions(self):
+        sc = a.SimulationScenario(n=80, p=50, pi=0.1, nu=0.5, seed=4)
+        self.assert_bh_is_plain_ols(*a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 1))[:2])
+
+    def test_bh_statistics_matches_the_plain_expressions_on_a_garch_arma_panel(self):
+        sc = a.table2_garch_arma_scenario(nu=0.3)
+        self.assert_bh_is_plain_ols(*a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 0))[:2])
 
 
 class TestSelfNormalized:

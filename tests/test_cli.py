@@ -214,6 +214,34 @@ class TestAnalyze:
         assert result.exit_code == 0, result.output
         assert sorted(fitted_lengths) == self.FITTED_LENGTHS[method]
 
+    def test_bh_alone_starts_no_latent_fit(self, runner, tmp_path, tiny_scenario, monkeypatch):
+        # every latent fit, estimate_latent's included, goes through this step
+        def refuse(*args, **kwargs):
+            raise AssertionError("a latent fit was started")
+
+        monkeypatch.setattr(a.estimation, "_principal_components", refuse)
+        rpath, fpath, X, F, _ = self.make_panel_files(tmp_path)
+        with pytest.raises(AssertionError, match="latent fit"):
+            a.estimate_latent(X.values)
+        args = ["--returns", str(rpath), "--factors", str(fpath), "--out"]
+        assert runner.invoke(main, ["analyze", *args, str(tmp_path / "sbh"), "--method", "sbh"]).exit_code == 1
+        result = runner.invoke(main, ["analyze", *args, str(tmp_path / "bh"), "--method", "bh"])
+        assert result.exit_code == 0, result.output
+        lines = read(tmp_path / "bh" / "selection.csv").splitlines()
+        assert ",rank_hat=," in lines[-1]
+        intercepts = np.linalg.lstsq(np.column_stack([np.ones(X.n_periods), F.values]), X.values.T)[0][0]
+        alpha_hat = np.array([float(row.split(",")[1]) for row in lines[1:-1]])
+        assert np.max(np.abs(alpha_hat - intercepts)) <= 1e-13 * np.max(np.abs(intercepts))
+
+        scenario = a.SimulationScenario.from_dict(json.loads(tiny_scenario.read_text()))
+        (_, detail, failures), = a.run_studies([scenario], ["bh"], [0.1], 2)
+        assert failures == [] and len(detail) == 2
+        result = runner.invoke(
+            main, ["simulate", "--scenario", str(tiny_scenario), "--method", "bh", "--reps", "2",
+                   "--out", str(tmp_path / "simulate")],
+        )
+        assert result.exit_code == 0 and "failed" not in result.output, result.output
+
     def test_selection_independent_of_the_environments_blas_threads(self, tmp_path):
         """Each method's ``selection.csv`` is the same byte for byte whether the
         environment caps OpenBLAS at one thread or leaves its thread count

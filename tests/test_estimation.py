@@ -269,10 +269,17 @@ class TestEstimateAlpha:
         adjusted = returns.values - loadings @ f.T
         assert np.array_equal(regress_out_observed(returns, fac)[1], adjusted)
         q, _ = np.linalg.qr(fit.latent.loadings_hat)
+        means = adjusted.mean(axis=1)
+        centered = adjusted - means[:, None]
+        assert np.array_equal(fit.mean_adjusted, means)
+        assert np.array_equal(fit.alpha_hat, means - q @ (q.T @ means))
+        assert np.array_equal(fit.residuals, centered - q @ (q.T @ centered))
+        # the projection of the uncentered returns, demeaned after, agrees to rounding
         projected = adjusted - q @ (q.T @ adjusted)
         alpha = projected.mean(axis=1)
-        assert np.array_equal(fit.alpha_hat, alpha)
-        assert np.array_equal(fit.residuals, projected - alpha[:, None])
+        assert np.max(np.abs(fit.alpha_hat - alpha)) <= 1e-13 * np.max(np.abs(alpha))
+        residuals = projected - alpha[:, None]
+        assert np.max(np.abs(fit.residuals - residuals)) <= 1e-13 * np.max(np.abs(residuals))
 
     def test_residuals_are_the_only_panel_sized_array(self):
         # a fit keeps one (p, n) array; everything else is (p, r), (r, n) or smaller

@@ -183,7 +183,7 @@ class TestOneBlasThread:
             (estimation, "least_squares", estimation.estimate_alpha),
             (simulation, "_assemble_panel", lambda *_: simulation.generate_panel(
                 _PANEL, np.random.default_rng(0))),
-            (baselines, "least_squares", baselines.bh_statistics),
+            (estimation, "least_squares", baselines.bh_statistics),
         ],
         ids=["estimate_alpha", "generate_panel", "bh_statistics"],
     )

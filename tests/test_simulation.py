@@ -682,6 +682,21 @@ class TestRunStudy:
         run_study_detailed(sc, list(METHODS), [0.1, 0.2], 2)
         assert sorted(fitted_lengths) == [30] * 4 + [60] * 2  # per replication: two halves, one panel
 
+    @pytest.mark.parametrize(
+        "methods", [list(METHODS), ["yd", "yd_r", "sbh", "sn", "bh"]], ids=["registry", "table1"]
+    )
+    def test_one_observed_factor_regression_per_panel_and_half(self, monkeypatch, methods):
+        lengths, regress = [], a.estimation.regress_out_observed
+
+        def counting(returns, factors):
+            lengths.append(returns.n_periods)
+            return regress(returns, factors)
+
+        monkeypatch.setattr(a.estimation, "regress_out_observed", counting)
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
+        sim._replication_rows(sc, 0, methods, [0.1])
+        assert sorted(lengths) == [30, 30, 60]
+
     def test_fits_only_what_the_methods_need(self):
         # rank 40 exceeds the 26 usable eigenvalues of a 30-period half, so
         # any half fit fails; the full-panel methods must never make one
@@ -709,7 +724,7 @@ class TestRunStudy:
     @pytest.mark.parametrize(
         "methods",
         [["yd", "yd_r", "sbh", "sn", "bh"], ["sn", "yd", "bh"], ["yd", "sbh", "yd_th", "sn"],
-         ["bh", "sbh", "yd_r", "sbh"]],
+         ["bh", "sbh", "yd_r", "sbh"], ["bh", "yd", "sbh"]],
         ids="-".join,
     )
     def test_released_fits_leave_the_rows_unchanged(self, methods):
@@ -931,7 +946,14 @@ class TestWorkingSet:
 
     def test_one_garch_arma_replication_holds_at_most_four_panels(self):
         # The compiled filter returns a new array, so the AR(1) step holds
-        # three panels; the generator must stay below the full fit's peak
-        # of about 3.55 panels, so that it does not raise a study's.
+        # three panels, and the generator's peak of about 3.25 panels is
+        # the replication's: each fit holds about 3.1.
         peak = self.peak_panels(a.table2_garch_arma_scenario(nu=0.3), list(METHODS))
         assert peak <= 4, f"{peak:.2f} panels"
+
+    def test_bh_before_the_halves_keeps_no_residuals_through_them(self):
+        # bh's regression residuals wait for the full fit, but not while the
+        # halves are fitted: that would hold one more panel through them
+        sc = a.table1_normal_scenario(nu=0.3)
+        extra = self.peak_panels(sc, ["bh", "yd", "sbh"]) - self.peak_panels(sc, ["yd", "sbh"])
+        assert extra <= 0.25, f"{extra:.2f} panels"
