@@ -9,8 +9,10 @@ replications 0-2 of all six methods at the levels 0.05, 0.10 and 0.15,
 every study row ``(method, beta, rep, fdp, power)`` together with the
 count and a sha256 of the rejected indices.  It also pins the
 ``selection.csv`` that ``analyze`` writes for each method on one saved
-panel.  ``tests/test_golden.py`` recomputes all of it with the functions
-below and compares.
+panel, and the latent rank and eigenvalue ratio of the full fit and of
+both half fits of one design whose ratio winner is the search cap
+``MAX_RANK``.  ``tests/test_golden.py`` recomputes all of it with the
+functions below and compares.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ REPLICATIONS = 3
 # small and with alphas strong enough that every method rejects some.
 PANEL_SCENARIO = ROOT / "scenarios" / "table1_normal_nu03.json"
 PANEL_CHANGES = dict(n=100, p=120, nu=0.6)
+# The design of the rank records: ten latent factors, so every fit's ratio
+# winner is rank 10 and a lower MAX_RANK changes it.
+RANK_SCENARIO = dict(n=100, p=120, pi=0.1, nu=0.6, r_total=13, r_observed=3, seed=7)
 
 
 def _scenario(path):
@@ -120,6 +125,18 @@ def selections(workdir: Path) -> dict:
     return out
 
 
+def fit_ranks() -> dict:
+    """``{fit: [rank_hat, eigen_ratio]}`` of the full fit and both half fits of
+    replication 0 of ``RANK_SCENARIO``."""
+    from alphascreen import PanelFits, SimulationScenario, generate_panel
+    from alphascreen.simulation import replication_rng
+
+    scenario = SimulationScenario(**RANK_SCENARIO)
+    fits = PanelFits(*generate_panel(scenario, replication_rng(scenario.seed, 0))[:2])
+    named = {"full": fits.full, "first_half": fits.halves[0], "second_half": fits.halves[1]}
+    return {name: [fit.latent.rank_hat, fit.latent.eigen_ratio] for name, fit in named.items()}
+
+
 def golden(workdir: Path) -> dict:
     rows, rejections = study_rows(1), rejection_sets()
     return {
@@ -128,6 +145,7 @@ def golden(workdir: Path) -> dict:
             for name in rows
         },
         "analyze": selections(workdir),
+        "ranks": fit_ranks(),
     }
 
 
@@ -142,7 +160,7 @@ def _write(data: dict, path: Path) -> None:
     for k, (method, record) in enumerate(data["analyze"].items()):
         items = ",\n".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in record.items())
         lines.append(f"{json.dumps(method)}: {{\n{items}\n}}" + ("," if k < len(data["analyze"]) - 1 else ""))
-    lines += ["}", "}"]
+    lines += ["},", f'"ranks": {json.dumps(data["ranks"])}', "}"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -56,3 +56,12 @@ def test_analyze_selections_are_pinned(tmp_path):
             assert np.max(np.abs(np.array(record[column]) - expected)) <= scale, (method, column)
         scale = RTOL * max(np.max(np.abs(pinned["statistic"])), abs(pinned["cutoff"]))
         assert record["cutoff"] == pinned["cutoff"] or abs(record["cutoff"] - pinned["cutoff"]) <= scale, method
+
+
+def test_fit_ranks_are_pinned():
+    # every fit's ratio winner is the search cap, so a lower MAX_RANK fails here
+    ranks = make_golden.fit_ranks()
+    assert list(ranks) == list(GOLDEN["ranks"])
+    for name, (rank_hat, eigen_ratio) in GOLDEN["ranks"].items():
+        assert ranks[name][0] == rank_hat, name
+        assert abs(ranks[name][1] - eigen_ratio) <= RTOL * eigen_ratio, name
