@@ -18,8 +18,8 @@ statistic providers feed it:
 (no latent adjustment) as the plain-BH reference point, from the (p,)
 summaries of the observed-factor regression that starts the full fit.
 
-``bh_from_fit`` reads an ``ObservedFit``, ``sbh_from_fit`` and
-``sn_from_fit`` a ``PanelFit``; the ``*_statistics`` forms fit first.
+``bh_from_fit`` reads an ``ObservedFit``, ``sn_from_fit`` a ``PanelFit``
+and ``sbh_from_fit`` both; the ``*_statistics`` forms fit first.
 """
 
 from __future__ import annotations
@@ -28,18 +28,16 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateNormalizerError
 from .estimation import ObservedFit, PanelFit, estimate_alpha, fit_observed
-from .linalg import demean_columns
 from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
     "PValueResult",
-    "normal_z",
     "bh_procedure",
     "bh_from_fit",
     "bh_statistics",
@@ -53,29 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PValueResult:
-    """Per-entity statistics with two-sided p-values.
-
-    alpha_hat
-        The per-entity OLS intercepts behind ``bh_from_fit``;
-        None for the other methods, whose alphas come from a ``PanelFit``.
-    """
+    """Per-entity statistics with two-sided p-values."""
 
     p_values: np.ndarray
     statistics: np.ndarray
-    alpha_hat: Optional[np.ndarray] = None
-
-
-def normal_z(alpha_hat, residual_variance, inflation, n_periods):
-    """Root-n scaled alphas studentized by inflated residual variances.
-
-    Invariant to rescaling any entity's alpha together with its variance
-    contribution (``c * alpha`` with ``c^2 * variance``).
-    """
-    return (
-        math.sqrt(n_periods)
-        * np.asarray(alpha_hat, dtype=float)
-        / np.sqrt(np.asarray(residual_variance, dtype=float) * inflation)
-    )
 
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -149,8 +128,8 @@ def bh_from_fit(observed: ObservedFit, returns: ReturnPanel, factors: FactorPane
 
     Ignores latent structure and serial dependence entirely; serves as
     the uncorrected baseline fed to ``bh_procedure``.  With latent
-    confounders carrying a nonzero premium the intercepts, returned as
-    ``alpha_hat``, are biased and cross-sectionally dependent.
+    confounders carrying a nonzero premium the intercepts,
+    ``observed.intercepts``, are biased and cross-sectionally dependent.
     ``returns`` and ``factors`` are the panels ``observed`` was fitted on.
     """
     _check_residual_variation(
@@ -159,7 +138,7 @@ def bh_from_fit(observed: ObservedFit, returns: ReturnPanel, factors: FactorPane
     sigma2 = observed.rss / (returns.n_periods - factors.n_factors - 1)
     z = observed.intercepts / np.sqrt(sigma2 * observed.intercept_variance)
     p = _two_sided_normal_p(z)
-    return PValueResult(p_values=p, statistics=z, alpha_hat=observed.intercepts)
+    return PValueResult(p_values=p, statistics=z)
 
 
 def bh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
@@ -167,7 +146,7 @@ def bh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     return bh_from_fit(fit_observed(returns, factors), returns, factors)
 
 
-def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
+def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> PValueResult:
     """Normal calibration of the three-step alphas of a fitted panel.
 
     The studentizer is the per-entity residual variance (sample second
@@ -175,8 +154,9 @@ def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> P
     cov(scores)^{-1} premium + mean(F)' cov(F)^{-1} mean(F)`` with
     plug-in estimates of the latent premium and score covariance,
     matching the i.i.d. asymptotic variance of the estimator when risk
-    premia are nonzero.  ``returns`` and ``factors`` are the panels the
-    fit was made with.
+    premia are nonzero; ``1 + mean(F)' cov(F)^{-1} mean(F)`` is
+    ``n * observed.intercept_variance``.  ``returns`` is the panel the
+    fits were made with.
     """
     n = fit.n_periods
     resid = fit.residuals
@@ -190,23 +170,18 @@ def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> P
     scores = fit.latent.scores
     score_cov = scores @ scores.T / n
     premium = fit.latent_premium
-    f = factors.values
-    f_centered = demean_columns(f)
-    f_cov = f_centered.T @ f_centered / n
-    f_mean = f.mean(axis=0)
     inflation = (
-        1.0
-        + float(premium @ np.linalg.solve(score_cov, premium))
-        + float(f_mean @ np.linalg.solve(f_cov, f_mean))
+        float(premium @ np.linalg.solve(score_cov, premium)) + n * observed.intercept_variance
     )
-    z = normal_z(fit.alpha_hat, var_e, inflation, n)
+    z = math.sqrt(n) * fit.alpha_hat / np.sqrt(var_e * inflation)
     p = _two_sided_normal_p(z)
     return PValueResult(p_values=p, statistics=z)
 
 
 def sbh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Normal calibration of the three-step alphas; see :func:`sbh_from_fit`."""
-    return sbh_from_fit(estimate_alpha(returns, factors), returns, factors)
+    observed = fit_observed(returns, factors)
+    return sbh_from_fit(estimate_alpha(returns, factors, observed=observed), observed, returns)
 
 
 # --- self-normalized calibration -------------------------------------------

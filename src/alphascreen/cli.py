@@ -238,10 +238,10 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     try:
         result = spec.statistic(fits)
         rejected, cutoff_name, cutoff = spec.rule(result, [beta])[0]
-        if spec.fit is not None:
-            alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
+        if spec.fit == "observed":
+            alpha_hat, rank_hat = fits.observed.intercepts, ""
         else:
-            alpha_hat, rank_hat = result.alpha_hat, ""
+            alpha_hat, rank_hat = fits.full.alpha_hat, fits.full.latent.rank_hat
     except AlphascreenError as exc:
         raise click.ClickException(str(exc)) from None
 

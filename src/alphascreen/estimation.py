@@ -118,11 +118,7 @@ def fit_observed(returns: ReturnPanel, factors: FactorPanel) -> ObservedFit:
     return ObservedFit(centered, intercepts, np.einsum("ij,ij->i", centered, centered), variance)
 
 
-def estimate_latent(
-    adjusted: np.ndarray,
-    rank: Optional[int] = None,
-    max_rank: int = MAX_RANK,
-) -> LatentFit:
+def estimate_latent(adjusted: np.ndarray, rank: Optional[int] = None) -> LatentFit:
     """Principal-component latent loadings from observed-factor-free returns.
 
     The adjusted returns are demeaned over time (the intercept column
@@ -130,7 +126,7 @@ def estimate_latent(
     outer product is obtained through the n-by-n Gram matrix so that no
     p-by-p object is ever formed.  When ``rank`` is not given it is
     chosen by maximizing consecutive eigenvalue ratios over the first
-    ``max_rank`` candidates above the degeneracy floor; ties go to the
+    ``MAX_RANK`` candidates above the degeneracy floor; ties go to the
     smallest index.
 
     Raises
@@ -141,11 +137,11 @@ def estimate_latent(
     a = np.asarray(adjusted, dtype=float)
     if a.ndim != 2:
         raise DimensionError("adjusted returns must be a p-by-n matrix")
-    return _principal_components(a - a.mean(axis=1, keepdims=True), rank, max_rank)
+    return _principal_components(a - a.mean(axis=1, keepdims=True), rank, MAX_RANK)
 
 
-def _principal_components(centered: np.ndarray, rank: Optional[int], max_rank: int) -> LatentFit:
-    """:func:`estimate_latent` of the time-demeaned adjusted returns."""
+def _principal_components(centered: np.ndarray, rank: Optional[int], cap: int) -> LatentFit:
+    """:func:`estimate_latent` of time-demeaned adjusted returns, searching at most ``cap`` ranks."""
     p = centered.shape[0]
     gram = centered.T @ centered
     evals, evecs = np.linalg.eigh(gram)
@@ -160,7 +156,7 @@ def _principal_components(centered: np.ndarray, rank: Optional[int], max_rank: i
 
     eigen_ratio = None
     if rank is None:
-        limit = min(int(max_rank), n_usable - 1)
+        limit = min(cap, n_usable - 1)
         if limit >= 1:
             ratios = evals[:limit] / evals[1 : limit + 1]
             best = int(np.argmax(ratios))

@@ -234,19 +234,22 @@ def negative_control_from_fit(fit: PanelFit, config: NegativeControlConfig) -> n
 
 def _entity_mask(indices: Iterable[int], n_entities: int) -> np.ndarray:
     """Boolean mask of length ``n_entities`` that marks the given indices."""
-    try:
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.intp))
-    except TypeError:  # a set or an iterator
-        idx = np.fromiter(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_entities):
-        raise ValueError("indices out of range")
+    idx = np.atleast_1d(np.asarray(indices))
+    if idx.dtype == object:  # a set or an iterator
+        idx = np.array(list(indices))
     mask = np.zeros(n_entities, dtype=bool)
+    if idx.size == 0:  # np.asarray([]) is float64
+        return mask
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= n_entities:
+        raise ValueError("indices out of range")
     mask[idx] = True
     return mask
 
 
 def fdp_power(rejected: Iterable[int], truth: Iterable[int], n_entities: int) -> FdrMetrics:
-    """Realized FDP and power of a rejection set against known non-nulls."""
+    """Realized FDP and power of rejected entity indices against known non-null ones."""
     return _fdp_power(_entity_mask(rejected, n_entities), _entity_mask(truth, n_entities))
 
 

@@ -547,9 +547,9 @@ class PanelFits:
     ``observed`` regresses the panel on its observed factors, ``full``
     fits the whole panel from that regression, and ``halves`` each
     chronological half.  Each is made on first use, and :meth:`release`
-    lets go of one that no later method reads.  The regression keeps its
-    (p, n) residuals for the full fit only until it or the halves are
-    made, so that no two fits hold panel-sized arrays at once.
+    lets go of one that no later method reads.  The full fit drops the
+    regression's (p, n) residuals, and a replication makes the halves
+    first, so that no two fits hold panel-sized arrays at once.
     """
 
     def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
@@ -564,21 +564,15 @@ class PanelFits:
     @cached_property
     def full(self) -> PanelFit:
         fit = estimate_alpha(self.returns, self.factors, rank=self.rank, observed=self.observed)
-        self._drop_centered()
+        self.observed = self.observed._replace(centered=None)
         return fit
 
     @cached_property
     def halves(self) -> tuple[PanelFit, PanelFit]:
-        self._drop_centered()
         return fit_halves(self.returns, self.factors, self.rank)
 
-    def _drop_centered(self) -> None:
-        if "observed" in self.__dict__:
-            self.observed = self.observed._replace(centered=None)
-
     def release(self, name: str) -> None:
-        """Drop the fit ``name`` (``"full"`` or ``"halves"``) if it was made;
-        its next use makes it again."""
+        """Drop the fit ``name`` if it was made; its next use makes it again."""
         self.__dict__.pop(name, None)
 
 
@@ -608,15 +602,15 @@ class Method(NamedTuple):
         ``select_threshold`` with its ``threshold``, or ``bh_procedure``
         with ``p_cutoff``, the largest rejected p-value (0 when none).
     fit
-        The :class:`PanelFits` entry the statistic reads and releases,
-        ``"halves"`` or ``"full"``; None for a method that reads only
-        ``observed``, fits no latent model, carries its own ``alpha_hat``
-        and has no latent rank.
+        The :class:`PanelFits` entry the statistic reads: ``"halves"``,
+        ``"full"`` or ``"observed"``, the last for a method that fits no
+        latent model and so has no latent rank.  A replication runs the
+        methods fit by fit in that order.
     """
 
     statistic: Callable
     rule: Callable
-    fit: Optional[str]
+    fit: str
 
 
 # The one place where method names are defined and dispatched.
@@ -632,36 +626,38 @@ METHODS = {
         _threshold_rule,
         "halves",
     ),
-    "bh": Method(lambda fits: bh_from_fit(fits.observed, fits.returns, fits.factors), _bh_rule, None),
+    "bh": Method(
+        lambda fits: bh_from_fit(fits.observed, fits.returns, fits.factors), _bh_rule, "observed"
+    ),
     "sbh": Method(
-        lambda fits: sbh_from_fit(fits.full, fits.returns, fits.factors), _bh_rule, "full"
+        lambda fits: sbh_from_fit(fits.full, fits.observed, fits.returns), _bh_rule, "full"
     ),
     "sn": Method(lambda fits: sn_from_fit(fits.full, fits.returns), _bh_rule, "full"),
 }
 
 
 def _replication_rows(scenario, replication, methods, betas, rank=None):
-    """``(method, beta, fdp, power)`` rows of one replication.
-
-    Each fit is released after the last method in ``methods`` that reads
-    it, so the replication holds no fit that no later method needs.
-    """
-    last_reader = {METHODS[name].fit: k for k, name in enumerate(methods)}
+    """``(method, beta, fdp, power)`` rows of one replication, in the order
+    of ``methods``.  The methods run fit by fit, the halves' first, then
+    the full fit's, then the observed regression's, and each fit is
+    released after its group."""
     rng = replication_rng(scenario.seed, replication)
     returns, factors, truth, _ = generate_panel(scenario, rng)
     p = returns.n_entities
     truth_mask = _entity_mask(truth, p)
     fits = PanelFits(returns, factors, rank=rank)
-    rows = []
-    for k, name in enumerate(methods):
-        method = METHODS[name]
-        result = method.statistic(fits)
-        if method.fit is not None and last_reader[method.fit] == k:
-            fits.release(method.fit)
-        for beta, (rejected, _, _) in zip(betas, method.rule(result, betas)):
-            m = _fdp_power(_entity_mask(rejected, p), truth_mask)
-            rows.append((name, beta, m.fdp, m.power))
-    return rows
+    rows = {}
+    for fit in ("halves", "full", "observed"):
+        for name in methods:
+            method = METHODS[name]
+            if method.fit != fit:
+                continue
+            rows[name] = []
+            for beta, (rejected, _, _) in zip(betas, method.rule(method.statistic(fits), betas)):
+                m = _fdp_power(_entity_mask(rejected, p), truth_mask)
+                rows[name].append((name, beta, m.fdp, m.power))
+        fits.release(fit)
+    return [row for name in methods for row in rows[name]]
 
 
 def _isolated(call: Callable) -> tuple:

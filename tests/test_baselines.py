@@ -16,7 +16,6 @@ from alphascreen.baselines import (
     _sn_test_rows_in_place,
     bh_procedure,
     bh_statistics,
-    normal_z,
     sbh_statistics,
     sn_from_fit,
     sn_pvalues,
@@ -132,24 +131,27 @@ def assert_pvalues_of_statistics(result):
 
 
 class TestNormalCalibration:
-    def test_zero_statistic_gives_unit_pvalue(self):
-        assert np.isclose(2.0 * stats.norm.sf(0.0), 1.0)
-        z = normal_z(np.zeros(3), np.ones(3), 1.0, 100)
-        assert np.allclose(2.0 * stats.norm.sf(np.abs(z)), 1.0)
-
-    def test_critical_value_mapping(self):
-        z = normal_z(np.array([1.96 / 10.0]), np.array([1.0]), 1.0, 100)
-        assert np.isclose(z[0], 1.96)
-        assert np.isclose(2.0 * stats.norm.sf(abs(z[0])), 0.05, atol=1e-3)
-
-    def test_studentization_scale_invariance(self):
-        rng = np.random.default_rng(1)
-        alpha = rng.standard_normal(8)
-        var = rng.uniform(0.5, 2.0, 8)
-        c = 7.3
-        z = normal_z(alpha, var, 1.4, 60)
-        z_scaled = normal_z(c * alpha, c**2 * var, 1.4, 60)
-        assert np.allclose(z, z_scaled)
+    @pytest.mark.parametrize(
+        "factory", [a.table1_normal_scenario, a.table2_garch_arma_scenario], ids=["table1", "table2"]
+    )
+    def test_sbh_equals_the_plain_expressions(self, factory):
+        # the factor term mean(F)' cov(F)^{-1} mean(F) from the demeaned
+        # factors and a solve, where sbh reads it off the observed regression
+        sc = factory(nu=0.3)
+        X, F, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 0))
+        fit = a.estimate_alpha(X, F)
+        n, scores, premium = fit.n_periods, fit.latent.scores, fit.latent_premium
+        var_e = np.mean(fit.residuals * fit.residuals, axis=1)
+        f_mean = F.values.mean(axis=0)
+        f_centered = F.values - f_mean
+        inflation = (
+            1.0
+            + float(premium @ np.linalg.solve(scores @ scores.T / n, premium))
+            + float(f_mean @ np.linalg.solve(f_centered.T @ f_centered / n, f_mean))
+        )
+        z = math.sqrt(n) * fit.alpha_hat / np.sqrt(var_e * inflation)
+        result = sbh_statistics(X, F)
+        assert np.max(np.abs(result.statistics - z)) <= 1e-13 * np.max(np.abs(z))
 
     def test_sbh_pvalues_match_statistics(self):
         sc = a.SimulationScenario(n=80, p=60, pi=0.1, nu=0.5, seed=2)
@@ -295,7 +297,8 @@ class TestDegenerateResidualVariance:
         _, r = np.linalg.qr(design)
         z = coef[0] / np.sqrt(sigma2 * float(np.sum(np.linalg.inv(r)[0, :] ** 2)))
         assert np.max(np.abs(result.statistics - z)) <= 1e-13 * np.max(np.abs(z))
-        assert np.max(np.abs(result.alpha_hat - coef[0])) <= 1e-13 * np.max(np.abs(coef[0]))
+        intercepts = a.estimation.fit_observed(X, F).intercepts
+        assert np.max(np.abs(intercepts - coef[0])) <= 1e-13 * np.max(np.abs(coef[0]))
 
     def test_bh_statistics_leaves_its_inputs_and_equals_the_plain_expressions(self):
         sc = a.SimulationScenario(n=80, p=50, pi=0.1, nu=0.5, seed=4)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from alphascreen.baselines import bh_statistics
 from alphascreen.errors import DimensionError, NoFactorStructureError
 from alphascreen.estimation import (
     estimate_alpha,
     estimate_latent,
+    fit_observed,
     long_run_variance,
     regress_out_observed,
 )
@@ -37,7 +37,7 @@ def simulate_confounded(
 
 
 def ols_intercepts(returns, factors):
-    return bh_statistics(returns, factors).alpha_hat
+    return fit_observed(returns, factors).intercepts
 
 
 def design_orthogonal_noise(factors, p, rng, sd=0.1):

@@ -269,6 +269,17 @@ class TestEvaluate:
         assert m.power == 1.0
         assert m.v_count == 1 and m.r_count == 3
 
+    @pytest.mark.parametrize(
+        "indices, dtype",
+        [(np.array([False, False, True, True]), "bool"), ([2.9, 3.9], "float64")],
+        ids=["boolean-mask", "floats"],
+    )
+    def test_mask_or_floats_refused(self, indices, dtype):
+        # read as indices, the mask named entities 0 and 1 and the floats 2 and 3
+        for rejected, truth in ((indices, [3]), ([3], indices)):
+            with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+                fdp_power(rejected, truth, 4)
+
     def test_yd_method_end_to_end(self):
         sc = a.SimulationScenario(n=80, p=120, pi=0.1, nu=0.8, seed=11)
         rng = a.simulation.replication_rng(sc.seed, 0)

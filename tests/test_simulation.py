@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.machinery
+import itertools
 import json
 import math
 import multiprocessing
@@ -734,22 +735,25 @@ class TestRunStudy:
             assert sim._replication_rows(sc, rep, methods, [0.1, 0.2]) == expected
 
     @pytest.mark.parametrize(
-        "methods, kept",
-        [(["yd", "probe"], False), (["yd", "probe", "yd_r"], True), (["probe"], False)],
-        ids=["last-reader", "read-later", "never-made"],
+        "methods", list(itertools.permutations(["yd", "reads_full", "reads_observed"])), ids="-".join
     )
-    def test_a_fit_is_released_after_its_last_reader(self, monkeypatch, methods, kept):
-        seen = []
+    def test_each_fit_is_released_before_a_later_fits_methods(self, monkeypatch, methods):
+        # whatever the order of the methods, the full fit's methods find no
+        # halves and the observed regression's neither halves nor full fit
+        seen = {}
 
-        def statistic(fits):
-            seen.append("halves" in vars(fits))
-            return METHODS["sn"].statistic(fits)
+        def probe(like):
+            def statistic(fits):
+                seen[like.fit] = sorted({"halves", "full"} & set(vars(fits)))
+                return like.statistic(fits)
 
-        probe = METHODS["sn"]._replace(statistic=statistic)
-        monkeypatch.setattr(sim, "METHODS", {**METHODS, "probe": probe})
+            return like._replace(statistic=statistic)
+
+        probes = {"reads_full": probe(METHODS["sn"]), "reads_observed": probe(METHODS["bh"])}
+        monkeypatch.setattr(sim, "METHODS", {**METHODS, **probes})
         sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
-        sim._replication_rows(sc, 0, methods, [0.1])
-        assert seen == [kept]
+        sim._replication_rows(sc, 0, list(methods), [0.1])
+        assert seen == {"full": [], "observed": []}
 
     def test_each_fit_made_once_when_read_apart(self, fitted_lengths):
         sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
