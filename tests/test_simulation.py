@@ -735,9 +735,9 @@ class TestRunStudy:
             assert sim._replication_rows(sc, rep, methods, [0.1, 0.2]) == expected
 
     @pytest.mark.parametrize(
-        "methods", list(itertools.permutations(["yd", "reads_full", "reads_observed"])), ids="-".join
+        "methods", list(itertools.permutations(["yd", "on_full", "on_obs"])), ids="-".join
     )
-    def test_each_fit_is_released_before_a_later_fits_methods(self, monkeypatch, methods):
+    def test_fits_are_released_group_by_group(self, monkeypatch, methods):
         # whatever the order of the methods, the full fit's methods find no
         # halves and the observed regression's neither halves nor full fit
         seen = {}
@@ -749,7 +749,7 @@ class TestRunStudy:
 
             return like._replace(statistic=statistic)
 
-        probes = {"reads_full": probe(METHODS["sn"]), "reads_observed": probe(METHODS["bh"])}
+        probes = {"on_full": probe(METHODS["sn"]), "on_obs": probe(METHODS["bh"])}
         monkeypatch.setattr(sim, "METHODS", {**METHODS, **probes})
         sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
         sim._replication_rows(sc, 0, list(methods), [0.1])
