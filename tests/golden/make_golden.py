@@ -12,7 +12,10 @@ count and a sha256 of the rejected indices.  It also pins the
 panel, and the latent rank and eigenvalue ratio of the full fit and of
 both half fits of one design whose ratio winner is the search cap
 ``MAX_RANK``.  ``tests/test_golden.py`` recomputes all of it with the
-functions below and compares.
+functions below and compares.  Each rewrite prints what it changed in the
+file it replaces: per method, the largest change of each ``analyze``
+column as a share of that column's largest magnitude, and the number of
+changed study rows, rejection digests and ranks.
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ import contextlib
 import hashlib
 import io as _io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
@@ -164,14 +170,54 @@ def _write(data: dict, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _share(old, new) -> float:
+    """Largest change from ``old`` to ``new`` over the largest ``|old|``."""
+    old, new = np.atleast_1d(np.asarray(old, dtype=float)), np.atleast_1d(np.asarray(new, dtype=float))
+    if old.shape != new.shape:
+        return math.inf
+    change, scale = float(np.max(np.abs(new - old), initial=0.0)), float(np.max(np.abs(old), initial=0.0))
+    return change / scale if scale > 0.0 else change
+
+
+def drift(old: dict, new: dict) -> list[str]:
+    """The lines that describe how ``new`` differs from ``old``, the file it replaces."""
+    lines = []
+    for method, record in new["analyze"].items():
+        pinned = old["analyze"].get(method)
+        if pinned is None:
+            lines.append(f"analyze {method}: not in the old file")
+            continue
+        shares = [f"{key} {_share(pinned[key], record[key]):.2g}" for key in ("alpha_hat", "statistic", "cutoff")]
+        rejected = "same" if record["rejected"] == pinned["rejected"] else "changed"
+        lines.append(f"analyze {method}: " + ", ".join(shares) + f"; rejected ids {rejected}")
+    rows = digests = 0
+    for name, new_rows in new["studies"].items():
+        old_rows = old["studies"].get(name, [])
+        pairs = list(zip(old_rows, new_rows))
+        unpaired = abs(len(old_rows) - len(new_rows))
+        rows += unpaired + sum(a[:5] != b[:5] for a, b in pairs)
+        digests += unpaired + sum(a[5:] != b[5:] for a, b in pairs)
+    ranks = sum(old["ranks"].get(fit, [None])[0] != rank for fit, (rank, _) in new["ranks"].items())
+    ratios = max(
+        (_share(old["ranks"][fit][1], ratio) for fit, (_, ratio) in new["ranks"].items() if fit in old["ranks"]),
+        default=0.0,
+    )
+    lines.append(f"changed: {rows} study rows, {digests} rejection digests, {ranks} ranks")
+    lines.append(f"eigenvalue ratios: largest relative change {ratios:.2g}")
+    return lines
+
+
 def main() -> None:
     import tempfile
 
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else None
     with tempfile.TemporaryDirectory() as workdir:
         data = golden(Path(workdir))
     _write(data, GOLDEN)
     assert json.loads(GOLDEN.read_text()) == data
     print(f"wrote {GOLDEN}")
+    for line in drift(old, data) if old is not None else ():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -65,3 +65,17 @@ def test_fit_ranks_are_pinned():
     for name, (rank_hat, eigen_ratio) in GOLDEN["ranks"].items():
         assert ranks[name][0] == rank_hat, name
         assert abs(ranks[name][1] - eigen_ratio) <= RTOL * eigen_ratio, name
+
+
+def test_a_rewrite_reports_its_drift():
+    assert make_golden.drift(GOLDEN, GOLDEN)[-2:] == [
+        "changed: 0 study rows, 0 rejection digests, 0 ranks",
+        "eigenvalue ratios: largest relative change 0",
+    ]
+    moved = json.loads(json.dumps(GOLDEN))
+    moved["analyze"]["yd"]["statistic"][0] += 1e-3 * np.max(np.abs(moved["analyze"]["yd"]["statistic"]))
+    moved["studies"]["dense_alpha.json"][0][3] += 0.5
+    moved["ranks"]["full"][0] += 1
+    lines = make_golden.drift(GOLDEN, moved)
+    assert lines[0].startswith("analyze yd: alpha_hat 0, statistic 0.001, cutoff 0;")
+    assert lines[-2] == "changed: 1 study rows, 0 rejection digests, 1 ranks"
