@@ -207,7 +207,7 @@ class PanelFit:
     mean_adjusted
         (p,) time means of the observed-factor-free returns.
     latent_premium
-        Coefficients of ``mean_adjusted`` regressed on the latent loadings.
+        ``mean_adjusted`` regressed on the latent loadings ``b``: ``b' mean_adjusted / p``, as ``b'b = p I``.
     """
 
     alpha_hat: np.ndarray
@@ -231,6 +231,9 @@ def estimate_alpha(
 ) -> PanelFit:
     """Full three-step alpha estimate.
 
+    The cross-sectional pass reads the loadings' normalization ``b'b = p I``:
+    a regression on ``b`` is ``b'(.)/p``, with no factorization.
+
     Parameters
     ----------
     returns, factors
@@ -250,15 +253,12 @@ def estimate_alpha(
     # at least 1: a ReturnPanel has an entity and a FactorPanel n > r_o + 1 periods
     cap = min(MAX_RANK, returns.n_entities, n - r_o - 1)
     latent = _principal_components(centered, rank, cap)
-    b = latent.loadings_hat
-    # least_squares also checks the rank of b, so the QR below sees a full-rank basis.
-    premium = least_squares(b, mean_adjusted)
-    q, _ = np.linalg.qr(b)
-    # Residuals in place; the alphas are the projection of the time means.
-    residuals = q @ (q.T @ centered)
+    b, p = latent.loadings_hat, returns.n_entities
+    premium = b.T @ mean_adjusted / p
+    residuals = b @ latent.scores  # latent.scores is b' centered / p; subtracted in place
     np.subtract(centered, residuals, out=residuals)
     return PanelFit(
-        alpha_hat=mean_adjusted - q @ (q.T @ mean_adjusted),
+        alpha_hat=mean_adjusted - b @ premium,
         latent=latent,
         residuals=residuals,
         mean_adjusted=mean_adjusted,

@@ -255,7 +255,7 @@ class TestEstimateAlpha:
         assert np.array_equal(scores, (fit.latent.loadings_hat.T @ centered) / p)
 
     def test_in_place_steps_equal_the_plain_expressions(self):
-        # the fit subtracts in place; these are the expressions it replaced
+        # the fit subtracts in place; these are the expressions it stands for
         n, p = 60, 40
         returns, fac, _, _ = simulate_confounded(
             n, p, r_o=2, r_c=2, alpha=np.linspace(-0.5, 0.5, p),
@@ -268,18 +268,40 @@ class TestEstimateAlpha:
         loadings = least_squares(demean_columns(f), returns.values.T).T
         adjusted = returns.values - loadings @ f.T
         assert np.array_equal(regress_out_observed(returns, fac)[1], adjusted)
-        q, _ = np.linalg.qr(fit.latent.loadings_hat)
+        b = fit.latent.loadings_hat
         means = adjusted.mean(axis=1)
         centered = adjusted - means[:, None]
         assert np.array_equal(fit.mean_adjusted, means)
-        assert np.array_equal(fit.alpha_hat, means - q @ (q.T @ means))
-        assert np.array_equal(fit.residuals, centered - q @ (q.T @ centered))
-        # the projection of the uncentered returns, demeaned after, agrees to rounding
-        projected = adjusted - q @ (q.T @ adjusted)
-        alpha = projected.mean(axis=1)
-        assert np.max(np.abs(fit.alpha_hat - alpha)) <= 1e-13 * np.max(np.abs(alpha))
-        residuals = projected - alpha[:, None]
+        assert np.array_equal(fit.latent_premium, b.T @ means / p)
+        assert np.array_equal(fit.alpha_hat, means - b @ (b.T @ means / p))
+        assert np.array_equal(fit.residuals, centered - b @ (b.T @ centered / p))
+        # the QR projections, of the time means and of the uncentered returns, agree to rounding
+        q, _ = np.linalg.qr(b)
+        for alpha in (means - q @ (q.T @ means), (adjusted - q @ (q.T @ adjusted)).mean(axis=1)):
+            assert np.max(np.abs(fit.alpha_hat - alpha)) <= 1e-13 * np.max(np.abs(alpha))
+        residuals = centered - q @ (q.T @ centered)
         assert np.max(np.abs(fit.residuals - residuals)) <= 1e-13 * np.max(np.abs(residuals))
+
+    @pytest.mark.parametrize("design", ["table1_normal", "table2_garch_arma"])
+    def test_normalized_loadings_make_the_pass_a_projection(self, design):
+        # b'b = p I is what lets the cross-sectional pass skip a factorization
+        from alphascreen import simulation
+
+        scenario = getattr(simulation, f"{design}_scenario")(nu=0.3)
+        returns, fac, _, _ = simulation.generate_panel(scenario, simulation.replication_rng(scenario.seed, 0))
+        p = returns.n_entities
+        adjusted = regress_out_observed(returns, fac)[1]
+        means = adjusted.mean(axis=1)
+        centered = adjusted - means[:, None]
+        for rank in (None, 10, 50):
+            fit = estimate_alpha(returns, fac, rank=rank)
+            b = fit.latent.loadings_hat
+            assert np.max(np.abs(b.T @ b / p - np.eye(b.shape[1]))) <= 1e-13, rank
+            q, _ = np.linalg.qr(b)
+            alpha = means - q @ (q.T @ means)
+            assert np.max(np.abs(fit.alpha_hat - alpha)) <= 1e-13 * np.max(np.abs(alpha)), rank
+            residuals = centered - q @ (q.T @ centered)
+            assert np.max(np.abs(fit.residuals - residuals)) <= 1e-13 * np.max(np.abs(residuals)), rank
 
     def test_residuals_are_the_only_panel_sized_array(self):
         # a fit keeps one (p, n) array; everything else is (p, r), (r, n) or smaller
