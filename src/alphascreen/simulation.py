@@ -91,7 +91,6 @@ class ArmaComponent:
     weight: float
     ar: tuple = ()
     ma: tuple = ()
-    sd: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "ar", tuple(float(c) for c in self.ar))
@@ -99,8 +98,6 @@ class ArmaComponent:
         # Each range is written so that NaN and the infinities fail it.
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"component weight must lie in [0, 1], got {self.weight}")
-        if not 0.0 < self.sd < math.inf:
-            raise ValueError(f"component sd must be finite and positive, got {self.sd}")
         _require_finite("component ar", self.ar)
         _require_finite("component ma", self.ma)
         if not _poly_roots_outside_unit_circle([-c for c in self.ar]):
@@ -119,7 +116,7 @@ class ArmaComponent:
         impulse = np.zeros(ARMA_BURN_IN)
         impulse[0] = 1.0
         psi = lfilter(ma_poly, ar_poly, impulse)
-        return self.sd * math.sqrt(float(np.sum(psi * psi)))
+        return math.sqrt(float(np.sum(psi * psi)))
 
 
 def default_arma_mixture() -> tuple:
@@ -446,7 +443,7 @@ def arma_mixture_errors(
         rows = np.flatnonzero(assign == k)
         if rows.size == 0:
             continue
-        innov = comp.sd * draws[starts[rows, None] + np.arange(n + ARMA_BURN_IN)]
+        innov = draws[starts[rows, None] + np.arange(n + ARMA_BURN_IN)]
         ma_poly, ar_poly = comp.polynomials()
         filtered = lfilter(ma_poly, ar_poly, innov)[:, ARMA_BURN_IN:]
         out[rows] = filtered / comp.stationary_sd()

@@ -215,10 +215,10 @@ def lfilter_arma_mixture_errors(n, p, mixture, rng):
     impulse[0] = 1.0
     for k, comp in enumerate(mixture):
         rows = np.flatnonzero(assign == k)
-        innov = comp.sd * draws[starts[rows, None] + np.arange(n + sim.ARMA_BURN_IN)]
+        innov = draws[starts[rows, None] + np.arange(n + sim.ARMA_BURN_IN)]
         ma_poly, ar_poly = comp.polynomials()
         psi = lfilter(ma_poly, ar_poly, impulse)
-        sd = comp.sd * math.sqrt(float(np.sum(psi * psi)))
+        sd = math.sqrt(float(np.sum(psi * psi)))
         out[rows] = lfilter(ma_poly, ar_poly, innov, axis=1)[:, sim.ARMA_BURN_IN :] / sd
     return out
 
@@ -237,7 +237,7 @@ class TestCompiledFilter:
         impulse = np.zeros(sim.ARMA_BURN_IN)
         impulse[0] = 1.0
         psi = lfilter(ma_poly, ar_poly, impulse)
-        assert comp.stationary_sd() == comp.sd * math.sqrt(float(np.sum(psi * psi)))
+        assert comp.stationary_sd() == math.sqrt(float(np.sum(psi * psi)))
 
     def test_mixture_errors_equal_lfilter(self, filter_path):
         mixture = default_arma_mixture()
@@ -361,7 +361,6 @@ class TestScenario:
         "loading_cov": ("loading_cov", 2, 2),
         "garch_params": ("garch_params", 3, 0),
         "component weight": ("arma_mixture", 0, "weight"),
-        "component sd": ("arma_mixture", 1, "sd"),
         "component ar": ("arma_mixture", 2, "ar", 0),
         "component ma": ("arma_mixture", 2, "ma", 0),
     }
@@ -402,6 +401,10 @@ class TestScenario:
                 "arma_mixture entries must be ArmaComponent fields: .*'sigma'",
             ),
             (
+                dict(arma_mixture=[dict(weight=0.1, sd=1.0)]),
+                "arma_mixture entries must be ArmaComponent fields: .*'sd'",
+            ),
+            (
                 dict(garch_params=((0.1, 0.1, 0.8),) * 6),
                 r"^garch_params must hold 7 \(omega, a1, b1\) triples$",
             ),
@@ -417,7 +420,7 @@ class TestScenario:
             "infinite_hetero", "indefinite_factor_cov", "asymmetric_factor_cov",
             "indefinite_loading_cov", "loading_mean_shape", "hetero_triple",
             "ragged_factor_cov", "ragged_loading_mean", "ragged_loading_cov",
-            "unknown_arma_key", "garch_count", "n_too_short", "unknown_temporal_mode",
+            "unknown_arma_key", "removed_arma_sd", "garch_count", "n_too_short", "unknown_temporal_mode",
             "mixture_weights_above_one",
         ],
     )
