@@ -109,9 +109,11 @@ def _load_scenario(path: str, seed: int | None) -> SimulationScenario:
 
 
 def _outdir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise click.UsageError(f"cannot use {path} as the output directory: {exc.strerror}") from None
+    return Path(path)
 
 
 def _write_detail_csv(detail_rows, path):

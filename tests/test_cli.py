@@ -616,6 +616,27 @@ def _package_env():
     return env
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "replicate-table"])
+    def test_a_file_in_the_way_is_usage_error(self, runner, tmp_path, tiny_scenario, command, under):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        if command == "simulate":
+            args = ["simulate", "--scenario", str(tiny_scenario), "--reps", "1"]
+        elif command == "analyze":
+            rpath, fpath, _, _, _ = TestAnalyze().make_panel_files(tmp_path)
+            args = ["analyze", "--returns", str(rpath), "--factors", str(fpath)]
+        else:
+            args = ["replicate-table", "1", "--reps", "1"]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot use {out} as the output directory" in result.output
+        assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+        assert blocker.read_text() == ""
+
+
 class TestImport:
     def test_leaves_scipy_unimported(self):
         """Each CLI call imports the package in a fresh process; scipy's own
