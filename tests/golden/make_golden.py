@@ -24,7 +24,6 @@ import contextlib
 import hashlib
 import io as _io
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -172,11 +171,9 @@ def _write(data: dict, path: Path) -> None:
 
 def _share(old, new) -> float:
     """Largest change from ``old`` to ``new`` over the largest ``|old|``."""
-    old, new = np.atleast_1d(np.asarray(old, dtype=float)), np.atleast_1d(np.asarray(new, dtype=float))
-    if old.shape != new.shape:
-        return math.inf
-    change, scale = float(np.max(np.abs(new - old), initial=0.0)), float(np.max(np.abs(old), initial=0.0))
-    return change / scale if scale > 0.0 else change
+    old = np.asarray(old, dtype=float)
+    change, scale = np.max(np.abs(np.asarray(new, dtype=float) - old)), np.max(np.abs(old))
+    return float(change / scale if scale > 0.0 else change)
 
 
 def drift(old: dict, new: dict) -> list[str]:
