@@ -946,8 +946,7 @@ class TestWorkingSet:
     @pytest.mark.parametrize("factory", [a.table1_normal_scenario, a.table1_lognormal_scenario])
     def test_one_table1_replication_holds_at_most_four_panels(self, factory):
         # A two-thread pool holds two replications at once, so a study's peak
-        # resident size grows with this peak; it was 6.2 panels before fits
-        # were released early and temporaries made in place.
+        # resident size grows with this peak.
         peak = self.peak_panels(factory(nu=0.3), ["yd", "yd_r", "sbh", "sn", "bh"])
         assert peak <= 4, f"{peak:.2f} panels"
 
