@@ -76,20 +76,20 @@ def _two_sided_normal_p(z: np.ndarray) -> np.ndarray:
 DEGENERATE_RSS_RTOL = 1e-20
 
 
-def _check_residual_variation(rss: np.ndarray, rows: np.ndarray, message: str) -> None:
+def _check_residual_variation(rss: np.ndarray, returns: ReturnPanel, message: str) -> None:
     """Raise ``DegenerateNormalizerError(message)`` if a row's fit left only rounding.
 
-    ``rss`` holds the residual sums of squares of the (p, n) ``rows``.  A
-    row counts as fitted exactly when ``rss`` is at most
+    ``rss`` holds the residual sums of squares of the rows of ``returns``.
+    A row counts as fitted exactly when ``rss`` is at most
     ``DEGENERATE_RSS_RTOL`` times its total sum of squares about its
     mean, or when the row is constant and so has no such total.
     """
-    # The total about the mean is at most the sum of squares about zero, so
-    # rows above that bound pass without the slower exact test.
-    suspect = rss <= DEGENERATE_RSS_RTOL * np.einsum("ij,ij->i", rows, rows)
+    # The total about the mean is at most the sum of squares about zero, which
+    # the panel keeps, so rows above that bound pass without the exact test.
+    suspect = rss <= DEGENERATE_RSS_RTOL * returns.row_squares
     if not suspect.any():
         return
-    rows = rows[suspect]
+    rows = returns.values[suspect]
     centered = rows - rows.mean(axis=1, keepdims=True)
     tss = np.einsum("ij,ij->i", centered, centered)
     if np.any((rss[suspect] <= DEGENERATE_RSS_RTOL * tss) | (np.ptp(rows, axis=1) == 0.0)):
@@ -133,7 +133,7 @@ def bh_from_fit(observed: ObservedFit, returns: ReturnPanel, factors: FactorPane
     ``returns`` and ``factors`` are the panels ``observed`` was fitted on.
     """
     _check_residual_variation(
-        observed.rss, returns.values, "an entity has no OLS residual variance beyond rounding"
+        observed.rss, returns, "an entity has no OLS residual variance beyond rounding"
     )
     sigma2 = observed.rss / (returns.n_periods - factors.n_factors - 1)
     z = observed.intercepts / np.sqrt(sigma2 * observed.intercept_variance)
@@ -163,7 +163,7 @@ def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> 
     var_e = np.mean(resid * resid, axis=1)
     _check_residual_variation(
         n * var_e,
-        returns.values,
+        returns,
         "an entity has no residual variance beyond rounding; cannot studentize",
     )
 
@@ -257,7 +257,7 @@ def sn_from_fit(fit: PanelFit, returns: ReturnPanel) -> PValueResult:
     resid = fit.residuals
     _check_residual_variation(
         np.einsum("ij,ij->i", resid, resid),
-        returns.values,
+        returns,
         "an entity has no residual variance beyond rounding; the self-normalizer is degenerate",
     )
     contributions = resid + fit.alpha_hat[:, None]

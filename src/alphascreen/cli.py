@@ -3,6 +3,10 @@
 Exit codes follow the usual discipline: 0 on success, 1 on runtime
 failure, 2 on configuration or usage errors.  Every option can also be
 supplied through an ``ALPHASCREEN_``-prefixed environment variable.
+
+The study commands import the study runner (:mod:`.simulation`, with
+``numpy.random`` and a thread pool) when they run, so that ``analyze``
+loads neither.
 """
 
 from __future__ import annotations
@@ -21,20 +25,8 @@ from . import io
 from .io import fmt
 from .errors import AlignmentError, AlphascreenError
 from .linalg import one_blas_thread, park_blas_workers
+from .methods import METHODS, PanelFits
 from .panels import check_aligned
-from .simulation import (
-    METHODS,
-    PanelFits,
-    SimulationScenario,
-    generate_panel,
-    replication_rng,
-    run_studies,
-    run_study_detailed,
-    table1_lognormal_scenario,
-    table1_normal_scenario,
-    table2_garch_arma_scenario,
-    figure1_hetero_scenario,
-)
 
 # Reference values for the comparison column of the replicate command:
 # (fdr@5%, fdr@10%, fdr@15%, power@5%, power@10%, power@15%) per method.
@@ -68,12 +60,8 @@ _TRIM_THRESHOLD_BYTES = 128 << 20
 
 _TABLE_BETAS = (0.05, 0.10, 0.15)
 _TABLE_METHODS = ("yd", "yd_r", "sbh", "sn", "bh")
-# The (label, scenario factory) blocks of each built-in study design.
-_TABLE_BLOCKS = {
-    "1": (("1-normal", table1_normal_scenario), ("1-lognormal", table1_lognormal_scenario)),
-    "2": (("2", table2_garch_arma_scenario),),
-    "figure1": (("figure1", figure1_hetero_scenario),),
-}
+# The built-in study designs; _table_scenarios holds their blocks.
+_TABLES = ("1", "2", "figure1")
 
 # Replication counts, worker counts and latent ranks.
 _POSITIVE = click.IntRange(min=1)
@@ -100,7 +88,10 @@ def _check_betas(betas: list[float]) -> list[float]:
     return betas
 
 
-def _load_scenario(path: str, seed: int | None) -> SimulationScenario:
+def _load_scenario(path: str, seed: int | None):
+    """The ``SimulationScenario`` in the JSON file at ``path``, at ``seed`` if given."""
+    from .simulation import SimulationScenario
+
     try:
         scenario = SimulationScenario.from_dict(json.loads(Path(path).read_text()))
         return scenario if seed is None else replace(scenario, seed=seed)
@@ -189,6 +180,8 @@ def main(ctx):
 @click.option("--out", "output_dir", default=".", show_default=True, help="output directory")
 def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir):
     """Run one method across replications of a scenario and write reports."""
+    from .simulation import generate_panel, replication_rng, run_study_detailed
+
     betas = _check_betas(_parse_floats(beta, "beta"))
     scenario = _load_scenario(scenario_path, seed)
     out = _outdir(output_dir)
@@ -262,8 +255,16 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
 
 
 def _table_scenarios(table: str, nus: list[float], seed):
+    from . import simulation as sim
+
+    # the (label, scenario factory) blocks of each built-in study design
+    blocks = {
+        "1": (("1-normal", sim.table1_normal_scenario), ("1-lognormal", sim.table1_lognormal_scenario)),
+        "2": (("2", sim.table2_garch_arma_scenario),),
+        "figure1": (("figure1", sim.figure1_hetero_scenario),),
+    }
     out = []
-    for label, factory in _TABLE_BLOCKS[table]:
+    for label, factory in blocks[table]:
         for nu in nus:
             scenario = factory(nu=nu)
             if seed is not None:
@@ -273,7 +274,7 @@ def _table_scenarios(table: str, nus: list[float], seed):
 
 
 @main.command("replicate-table")
-@click.argument("table", type=click.Choice(list(_TABLE_BLOCKS)))
+@click.argument("table", type=click.Choice(_TABLES))
 @click.option("--nu", default="0.3", show_default=True, help="comma-separated signal strengths")
 @click.option("--reps", default=300, type=_POSITIVE, show_default=True)
 @click.option("--seed", default=None, type=int)
@@ -281,6 +282,8 @@ def _table_scenarios(table: str, nus: list[float], seed):
 @click.option("--out", "output_dir", default=".", show_default=True)
 def replicate_table(table, nu, reps, seed, threads, output_dir):
     """Re-run a built-in study design (TABLE is 1, 2 or figure1)."""
+    from .simulation import run_studies
+
     nus = _parse_floats(nu, "nu")
     try:
         blocks = _table_scenarios(table, nus, seed)

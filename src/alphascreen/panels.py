@@ -6,7 +6,7 @@ read-only float arrays, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,9 +16,10 @@ from .linalg import RANK_RTOL, demean_columns
 __all__ = ["ReturnPanel", "FactorPanel", "check_aligned"]
 
 
-def _freeze(values, shape_name: str) -> tuple[np.ndarray, float]:
-    """The values as a read-only 2-d float array, and their sum of squares,
-    which is inf when it overflows.  A non-finite value is refused.
+def _freeze(values, shape_name: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """The values as a read-only 2-d float array, each row's sum of squares,
+    and the rows' total, which is inf when it overflows.  A non-finite value
+    is refused.
 
     A read-only float array that owns its memory is kept as it is: its
     maker has stopped writing to it (generate_panel hands its panel over
@@ -34,14 +35,16 @@ def _freeze(values, shape_name: str) -> tuple[np.ndarray, float]:
     if arr.ndim != 2:
         raise DimensionError(f"{shape_name} values must be a 2-d matrix")
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.einsum("ij,ij->", arr, arr)  # non-finite with any non-finite value
+        rows = np.einsum("ij,ij->i", arr, arr)
+        squares = rows.sum()  # non-finite with any non-finite value
     if not np.isfinite(squares) and not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(
             f"{shape_name} contains a non-finite value at row {bad[0]}, column {bad[1]}"
         )
     arr.setflags(write=False)
-    return arr, squares
+    rows.setflags(write=False)
+    return arr, rows, squares
 
 
 def _check_strictly_increasing(time_index, what: str):
@@ -71,14 +74,18 @@ class ReturnPanel:
     values
         (p, n) matrix; row i holds the return series of ``entity_ids[i]``,
         one distinct id per row.
+    row_squares
+        (p,) sum of squares of each row, made with the panel's check for
+        overflow; read-only.
     """
 
     values: np.ndarray
     entity_ids: tuple
     time_index: tuple
+    row_squares: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr, squares = _freeze(self.values, "return panel")
+        arr, rows, squares = _freeze(self.values, "return panel")
         if not np.isfinite(squares):
             # every fit sums squared returns, and would fail later on inf
             i, j = np.unravel_index(np.argmax(np.abs(arr)), arr.shape)
@@ -87,6 +94,7 @@ class ReturnPanel:
                 f"magnitude, {float(arr[i, j])!r}, is at row {i}, column {j}"
             )
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "row_squares", rows)
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
         object.__setattr__(self, "time_index", tuple(self.time_index))
         p, n = arr.shape
@@ -129,7 +137,7 @@ class FactorPanel:
     time_index: tuple
 
     def __post_init__(self):
-        arr, _ = _freeze(self.values, "factor panel")
+        arr, _, _ = _freeze(self.values, "factor panel")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "time_index", tuple(self.time_index))

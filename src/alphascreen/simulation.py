@@ -5,7 +5,9 @@ matrix and idiosyncratic errors come from one of three temporal modes
 (i.i.d. normal, i.i.d. standardized log-normal, or GARCH factors with
 ARMA-mixture errors).  Cross-sectional error dependence follows the
 AR(1)-in-entities covariance ``rho^|i-j|`` applied through its exact
-recursion rather than a dense square root.
+recursion rather than a dense square root.  Both the ARMA and the AR(1)
+filters run scipy's compiled ``lfilter`` routine (:func:`lfilter`),
+loaded by path without importing scipy.
 
 All distributional defaults (factor variances, loading moments, GARCH
 and ARMA-mixture coefficients) are synthetic placeholders chosen to be
@@ -15,29 +17,24 @@ through the scenario.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
 import sys
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property, lru_cache, partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import lru_cache, partial
+from pathlib import Path
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy imports it on first use: load it with the package
+import numpy.random  # noqa: F401  numpy imports it on first use: load it before a pool's threads run
 
-from .baselines import _bh_rejections, bh_from_fit, sbh_from_fit, sn_from_fit
-from .estimation import ObservedFit, PanelFit, estimate_alpha, fit_observed
-from .fdr import (
-    NegativeControlConfig,
-    _entity_mask,
-    _fdp_power,
-    _select_thresholds,
-    fit_halves,
-    split_from_fits,
-)
-from .linalg import lfilter, one_blas_thread
+from .fdr import _entity_mask, _fdp_power
+from .linalg import one_blas_thread
+from .methods import METHODS, PanelFits
 from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
@@ -45,9 +42,6 @@ __all__ = [
     "SimulationScenario",
     "PopulationOracle",
     "MetricsReport",
-    "Method",
-    "METHODS",
-    "PanelFits",
     "garch_factors",
     "arma_mixture_errors",
     "generate_panel",
@@ -61,6 +55,61 @@ __all__ = [
 
 ARMA_BURN_IN = 200
 GARCH_BURN_IN = 500
+
+
+def _load_linear_filter():
+    """scipy's compiled ``_linear_filter``, the routine behind
+    ``scipy.signal.lfilter``, or None without its file or the symbol.
+
+    The extension file is loaded by path under a package-private module
+    name, so that neither ``scipy`` nor ``scipy.signal`` is imported
+    (``scipy.signal`` alone takes about a second); ``find_spec`` of a
+    top-level package imports nothing.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    folders = scipy.submodule_search_locations if scipy is not None else None
+    # the loader calls ``PyInit_`` + the name's last part, so it must be ``_sigtools``
+    name = f"{__package__}._sigtools"
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(folder, "signal", "_sigtools" + suffix)
+            if not path.is_file():
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                loader.exec_module(module)
+            except ImportError:
+                continue
+            return getattr(module, "_linear_filter", None)
+    return None
+
+
+_LINEAR_FILTER = _load_linear_filter()
+
+
+def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x, axis=axis)`` bit for bit, for float
+    arrays and without initial conditions.
+
+    A denominator of two or more coefficients goes to scipy's compiled
+    routine, as ``lfilter`` sends it, with the interpreter lock released.
+    A one-coefficient denominator takes ``lfilter``'s own path: each line
+    is convolved with ``b / a[0]`` and cut to its length, a loop over the
+    lines.  Without the compiled routine, ``scipy.signal.lfilter`` is
+    imported and called.
+    """
+    if _LINEAR_FILTER is None:
+        from scipy.signal import lfilter as scipy_lfilter
+
+        return scipy_lfilter(b, a, x, axis=axis)
+    if len(a) > 1:
+        return _LINEAR_FILTER(b, a, x, axis)
+    b = np.asarray(b, dtype=float) / a[0]
+    full = np.apply_along_axis(lambda line: np.convolve(b, line), axis, x)
+    return np.take(full, np.arange(x.shape[axis]), axis=axis)
 
 
 def _poly_roots_outside_unit_circle(coefs: Sequence[float]) -> bool:
@@ -352,17 +401,20 @@ def _ar1_correlate(z: np.ndarray, rho: float) -> np.ndarray:
     ``e_i = rho e_{i-1} + sqrt(1-rho^2) z_i``, which applies the
     lower-triangular Cholesky factor of the Toeplitz family without ever
     materializing it, as one compiled filter call over the prescaled
-    rows.  ``z`` has unit-variance rows, shape (p,) or (p, m).
+    rows.  ``z`` has unit-variance rows, shape (p,) or (p, m).  The filter
+    runs on the transposed rows, so that each of its lines is contiguous;
+    the result is the transpose of its output.
     """
     if abs(rho) >= 1.0:
         raise ValueError(f"|rho| must be below 1, got {rho}")
     z = np.asarray(z, dtype=float)
     if rho == 0.0:
         return z.copy()
-    x = z * math.sqrt(1.0 - rho**2)
-    x[0] = z[0]
+    x = np.empty(z.shape[::-1])
+    np.multiply(z.T, math.sqrt(1.0 - rho**2), out=x)
+    x[..., 0] = z[0]
     # each filter step adds rho e_{i-1} to the prescaled row, as the recursion does
-    return lfilter(np.ones(1), np.array([1.0, -rho]), x, axis=0)
+    return lfilter(np.ones(1), np.array([1.0, -rho]), x).T
 
 
 def _garch_series(
@@ -536,101 +588,6 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication),))
     )
-
-
-class PanelFits:
-    """The fits of one panel that the methods share, each made at most once.
-
-    ``observed`` regresses the panel on its observed factors, ``full``
-    fits the whole panel from that regression, and ``halves`` each
-    chronological half.  Each is made on first use, and :meth:`release`
-    lets go of one that no later method reads.  The full fit drops the
-    regression's (p, n) residuals, and a replication makes the halves
-    first, so that no two fits hold panel-sized arrays at once.
-    """
-
-    def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
-        self.returns = returns
-        self.factors = factors
-        self.rank = rank
-
-    @cached_property
-    def observed(self) -> ObservedFit:
-        return fit_observed(self.returns, self.factors)
-
-    @cached_property
-    def full(self) -> PanelFit:
-        fit = estimate_alpha(self.returns, self.factors, rank=self.rank, observed=self.observed)
-        self.observed = self.observed._replace(centered=None)
-        return fit
-
-    @cached_property
-    def halves(self) -> tuple[PanelFit, PanelFit]:
-        return fit_halves(self.returns, self.factors, self.rank)
-
-    def release(self, name: str) -> None:
-        """Drop the fit ``name`` if it was made; its next use makes it again."""
-        self.__dict__.pop(name, None)
-
-
-def _threshold_rule(result, betas):
-    return [
-        (rejected, "threshold", threshold)
-        for threshold, rejected in _select_thresholds(result.t_prod, betas)
-    ]
-
-
-def _bh_rule(result, betas):
-    return [
-        (rejected, "p_cutoff", float(result.p_values[rejected].max()) if rejected.size else 0.0)
-        for rejected in _bh_rejections(result.p_values, betas)
-    ]
-
-
-class Method(NamedTuple):
-    """One screening method: a statistic of shared fits and a decision rule.
-
-    statistic
-        ``statistic(fits)`` on a :class:`PanelFits`; returns a
-        ``SplitTestResult`` or a ``PValueResult``.
-    rule
-        ``rule(result, betas)`` returns one ``(rejected, cutoff_name, cutoff)``
-        per level in ``betas``, from one sort of the statistics:
-        ``select_threshold`` with its ``threshold``, or ``bh_procedure``
-        with ``p_cutoff``, the largest rejected p-value (0 when none).
-    fit
-        The :class:`PanelFits` entry the statistic reads: ``"halves"``,
-        ``"full"`` or ``"observed"``, the last for a method that fits no
-        latent model and so has no latent rank.  A replication runs the
-        methods fit by fit in that order.
-    """
-
-    statistic: Callable
-    rule: Callable
-    fit: str
-
-
-# The one place where method names are defined and dispatched.
-METHODS = {
-    "yd": Method(lambda fits: split_from_fits(fits.halves), _threshold_rule, "halves"),
-    "yd_r": Method(
-        lambda fits: split_from_fits(fits.halves, studentize=True), _threshold_rule, "halves"
-    ),
-    "yd_th": Method(
-        lambda fits: split_from_fits(
-            fits.halves, negative_control=NegativeControlConfig(mode="threshold_rule")
-        ),
-        _threshold_rule,
-        "halves",
-    ),
-    "bh": Method(
-        lambda fits: bh_from_fit(fits.observed, fits.returns, fits.factors), _bh_rule, "observed"
-    ),
-    "sbh": Method(
-        lambda fits: sbh_from_fit(fits.full, fits.observed, fits.returns), _bh_rule, "full"
-    ),
-    "sn": Method(lambda fits: sn_from_fit(fits.full, fits.returns), _bh_rule, "full"),
-}
 
 
 def _replication_rows(scenario, replication, methods, betas, rank=None):

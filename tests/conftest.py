@@ -6,7 +6,7 @@ import pytest
 import alphascreen.baselines
 import alphascreen.fdr
 import alphascreen.linalg
-import alphascreen.simulation
+import alphascreen.methods
 from alphascreen.baselines import bh_procedure, bh_statistics, sbh_statistics, sn_statistics
 from alphascreen.estimation import estimate_alpha
 from alphascreen.fdr import NegativeControlConfig, select_threshold, split_statistics
@@ -83,7 +83,7 @@ def fitted_lengths(monkeypatch):
         lengths.append(returns.n_periods)
         return estimate_alpha(returns, factors, rank=rank, observed=observed)
 
-    for module in (alphascreen.baselines, alphascreen.fdr, alphascreen.simulation):
+    for module in (alphascreen.baselines, alphascreen.fdr, alphascreen.methods):
         monkeypatch.setattr(module, "estimate_alpha", counting)
     return lengths
 

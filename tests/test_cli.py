@@ -20,7 +20,7 @@ from alphascreen.io import (
     fmt, load_factors_csv, load_returns_csv, save_factors_csv, save_returns_csv,
 )
 from alphascreen.linalg import _BLAS_CONTROLS
-from alphascreen.simulation import METHODS
+from alphascreen.methods import METHODS
 
 
 @pytest.fixture()
@@ -653,6 +653,57 @@ class TestImport:
                 text=True, timeout=120,
             )
             assert result.stdout.strip() == "[]", module
+
+    # Loaded only by the study runner: the runner itself, numpy.random for
+    # its generators, its thread pool and scipy's filter extension.
+    STUDY_MODULES = (
+        "alphascreen.simulation", "numpy.random", "concurrent.futures", "alphascreen._sigtools",
+    )
+
+    def test_analyze_leaves_the_study_runner_unimported(self, tmp_path):
+        # for one panel most of an analyze is start-up, and every module
+        # that only the studies run costs each call its import
+        sc = a.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=31)
+        returns, factors, _, _ = a.generate_panel(sc, a.simulation.replication_rng(sc.seed, 0))
+        save_returns_csv(returns, tmp_path / "returns.csv")
+        save_factors_csv(factors, tmp_path / "factors.csv")
+        code = (
+            "import json, sys\n"
+            "from alphascreen.cli import main\n"
+            f"for method in {list(METHODS)!r}:\n"
+            f"    main(['analyze', '--returns', {str(tmp_path / 'returns.csv')!r},\n"
+            f"          '--factors', {str(tmp_path / 'factors.csv')!r}, '--method', method,\n"
+            f"          '--out', {str(tmp_path)!r} + '/' + method], standalone_mode=False)\n"
+            f"print(json.dumps([m for m in {self.STUDY_MODULES!r} if m in sys.modules]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_package_env(), check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert all((tmp_path / method / "selection.csv").is_file() for method in METHODS)
+        assert json.loads(result.stdout.splitlines()[-1]) == []
+
+    def test_study_commands_import_the_runner_they_run(self, tmp_path, tiny_scenario):
+        code = (
+            "import json, sys\n"
+            "from alphascreen.cli import main\n"
+            "before = [m for m in sys.argv[3:] if m in sys.modules]\n"
+            "main(['simulate', '--scenario', sys.argv[1], '--reps', '2', '--threads', '2',\n"
+            "      '--out', sys.argv[2] + '/simulate'], standalone_mode=False)\n"
+            "main(['replicate-table', '1', '--reps', '1', '--out', sys.argv[2] + '/table'],\n"
+            "     standalone_mode=False)\n"
+            "print(json.dumps([before, [m for m in sys.argv[3:] if m in sys.modules]]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tiny_scenario), str(tmp_path), *self.STUDY_MODULES],
+            env=_package_env(), check=True, capture_output=True, text=True, timeout=120,
+        )
+        before, after = json.loads(result.stdout.splitlines()[-1])
+        assert before == [] and after == list(self.STUDY_MODULES)
+        assert {f.name for f in (tmp_path / "simulate").iterdir()} == {
+            "report.csv", "replications.csv", "panel_returns.csv", "panel_factors.csv"
+        }
+        assert len(read(tmp_path / "table" / "table_1.csv").splitlines()) == 1 + 2 * 5 * 3
 
     def test_a_replication_and_an_analyze_leave_numpy_ma_unimported(self, tmp_path):
         # numpy.ma (about 1.2 MB and 12 ms) loads with np.unique.  The same

@@ -2,9 +2,15 @@
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import alphascreen
 
@@ -84,3 +90,76 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
         if name not in called
     ]
     assert uncalled == []
+
+
+# The names the package re-exports, pinned: ``alphascreen/__init__.py``
+# resolves each on first use, from the module that defines it.
+PACKAGE_EXPORTS = {
+    "baselines": ["PValueResult", "bh_procedure", "bh_statistics", "sbh_statistics", "sn_statistics"],
+    "errors": [
+        "AlignmentError", "AlphascreenError", "DegenerateNormalizerError", "DimensionError",
+        "NegativeControlError", "NoFactorStructureError", "RankDeficientError",
+    ],
+    "estimation": [
+        "LatentFit", "PanelFit", "estimate_alpha", "estimate_latent", "long_run_variance",
+        "regress_out_observed",
+    ],
+    "fdr": [
+        "FdrMetrics", "NegativeControlConfig", "SplitTestResult", "chronological_split",
+        "fdp_power", "select_threshold", "split_statistics",
+    ],
+    "io": ["load_factors_csv", "load_returns_csv", "save_factors_csv", "save_returns_csv"],
+    "linalg": ["demean_columns", "least_squares"],
+    "methods": ["METHODS", "PanelFits"],
+    "panels": ["FactorPanel", "ReturnPanel", "check_aligned"],
+    "simulation": [
+        "ArmaComponent", "MetricsReport", "PopulationOracle", "SimulationScenario",
+        "arma_mixture_errors", "figure1_hetero_scenario", "garch_factors", "generate_panel",
+        "run_studies", "run_study_detailed", "table1_lognormal_scenario", "table1_normal_scenario",
+        "table2_garch_arma_scenario",
+    ],
+}
+
+
+def test_every_package_export_resolves_in_a_fresh_process():
+    # each source module's names first, in a process of their own, so that
+    # no other import has loaded the module; then the submodules by attribute
+    code = (
+        "import importlib, json, sys\n"
+        "exports = json.loads(sys.argv[1])\n"
+        "wrong = []\n"
+        "for module, names in exports.items():\n"
+        "    for name in names:\n"
+        "        value = {}\n"
+        "        exec(f'from alphascreen import {name} as value', value)\n"
+        "        source = importlib.import_module(f'alphascreen.{module}')\n"
+        "        if value['value'] is not getattr(source, name):\n"
+        "            wrong.append(name)\n"
+        "print(json.dumps(wrong))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for module, names in PACKAGE_EXPORTS.items():
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps({module: names})], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert json.loads(result.stdout) == [], module
+    attribute = (
+        "import alphascreen as a, sys\n"
+        "assert 'alphascreen.simulation' not in sys.modules\n"
+        "print(a.simulation.__name__, a.simulation.replication_rng.__module__)\n"
+        "print(sorted(set(dir(a)) & set(sys.argv[1:])) == sorted(sys.argv[1:]))\n"
+    )
+    names = [name for group in PACKAGE_EXPORTS.values() for name in group]
+    result = subprocess.run(
+        [sys.executable, "-c", attribute, *names], env=env, check=True, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.stdout.split() == ["alphascreen.simulation", "alphascreen.simulation", "True"]
+
+
+def test_an_unknown_package_attribute_is_an_attribute_error():
+    assert not hasattr(alphascreen, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from alphascreen import no_such_name", {})

@@ -108,6 +108,17 @@ class TestReturnPanel:
         assert np.isfinite(np.sum(values * values))
         assert ReturnPanel(values, ["a", "b"], [1, 2, 3, 4]).values.max() == 1e153
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_keeps_each_rows_sum_of_squares(self, order):
+        # the baselines' check for an exactly fitted row reads them instead
+        # of another pass over the panel
+        values = np.asarray(np.random.default_rng(1).standard_normal((5, 8)), order=order)
+        panel = ReturnPanel(values, list("abcde"), range(8))
+        assert np.array_equal(panel.row_squares, np.einsum("ij,ij->i", values, values))
+        assert not panel.row_squares.flags.writeable
+        head = values[:, :4]
+        assert np.array_equal(panel.slice_periods(0, 4).row_squares, np.einsum("ij,ij->i", head, head))
+
     def test_duplicate_entity_ids_refused(self):
         for ids, message in [
             (["a", "a"], "'a' appears twice, at positions 0 and 1"),

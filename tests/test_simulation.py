@@ -21,8 +21,8 @@ import alphascreen.baselines as baselines
 import alphascreen.linalg as linalg
 import alphascreen.simulation as sim
 from alphascreen.errors import DimensionError
+from alphascreen.methods import METHODS
 from alphascreen.simulation import (
-    METHODS,
     ArmaComponent,
     SimulationScenario,
     _ar1_correlate,
@@ -97,9 +97,9 @@ class TestToeplitzFactor:
         # scipy's IIR filter is the bit-exact reference, both for its compiled
         # routine as the package loads it and for the fallback that imports it
         z = np.random.default_rng(6).standard_normal(shape)
-        assert linalg._LINEAR_FILTER is not None  # scipy's wheel ships the extension
-        for handle in (linalg._LINEAR_FILTER, None):
-            monkeypatch.setattr(linalg, "_LINEAR_FILTER", handle)
+        assert sim._LINEAR_FILTER is not None  # scipy's wheel ships the extension
+        for handle in (sim._LINEAR_FILTER, None):
+            monkeypatch.setattr(sim, "_LINEAR_FILTER", handle)
             for rho in (0.3, 0.5, 0.9, -0.37):
                 x = z * math.sqrt(1.0 - rho**2)
                 x[0] = z[0]
@@ -195,9 +195,9 @@ def filter_path(request, monkeypatch):
     """Run with scipy's compiled filter as the package loads it, then with
     the handle forced to None, so that ``scipy.signal.lfilter`` is called."""
     if request.param == "compiled":
-        assert linalg._LINEAR_FILTER is not None  # scipy's wheel ships the extension
+        assert sim._LINEAR_FILTER is not None  # scipy's wheel ships the extension
     else:
-        monkeypatch.setattr(linalg, "_LINEAR_FILTER", None)
+        monkeypatch.setattr(sim, "_LINEAR_FILTER", None)
     return request.param
 
 
@@ -233,7 +233,7 @@ class TestCompiledFilter:
         comp = default_arma_mixture()[k]
         ma_poly, ar_poly = comp.polynomials()
         innov = np.random.default_rng(k).standard_normal((41, 400))
-        assert np.array_equal(linalg.lfilter(ma_poly, ar_poly, innov), lfilter(ma_poly, ar_poly, innov))
+        assert np.array_equal(sim.lfilter(ma_poly, ar_poly, innov), lfilter(ma_poly, ar_poly, innov))
         impulse = np.zeros(sim.ARMA_BURN_IN)
         impulse[0] = 1.0
         psi = lfilter(ma_poly, ar_poly, impulse)
@@ -251,9 +251,9 @@ class TestCompiledFilter:
         # compiled recursion sums in another order from three MA terms on
         ma_poly, ar_poly = ArmaComponent(weight=1.0, ma=ma).polynomials()
         innov = np.random.default_rng(3).standard_normal((20, 300)) * 7.0
-        assert np.array_equal(linalg.lfilter(ma_poly, ar_poly, innov), lfilter(ma_poly, ar_poly, innov))
+        assert np.array_equal(sim.lfilter(ma_poly, ar_poly, innov), lfilter(ma_poly, ar_poly, innov))
         assert np.array_equal(
-            linalg.lfilter(ma_poly, ar_poly, innov.T, axis=0), lfilter(ma_poly, ar_poly, innov.T, axis=0)
+            sim.lfilter(ma_poly, ar_poly, innov.T, axis=0), lfilter(ma_poly, ar_poly, innov.T, axis=0)
         )
 
     def test_fallback_without_a_loadable_file(self, tmp_path, monkeypatch):
@@ -262,10 +262,10 @@ class TestCompiledFilter:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             (scipy_dir / "signal" / f"_sigtools{suffix}").write_bytes(b"not an extension")
         found = SimpleNamespace(submodule_search_locations=[str(scipy_dir)])
-        monkeypatch.setattr(linalg.importlib.util, "find_spec", lambda name: found)
-        assert linalg._load_linear_filter() is None
-        monkeypatch.setattr(linalg.importlib.util, "find_spec", lambda name: None)
-        assert linalg._load_linear_filter() is None
+        monkeypatch.setattr(sim.importlib.util, "find_spec", lambda name: found)
+        assert sim._load_linear_filter() is None
+        monkeypatch.setattr(sim.importlib.util, "find_spec", lambda name: None)
+        assert sim._load_linear_filter() is None
 
 
 class TestArmaMixture:
@@ -716,7 +716,7 @@ class TestRunStudy:
     def rows_without_release(sc, rep, methods, betas):
         """Rows of one replication whose fits are all kept to its end."""
         returns, factors, truth, _ = generate_panel(sc, replication_rng(sc.seed, rep))
-        fits = sim.PanelFits(returns, factors)
+        fits = a.PanelFits(returns, factors)
         rows = []
         for name in methods:
             result = METHODS[name].statistic(fits)
