@@ -34,6 +34,7 @@ _EXPORTS = {
     "estimation": (
         "LatentFit",
         "PanelFit",
+        "PanelFits",
         "estimate_alpha",
         "estimate_latent",
         "long_run_variance",
@@ -43,7 +44,6 @@ _EXPORTS = {
         "FdrMetrics",
         "NegativeControlConfig",
         "SplitTestResult",
-        "chronological_split",
         "fdp_power",
         "select_threshold",
         "split_statistics",
@@ -55,8 +55,8 @@ _EXPORTS = {
         "save_returns_csv",
     ),
     "linalg": ("demean_columns", "least_squares"),
-    "methods": ("METHODS", "PanelFits"),
-    "panels": ("FactorPanel", "ReturnPanel", "check_aligned"),
+    "methods": ("METHODS",),
+    "panels": ("FactorPanel", "ReturnPanel", "check_aligned", "chronological_split"),
     "simulation": (
         "ArmaComponent",
         "MetricsReport",

@@ -19,7 +19,8 @@ statistic providers feed it:
 summaries of the observed-factor regression that starts the full fit.
 
 ``bh_from_fit`` reads an ``ObservedFit``, ``sn_from_fit`` a ``PanelFit``
-and ``sbh_from_fit`` both; the ``*_statistics`` forms fit first.
+and ``sbh_from_fit`` both; each ``*_statistics`` form is a fresh
+:class:`.estimation.PanelFits` plus its ``*_from_fit`` statistic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateNormalizerError
-from .estimation import ObservedFit, PanelFit, estimate_alpha, fit_observed
+from .estimation import ObservedFit, PanelFit, PanelFits
+from .fdr import _check_levels
 from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
@@ -108,9 +110,7 @@ def _bh_rejections(p_values: np.ndarray, betas: Sequence[float]) -> list[np.ndar
     p = np.asarray(p_values, dtype=float).ravel()
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("p-values must lie in [0, 1]")
-    for beta in betas:
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    _check_levels(betas)
     m = p.size
     order = np.argsort(p, kind="stable")
     p_sorted = p[order]
@@ -143,7 +143,7 @@ def bh_from_fit(observed: ObservedFit, returns: ReturnPanel, factors: FactorPane
 
 def bh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Naive per-entity OLS t-test of each intercept; see :func:`bh_from_fit`."""
-    return bh_from_fit(fit_observed(returns, factors), returns, factors)
+    return bh_from_fit(PanelFits(returns, factors).observed, returns, factors)
 
 
 def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> PValueResult:
@@ -180,8 +180,8 @@ def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> 
 
 def sbh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Normal calibration of the three-step alphas; see :func:`sbh_from_fit`."""
-    observed = fit_observed(returns, factors)
-    return sbh_from_fit(estimate_alpha(returns, factors, observed=observed), observed, returns)
+    fits = PanelFits(returns, factors)
+    return sbh_from_fit(fits.full, fits.observed, returns)
 
 
 # --- self-normalized calibration -------------------------------------------
@@ -274,4 +274,4 @@ def sn_statistics(
     ``mc_paths`` must equal ``SN_MC_PATHS``, as in :func:`sn_pvalues`.
     """
     _check_mc_paths(mc_paths)
-    return sn_from_fit(estimate_alpha(returns, factors), returns)
+    return sn_from_fit(PanelFits(returns, factors).full, returns)

@@ -24,8 +24,9 @@ import numpy as np
 from . import io
 from .io import fmt
 from .errors import AlignmentError, AlphascreenError
+from .estimation import PanelFits
 from .linalg import one_blas_thread, park_blas_workers
-from .methods import METHODS, PanelFits
+from .methods import METHODS
 from .panels import check_aligned
 
 # Reference values for the comparison column of the replicate command:

@@ -4,7 +4,8 @@ The pipeline sequentially removes the observed factors (time-series
 regression), extracts latent loadings from the adjusted returns by
 principal components with eigenvalue-ratio rank selection, and recovers
 the alphas by a cross-sectional regression of the average adjusted
-returns on the latent loadings.
+returns on the latent loadings.  :class:`PanelFits` composes all of one
+panel's fits: the first pass, the full fit and one fit per half.
 
 The observed factors are removed with the oblique factor
 ``I - Fd (Fd'Fd)^{-1} F'`` (``Fd`` the column-demeaned factors), which
@@ -15,18 +16,20 @@ annihilates the factor columns exactly while preserving the intercept:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionError, NoFactorStructureError
 from .linalg import demean_columns, least_squares, one_blas_thread
-from .panels import FactorPanel, ReturnPanel, check_aligned
+from .panels import FactorPanel, ReturnPanel, check_aligned, chronological_split
 
 __all__ = [
     "LatentFit",
     "ObservedFit",
     "PanelFit",
+    "PanelFits",
     "regress_out_observed",
     "fit_observed",
     "estimate_latent",
@@ -264,6 +267,44 @@ def estimate_alpha(
         mean_adjusted=mean_adjusted,
         latent_premium=premium,
     )
+
+
+class PanelFits:
+    """The fits of one panel that the methods share, each made at most once.
+
+    ``observed`` regresses the panel on its observed factors, ``full``
+    fits the whole panel from that regression, and ``halves`` each
+    chronological half.  Each is made on first use, and :meth:`release`
+    lets go of one that no later method reads.  The full fit drops the
+    regression's (p, n) residuals, and a replication makes the halves
+    first, so that no two fits hold panel-sized arrays at once.
+    """
+
+    def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
+        self.returns = returns
+        self.factors = factors
+        self.rank = rank
+
+    @cached_property
+    def observed(self) -> ObservedFit:
+        return fit_observed(self.returns, self.factors)
+
+    @cached_property
+    def full(self) -> PanelFit:
+        fit = estimate_alpha(self.returns, self.factors, rank=self.rank, observed=self.observed)
+        self.observed = self.observed._replace(centered=None)
+        return fit
+
+    @cached_property
+    def halves(self) -> tuple[PanelFit, PanelFit]:
+        first, second = chronological_split(self.returns, self.factors)
+        first_fit = estimate_alpha(*first, rank=self.rank)
+        del first  # the first half's copy of the returns is not needed for the second fit
+        return first_fit, estimate_alpha(*second, rank=self.rank)
+
+    def release(self, name: str) -> None:
+        """Drop the fit ``name`` if it was made; its next use makes it again."""
+        self.__dict__.pop(name, None)
 
 
 def long_run_variance(residuals: np.ndarray) -> np.ndarray:

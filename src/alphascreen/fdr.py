@@ -7,7 +7,8 @@ null the product is asymptotically symmetric about zero, so the
 empirical count of large negative statistics estimates the number of
 false positives at any cutoff; the data-driven threshold is the
 smallest cutoff whose estimated false discovery proportion falls below
-the target level.
+the target level.  ``split_statistics`` is a fresh
+:class:`.estimation.PanelFits` plus ``split_from_fits`` of its halves.
 """
 
 from __future__ import annotations
@@ -18,17 +19,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NegativeControlError
-from .estimation import PanelFit, estimate_alpha, long_run_variance
+from .errors import NegativeControlError
+from .estimation import PanelFit, PanelFits, long_run_variance
 from .linalg import least_squares
-from .panels import FactorPanel, ReturnPanel, check_aligned
+from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
     "SplitTestResult",
     "FdrMetrics",
     "NegativeControlConfig",
-    "chronological_split",
-    "fit_halves",
     "split_from_fits",
     "split_statistics",
     "select_threshold",
@@ -95,33 +94,6 @@ class NegativeControlConfig:
             raise ValueError(f"gamma_scale must be finite and positive, got {self.gamma_scale}")
 
 
-def chronological_split(
-    returns: ReturnPanel, factors: FactorPanel
-) -> tuple[tuple[ReturnPanel, FactorPanel], tuple[ReturnPanel, FactorPanel]]:
-    """First floor(n/2) periods versus the remainder, no shuffling."""
-    check_aligned(returns, factors)
-    n = returns.n_periods
-    r_o = factors.n_factors
-    if n < 2 * (r_o + 3):
-        raise DimensionError(
-            f"need at least {2 * (r_o + 3)} periods to split with {r_o} factors, got {n}"
-        )
-    half = n // 2
-    first = (returns.slice_periods(0, half), factors.slice_periods(0, half))
-    second = (returns.slice_periods(half, n), factors.slice_periods(half, n))
-    return first, second
-
-
-def fit_halves(
-    returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None
-) -> tuple[PanelFit, PanelFit]:
-    """One three-step fit of each chronological half."""
-    first, second = chronological_split(returns, factors)
-    first_fit = estimate_alpha(*first, rank=rank)
-    del first  # the first half's copy of the returns is not needed for the second fit
-    return first_fit, estimate_alpha(*second, rank=rank)
-
-
 def split_from_fits(
     halves: tuple[PanelFit, PanelFit],
     studentize: bool = False,
@@ -162,7 +134,14 @@ def split_statistics(
 
     See :func:`split_from_fits` for the refinements.
     """
-    return split_from_fits(fit_halves(returns, factors), studentize, negative_control)
+    return split_from_fits(PanelFits(returns, factors).halves, studentize, negative_control)
+
+
+def _check_levels(betas: Iterable[float]) -> None:
+    """Raise ``ValueError`` unless every target level lies in (0, 1)."""
+    for beta in betas:
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def select_threshold(
@@ -183,9 +162,7 @@ def _select_thresholds(
 ) -> list[tuple[float, np.ndarray]]:
     """:func:`select_threshold` at each level in ``betas``: one sort and one
     count of the statistics, then one comparison per level."""
-    for beta in betas:
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    _check_levels(betas)
     t = np.asarray(t_prod, dtype=float).ravel()
     candidates = np.sort(np.abs(t[t != 0.0]))
     if candidates.size == 0:

@@ -1,58 +1,19 @@
 """The method registry: each screening method as a statistic of shared fits
 and a decision rule.
 
-:class:`PanelFits` holds the fits of one panel that the methods share,
-each made at most once, and :data:`METHODS` names every method.  The
-study runner (:mod:`.simulation`) and the ``analyze`` command both
-dispatch through it.
+:data:`METHODS` names every method; each statistic reads one entry of an
+:class:`.estimation.PanelFits`.  The study runner (:mod:`.simulation`)
+and the ``analyze`` command both dispatch through it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .baselines import _bh_rejections, bh_from_fit, sbh_from_fit, sn_from_fit
-from .estimation import ObservedFit, PanelFit, estimate_alpha, fit_observed
-from .fdr import NegativeControlConfig, _select_thresholds, fit_halves, split_from_fits
-from .panels import FactorPanel, ReturnPanel
+from .fdr import NegativeControlConfig, _select_thresholds, split_from_fits
 
-__all__ = ["Method", "METHODS", "PanelFits"]
-
-
-class PanelFits:
-    """The fits of one panel that the methods share, each made at most once.
-
-    ``observed`` regresses the panel on its observed factors, ``full``
-    fits the whole panel from that regression, and ``halves`` each
-    chronological half.  Each is made on first use, and :meth:`release`
-    lets go of one that no later method reads.  The full fit drops the
-    regression's (p, n) residuals, and a replication makes the halves
-    first, so that no two fits hold panel-sized arrays at once.
-    """
-
-    def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
-        self.returns = returns
-        self.factors = factors
-        self.rank = rank
-
-    @cached_property
-    def observed(self) -> ObservedFit:
-        return fit_observed(self.returns, self.factors)
-
-    @cached_property
-    def full(self) -> PanelFit:
-        fit = estimate_alpha(self.returns, self.factors, rank=self.rank, observed=self.observed)
-        self.observed = self.observed._replace(centered=None)
-        return fit
-
-    @cached_property
-    def halves(self) -> tuple[PanelFit, PanelFit]:
-        return fit_halves(self.returns, self.factors, self.rank)
-
-    def release(self, name: str) -> None:
-        """Drop the fit ``name`` if it was made; its next use makes it again."""
-        self.__dict__.pop(name, None)
+__all__ = ["Method", "METHODS"]
 
 
 def _threshold_rule(result, betas):

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import AlignmentError, DimensionError
 from .linalg import RANK_RTOL, demean_columns
 
-__all__ = ["ReturnPanel", "FactorPanel", "check_aligned"]
+__all__ = ["ReturnPanel", "FactorPanel", "check_aligned", "chronological_split"]
 
 
 def _freeze(values, shape_name: str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -193,3 +193,20 @@ def check_aligned(returns: ReturnPanel, factors: FactorPanel):
         raise AlignmentError(
             f"returns panel is missing period {ft[len(rt)]!r}"
         )
+
+
+def chronological_split(
+    returns: ReturnPanel, factors: FactorPanel
+) -> tuple[tuple[ReturnPanel, FactorPanel], tuple[ReturnPanel, FactorPanel]]:
+    """First floor(n/2) periods versus the remainder, no shuffling."""
+    check_aligned(returns, factors)
+    n = returns.n_periods
+    r_o = factors.n_factors
+    if n < 2 * (r_o + 3):
+        raise DimensionError(
+            f"need at least {2 * (r_o + 3)} periods to split with {r_o} factors, got {n}"
+        )
+    half = n // 2
+    first = (returns.slice_periods(0, half), factors.slice_periods(0, half))
+    second = (returns.slice_periods(half, n), factors.slice_periods(half, n))
+    return first, second

@@ -32,9 +32,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it on first use: load it before a pool's threads run
 
-from .fdr import _entity_mask, _fdp_power
+from .estimation import PanelFits
+from .fdr import _check_levels, _entity_mask, _fdp_power
 from .linalg import one_blas_thread
-from .methods import METHODS, PanelFits
+from .methods import METHODS
 from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
@@ -716,9 +717,7 @@ def run_studies(
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     betas = [float(b) for b in betas]
-    for b in betas:
-        if not 0.0 < b < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {b}")
+    _check_levels(betas)
     # a repeat would pool its rows with the first copy's in the reports
     for what, values in (("method", methods), ("beta", betas)):
         repeated = [v for k, v in enumerate(values) if v in values[:k]]

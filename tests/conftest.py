@@ -83,8 +83,7 @@ def fitted_lengths(monkeypatch):
         lengths.append(returns.n_periods)
         return estimate_alpha(returns, factors, rank=rank, observed=observed)
 
-    for module in (alphascreen.baselines, alphascreen.fdr, alphascreen.methods):
-        monkeypatch.setattr(module, "estimate_alpha", counting)
+    monkeypatch.setattr(alphascreen.estimation, "estimate_alpha", counting)
     return lengths
 
 

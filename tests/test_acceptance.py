@@ -14,10 +14,10 @@ import pytest
 
 import alphascreen as a
 from alphascreen.baselines import bh_procedure
+from alphascreen.estimation import PanelFits
 from alphascreen.fdr import (
     NegativeControlConfig,
     fdp_power,
-    fit_halves,
     select_threshold,
     split_from_fits,
     split_statistics,
@@ -303,7 +303,7 @@ class TestCriterion10NegativeControl:
         for rep in range(200):
             rng = replication_rng(scenario.seed, rep)
             X, F, truth, _ = a.generate_panel(scenario, rng)
-            fits = fit_halves(X, F)
+            fits = PanelFits(X, F).halves
             res = split_from_fits(fits)
             _, rejected = select_threshold(res.t_prod, beta)
             plain_fdp.append(fdp_power(rejected, truth, scenario.p).fdp)

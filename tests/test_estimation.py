@@ -3,6 +3,7 @@ import pytest
 
 from alphascreen.errors import DimensionError, NoFactorStructureError
 from alphascreen.estimation import (
+    PanelFits,
     estimate_alpha,
     estimate_latent,
     fit_observed,
@@ -10,7 +11,13 @@ from alphascreen.estimation import (
     regress_out_observed,
 )
 from alphascreen.linalg import demean_columns, least_squares
-from alphascreen.panels import FactorPanel, ReturnPanel
+from alphascreen.panels import FactorPanel, ReturnPanel, chronological_split
+from alphascreen.simulation import (
+    generate_panel,
+    replication_rng,
+    table1_normal_scenario,
+    table2_garch_arma_scenario,
+)
 
 
 def make_panels(values, factors):
@@ -340,6 +347,29 @@ class TestEstimateAlpha:
             sine = np.sqrt(max(0.0, 1.0 - cosines.min() ** 2))
             hits += sine <= 0.2
         assert hits / runs >= 0.95
+
+
+class TestPanelFits:
+    """A shared fit is the fit a fresh ``estimate_alpha`` makes, bit for bit."""
+
+    @staticmethod
+    def assert_same_fit(shared, fresh):
+        assert shared.latent.rank_hat == fresh.latent.rank_hat
+        assert np.array_equal(shared.alpha_hat, fresh.alpha_hat)
+        assert np.array_equal(shared.residuals, fresh.residuals)
+        assert np.array_equal(shared.latent.scores, fresh.latent.scores)
+
+    @pytest.mark.parametrize(
+        "scenario", [table1_normal_scenario, table2_garch_arma_scenario], ids=["table1", "table2"]
+    )
+    def test_full_fit_and_halves_equal_fresh_fits(self, scenario):
+        sc = scenario()
+        returns, factors, _, _ = generate_panel(sc, replication_rng(sc.seed, 0))
+        fits = PanelFits(returns, factors)
+        self.assert_same_fit(fits.full, estimate_alpha(returns, factors))
+        split = chronological_split(returns, factors)
+        for k in range(2):
+            self.assert_same_fit(fits.halves[k], estimate_alpha(*split[k]))
 
 
 class TestLongRunVariance:

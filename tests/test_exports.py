@@ -92,6 +92,20 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
+def test_only_estimation_fits_or_splits_a_panel():
+    # ``PanelFits`` composes a panel's fits; every other module reads them from it
+    fitting = {"estimate_alpha", "fit_observed", "chronological_split"}
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in fitting:
+                    callers.add(path.stem)
+    assert callers == {"estimation"}
+
+
 # The names the package re-exports, pinned: ``alphascreen/__init__.py``
 # resolves each on first use, from the module that defines it.
 PACKAGE_EXPORTS = {
@@ -101,17 +115,17 @@ PACKAGE_EXPORTS = {
         "NegativeControlError", "NoFactorStructureError", "RankDeficientError",
     ],
     "estimation": [
-        "LatentFit", "PanelFit", "estimate_alpha", "estimate_latent", "long_run_variance",
-        "regress_out_observed",
+        "LatentFit", "PanelFit", "PanelFits", "estimate_alpha", "estimate_latent",
+        "long_run_variance", "regress_out_observed",
     ],
     "fdr": [
-        "FdrMetrics", "NegativeControlConfig", "SplitTestResult", "chronological_split",
-        "fdp_power", "select_threshold", "split_statistics",
+        "FdrMetrics", "NegativeControlConfig", "SplitTestResult", "fdp_power",
+        "select_threshold", "split_statistics",
     ],
     "io": ["load_factors_csv", "load_returns_csv", "save_factors_csv", "save_returns_csv"],
     "linalg": ["demean_columns", "least_squares"],
-    "methods": ["METHODS", "PanelFits"],
-    "panels": ["FactorPanel", "ReturnPanel", "check_aligned"],
+    "methods": ["METHODS"],
+    "panels": ["FactorPanel", "ReturnPanel", "check_aligned", "chronological_split"],
     "simulation": [
         "ArmaComponent", "MetricsReport", "PopulationOracle", "SimulationScenario",
         "arma_mixture_errors", "figure1_hetero_scenario", "garch_factors", "generate_panel",

@@ -7,10 +7,9 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import alphascreen as a
 from alphascreen.errors import DimensionError, NegativeControlError
+from alphascreen.estimation import PanelFits
 from alphascreen.fdr import (
     NegativeControlConfig,
-    chronological_split,
-    fit_halves,
     fdp_power,
     negative_control_from_fit,
     select_threshold,
@@ -18,7 +17,7 @@ from alphascreen.fdr import (
     split_statistics,
 )
 from alphascreen.linalg import least_squares
-from alphascreen.panels import FactorPanel, ReturnPanel
+from alphascreen.panels import FactorPanel, ReturnPanel, chronological_split
 
 
 def make_panels(values, factors):
@@ -104,7 +103,7 @@ class TestSplitStatistics:
         # odd n: the halves have 30 and 31 periods, both scaled by sqrt(61)
         rng = np.random.default_rng(10)
         returns, fac = make_panels(rng.standard_normal((20, 61)), rng.standard_normal((61, 2)))
-        halves = fit_halves(returns, fac)
+        halves = PanelFits(returns, fac).halves
         res = split_statistics(returns, fac)
         assert [h.n_periods for h in halves] == [30, 31]
         assert np.array_equal(res.t1, math.sqrt(61) * halves[0].alpha_hat)

@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,20 @@ _PANEL = simulation.SimulationScenario(n=40, p=40, pi=0.1, nu=0.8, seed=23)
 _CAPPED = [1] * len(linalg._BLAS_CONTROLS)
 
 
+def _settled_thread_count(timeout=5.0):
+    """The process's OS thread count once two reads 20 ms apart agree: a
+    thread an earlier test joined may stay listed for a moment.  After
+    ``timeout`` seconds the last read is returned."""
+    deadline = time.monotonic() + timeout
+    count = len(os.listdir("/proc/self/task"))
+    while True:
+        time.sleep(0.02)
+        again = len(os.listdir("/proc/self/task"))
+        if again == count or time.monotonic() >= deadline:
+            return again
+        count = again
+
+
 class TestOneBlasThread:
     """Each block runs numpy's bundled OpenBLAS at one thread (``_CAPPED``);
     ``caller_blas_threads`` set it to two beforehand."""
@@ -165,7 +180,7 @@ class TestOneBlasThread:
     def test_never_parks_openblas_workers(self, caller_blas_threads):
         # stopping the workers is unsafe while a BLAS call runs, and a library
         # caller may run one in another thread; only the CLI parks them
-        before = len(os.listdir("/proc/self/task"))
+        before = _settled_thread_count()
         with one_blas_thread():
             inside = len(os.listdir("/proc/self/task"))
         assert inside == before == len(os.listdir("/proc/self/task"))

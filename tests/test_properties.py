@@ -7,18 +7,16 @@ import numpy as np
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from alphascreen.baselines import _bh_rejections, bh_procedure
-from alphascreen.estimation import estimate_alpha
+from alphascreen.estimation import PanelFits, estimate_alpha
 from alphascreen.fdr import (
     NegativeControlConfig,
     _select_thresholds,
-    fit_halves,
     select_threshold,
     split_from_fits,
 )
 from alphascreen.panels import FactorPanel, ReturnPanel
 from alphascreen.simulation import (
     METHODS,
-    PanelFits,
     SimulationScenario,
     generate_panel,
     replication_rng,
@@ -60,8 +58,8 @@ def test_alpha_hat_is_entity_permutation_equivariant(seed, perm_seed):
 @hyp_settings(max_examples=20, deadline=None)
 def test_t_prod_is_entity_permutation_equivariant(seed, perm_seed, studentize):
     returns, permuted, factors, perm = permuted_panel(seed, perm_seed)
-    t_prod = split_from_fits(fit_halves(returns, factors), studentize=studentize).t_prod
-    t_permuted = split_from_fits(fit_halves(permuted, factors), studentize=studentize).t_prod
+    t_prod = split_from_fits(PanelFits(returns, factors).halves, studentize=studentize).t_prod
+    t_permuted = split_from_fits(PanelFits(permuted, factors).halves, studentize=studentize).t_prod
     assert_permuted(t_permuted, t_prod, perm)
 
 
@@ -107,9 +105,9 @@ def test_mirroring_the_second_half_negates_t2_and_t_prod(seed, temporal_mode, st
     sign[returns.n_periods // 2 :] = -1.0
     mirrored_returns = ReturnPanel(returns.values * sign, returns.entity_ids, returns.time_index)
     mirrored_factors = FactorPanel(factors.values * sign[:, None], factors.names, factors.time_index)
-    result = split_from_fits(fit_halves(returns, factors), studentize=studentize)
+    result = split_from_fits(PanelFits(returns, factors).halves, studentize=studentize)
     mirrored = split_from_fits(
-        fit_halves(mirrored_returns, mirrored_factors), studentize=studentize
+        PanelFits(mirrored_returns, mirrored_factors).halves, studentize=studentize
     )
     assert np.array_equal(mirrored.t1, result.t1)
     assert np.array_equal(mirrored.t2, -result.t2)
