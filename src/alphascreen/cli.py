@@ -181,15 +181,15 @@ def main(ctx):
 @click.option("--out", "output_dir", default=".", show_default=True, help="output directory")
 def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir):
     """Run one method across replications of a scenario and write reports."""
-    from .simulation import generate_panel, replication_rng, run_study_detailed
+    from .simulation import generate_panel, replication_rng, run_studies
 
     betas = _check_betas(_parse_floats(beta, "beta"))
     scenario = _load_scenario(scenario_path, seed)
     out = _outdir(output_dir)
     try:
-        reports, detail, failures = run_study_detailed(
-            scenario, [method], betas, reps, parallelism=threads, rank=rank
-        )
+        reports, detail, failures = run_studies(
+            [scenario], [method], betas, reps, parallelism=threads, rank=rank
+        )[0]
         returns, factors, _, _ = generate_panel(scenario, replication_rng(scenario.seed, 0))
     except AlphascreenError as exc:
         raise click.ClickException(str(exc)) from None

@@ -15,8 +15,8 @@ annihilates the factor columns exactly while preserving the intercept:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -91,14 +91,6 @@ def regress_out_observed(
     return loadings, adjusted
 
 
-def _centered_adjusted(returns: ReturnPanel, factors: FactorPanel) -> tuple[np.ndarray, np.ndarray]:
-    """The adjusted returns demeaned over time, in place, and their time means."""
-    _, centered = regress_out_observed(returns, factors)
-    means = centered.mean(axis=1)
-    centered -= means[:, None]
-    return centered, means
-
-
 class ObservedFit(NamedTuple):
     """The regression of every return series on ``[1, F]``: its (p, n)
     residuals ``centered``, the adjusted returns demeaned over time (None
@@ -115,7 +107,9 @@ class ObservedFit(NamedTuple):
 @one_blas_thread()
 def fit_observed(returns: ReturnPanel, factors: FactorPanel) -> ObservedFit:
     """The first pass of the three-step fit, kept with its ``[1, F]`` summaries."""
-    centered, intercepts = _centered_adjusted(returns, factors)
+    _, centered = regress_out_observed(returns, factors)
+    intercepts = centered.mean(axis=1)
+    centered -= intercepts[:, None]
     f_mean, fd = factors.values.mean(axis=0), demean_columns(factors.values)
     variance = 1.0 / returns.n_periods + float(f_mean @ np.linalg.solve(fd.T @ fd, f_mean))
     return ObservedFit(centered, intercepts, np.einsum("ij,ij->i", centered, centered), variance)
@@ -227,15 +221,9 @@ class PanelFit:
 
 @one_blas_thread()
 def estimate_alpha(
-    returns: ReturnPanel,
-    factors: FactorPanel,
-    rank: Optional[int] = None,
-    observed: Optional[ObservedFit] = None,
+    returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None
 ) -> PanelFit:
-    """Full three-step alpha estimate.
-
-    The cross-sectional pass reads the loadings' normalization ``b'b = p I``:
-    a regression on ``b`` is ``b'(.)/p``, with no factorization.
+    """Full three-step alpha estimate: the ``full`` fit of a fresh :class:`PanelFits`.
 
     Parameters
     ----------
@@ -244,20 +232,22 @@ def estimate_alpha(
     rank
         Latent rank; estimated by the eigenvalue-ratio rule over at most
         ``MAX_RANK`` candidates when None.
-    observed
-        The :func:`fit_observed` of the same panels, to start from while it
-        holds its residuals; otherwise the regression is made here.
     """
-    if observed is None or observed.centered is None:
-        centered, mean_adjusted = _centered_adjusted(returns, factors)
-    else:
-        centered, mean_adjusted = observed.centered, observed.intercepts
+    return PanelFits(returns, factors, rank).full
+
+
+@one_blas_thread()
+def _latent_fit(
+    observed: ObservedFit, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int]
+) -> PanelFit:
+    """The latent and cross-sectional passes of the three-step fit, from its first pass."""
+    centered, mean_adjusted = observed.centered, observed.intercepts
     n, r_o = returns.n_periods, factors.n_factors
     # at least 1: a ReturnPanel has an entity and a FactorPanel n > r_o + 1 periods
     cap = min(MAX_RANK, returns.n_entities, n - r_o - 1)
     latent = _principal_components(centered, rank, cap)
     b, p = latent.loadings_hat, returns.n_entities
-    premium = b.T @ mean_adjusted / p
+    premium = b.T @ mean_adjusted / p  # the regression on b, as b'b = p I: no factorization
     residuals = b @ latent.scores  # latent.scores is b' centered / p; subtracted in place
     np.subtract(centered, residuals, out=residuals)
     return PanelFit(
@@ -269,15 +259,29 @@ def estimate_alpha(
     )
 
 
+class _cached_fit(functools.cached_property):
+    """``functools.cached_property`` without the lock that Python 3.11 holds
+    while any instance makes the value, so that a study's workers fit their
+    own panels at once.  One thread uses a :class:`PanelFits`."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class PanelFits:
     """The fits of one panel that the methods share, each made at most once.
 
     ``observed`` regresses the panel on its observed factors, ``full``
-    fits the whole panel from that regression, and ``halves`` each
-    chronological half.  Each is made on first use, and :meth:`release`
-    lets go of one that no later method reads.  The full fit drops the
-    regression's (p, n) residuals, and a replication makes the halves
-    first, so that no two fits hold panel-sized arrays at once.
+    fits the whole panel from that regression, and ``halves`` is the
+    ``full`` fit of each chronological half.  Each is made on first use,
+    and :meth:`release` lets go of one that no later method reads.  The
+    full fit drops the regression's (p, n) residuals, making the
+    regression again if a released full fit took them, and a replication
+    makes the halves first, so that no two fits hold panel-sized arrays
+    at once.
     """
 
     def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
@@ -285,22 +289,24 @@ class PanelFits:
         self.factors = factors
         self.rank = rank
 
-    @cached_property
+    @_cached_fit
     def observed(self) -> ObservedFit:
         return fit_observed(self.returns, self.factors)
 
-    @cached_property
+    @_cached_fit
     def full(self) -> PanelFit:
-        fit = estimate_alpha(self.returns, self.factors, rank=self.rank, observed=self.observed)
+        if self.observed.centered is None:  # a full fit, since released, took the residuals
+            self.release("observed")
+        fit = _latent_fit(self.observed, self.returns, self.factors, self.rank)
         self.observed = self.observed._replace(centered=None)
         return fit
 
-    @cached_property
+    @_cached_fit
     def halves(self) -> tuple[PanelFit, PanelFit]:
         first, second = chronological_split(self.returns, self.factors)
-        first_fit = estimate_alpha(*first, rank=self.rank)
+        first_fit = PanelFits(*first, rank=self.rank).full
         del first  # the first half's copy of the returns is not needed for the second fit
-        return first_fit, estimate_alpha(*second, rank=self.rank)
+        return first_fit, PanelFits(*second, rank=self.rank).full
 
     def release(self, name: str) -> None:
         """Drop the fit ``name`` if it was made; its next use makes it again."""

@@ -8,7 +8,7 @@ import alphascreen.fdr
 import alphascreen.linalg
 import alphascreen.methods
 from alphascreen.baselines import bh_procedure, bh_statistics, sbh_statistics, sn_statistics
-from alphascreen.estimation import estimate_alpha
+from alphascreen.estimation import fit_observed
 from alphascreen.fdr import NegativeControlConfig, select_threshold, split_statistics
 from alphascreen.simulation import SimulationScenario
 
@@ -76,14 +76,14 @@ def reference_rejected():
 
 @pytest.fixture()
 def fitted_lengths(monkeypatch):
-    """Period count of every panel or half fitted by ``estimate_alpha``."""
+    """Period count of every panel or half whose first pass ``fit_observed`` makes."""
     lengths = []
 
-    def counting(returns, factors, rank=None, observed=None):
+    def counting(returns, factors):
         lengths.append(returns.n_periods)
-        return estimate_alpha(returns, factors, rank=rank, observed=observed)
+        return fit_observed(returns, factors)
 
-    monkeypatch.setattr(alphascreen.estimation, "estimate_alpha", counting)
+    monkeypatch.setattr(alphascreen.estimation, "fit_observed", counting)
     return lengths
 
 

@@ -3,11 +3,13 @@
 Each check prints one ``CRITERION k: ... -> PASS/FAIL`` line before
 asserting, so a full tally survives in the captured output of a
 ``pytest -v`` run.  Heavy replication studies are shared through
-module-scoped fixtures and run with two workers.
+module-scoped fixtures and run with two workers; the criteria that loop
+over replications themselves map them over two threads.
 """
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from alphascreen.fdr import (
     split_statistics,
 )
 from alphascreen.io import write_metrics_report
+from alphascreen.linalg import one_blas_thread
 from alphascreen.simulation import replication_rng, run_study_detailed
 
 WORKERS = 2
@@ -32,6 +35,13 @@ BETAS = (0.05, 0.10, 0.15)
 def tally(label, ok, detail):
     print(f"CRITERION {label}: {detail} -> {'PASS' if ok else 'FAIL'}")
     return ok
+
+
+def map_replications(replicate, replications):
+    """``[replicate(rep) for rep in range(replications)]``, on ``WORKERS``
+    threads at one BLAS thread each, in replication order."""
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        return list(pool.map(replicate, range(replications)))
 
 
 def by_method(reports):
@@ -211,13 +221,13 @@ class TestCriterion05ThresholdOracle:
 class TestCriterion06NullSymmetry:
     def test_global_null_symmetry(self, load_scenario):
         scenario = load_scenario("global_null")
-        pos_fracs, pooled = [], []
-        for rep in range(100):
-            rng = replication_rng(scenario.seed, rep)
-            X, F, _, _ = a.generate_panel(scenario, rng)
-            res = split_statistics(X, F)
-            pos_fracs.append(float(np.mean(res.t_prod > 0)))
-            pooled.append(res.t_prod)
+
+        def replicate(rep):
+            X, F, _, _ = a.generate_panel(scenario, replication_rng(scenario.seed, rep))
+            return split_statistics(X, F).t_prod
+
+        pooled = map_replications(replicate, 100)
+        pos_fracs = [float(np.mean(t_prod > 0)) for t_prod in pooled]
         t = np.concatenate(pooled)
         frac = float(np.mean(pos_fracs))
         q99 = np.quantile(np.abs(t), 0.99)
@@ -239,14 +249,15 @@ class TestCriterion07VarianceOracle:
     def test_asymptotic_sd_and_bias(self):
         scenario = a.table1_normal_scenario(nu=0.3)
         reps = 500
-        deviations = np.empty((reps, scenario.p))
-        oracle_sd = None
-        for rep in range(reps):
-            rng = replication_rng(scenario.seed, rep)
-            X, F, _, oracle = a.generate_panel(scenario, rng)
+
+        def replicate(rep):
+            X, F, _, oracle = a.generate_panel(scenario, replication_rng(scenario.seed, rep))
             fit = a.estimate_alpha(X, F)
-            deviations[rep] = math.sqrt(scenario.n) * (fit.alpha_hat - oracle.alpha)
-            oracle_sd = oracle.sigma_e  # mean-zero factors: no premium inflation
+            return math.sqrt(scenario.n) * (fit.alpha_hat - oracle.alpha), oracle.sigma_e
+
+        results = map_replications(replicate, reps)
+        deviations = np.array([deviation for deviation, _ in results])
+        oracle_sd = results[-1][1]  # mean-zero factors: no premium inflation
         sd = deviations.std(axis=0, ddof=1)
         within = float(np.mean(np.abs(sd / oracle_sd - 1.0) <= 0.10))
         bias = np.abs(deviations.mean(axis=0)) / math.sqrt(scenario.n)
@@ -264,13 +275,13 @@ class TestCriterion08RankSelection:
         scenario = a.SimulationScenario(
             n=200, p=1000, pi=0.1, nu=0.3, r_total=5, r_observed=3, seed=88
         )
-        hits = 0
         reps = 200
-        for rep in range(reps):
-            rng = replication_rng(scenario.seed, rep)
-            X, F, _, _ = a.generate_panel(scenario, rng)
-            fit = a.estimate_alpha(X, F)
-            hits += fit.latent.rank_hat == 2
+
+        def replicate(rep):
+            X, F, _, _ = a.generate_panel(scenario, replication_rng(scenario.seed, rep))
+            return a.estimate_alpha(X, F).latent.rank_hat
+
+        hits = sum(rank_hat == 2 for rank_hat in map_replications(replicate, reps))
         rate = hits / reps
         ok = rate >= 0.95
         detail = f"rank 2 recovered in {100 * rate:.1f}% of {reps} panels (needs >= 95%)"
@@ -299,17 +310,19 @@ class TestCriterion10NegativeControl:
         scenario = load_scenario("dense_alpha")
         beta = 0.10
         control = NegativeControlConfig(mode="threshold_rule")
-        plain_fdp, corrected_fdp = [], []
-        for rep in range(200):
-            rng = replication_rng(scenario.seed, rep)
-            X, F, truth, _ = a.generate_panel(scenario, rng)
+
+        def replicate(rep):
+            X, F, truth, _ = a.generate_panel(scenario, replication_rng(scenario.seed, rep))
             fits = PanelFits(X, F).halves
-            res = split_from_fits(fits)
-            _, rejected = select_threshold(res.t_prod, beta)
-            plain_fdp.append(fdp_power(rejected, truth, scenario.p).fdp)
+            _, rejected = select_threshold(split_from_fits(fits).t_prod, beta)
             res_th = split_from_fits(fits, negative_control=control)
             _, rejected_th = select_threshold(res_th.t_prod, beta)
-            corrected_fdp.append(fdp_power(rejected_th, truth, scenario.p).fdp)
+            return (
+                fdp_power(rejected, truth, scenario.p).fdp,
+                fdp_power(rejected_th, truth, scenario.p).fdp,
+            )
+
+        plain_fdp, corrected_fdp = zip(*map_replications(replicate, 200))
         plain = 100.0 * float(np.mean(plain_fdp))
         corrected = 100.0 * float(np.mean(corrected_fdp))
         ok = plain > 13.0 and corrected <= 12.0

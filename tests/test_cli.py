@@ -129,12 +129,13 @@ class TestSimulate:
             return original(scenario, replication, *args, **kwargs)
 
         monkeypatch.setattr(simulation, "_replication_rows", flaky)
-        with pytest.warns(RuntimeWarning, match="1 of 3 replications failed"):
+        with pytest.warns(RuntimeWarning, match="1 of 3 replications failed") as record:
             result = CliRunner().invoke(
                 main,
                 ["simulate", "--scenario", str(tiny_scenario), "--beta", "0.2", "--reps", "3",
                  "--out", str(tmp_path / "out")],
             )
+        assert [w.filename for w in record] == [cli.__file__]  # the warning names its caller
         assert result.exit_code == 0, result.output
         assert result.stderr == "1 replications failed\n"
         report = read(tmp_path / "out" / "report.csv").splitlines()
@@ -193,12 +194,12 @@ class TestAnalyze:
         rank_hat = "" if method == "bh" else a.estimate_alpha(returns, factors).latent.rank_hat
         assert f",rank_hat={rank_hat}," in lines[-1]
 
-    # Periods of each panel or half that analyze fits on the 60-period panel:
-    # split methods fit both halves, plus the panel for the alpha_hat
-    # column; bh fits no latent model.
+    # Periods of each panel or half whose first pass analyze makes on the
+    # 60-period panel: split methods fit both halves, plus the panel for
+    # the alpha_hat column; bh reads the panel's first pass alone.
     FITTED_LENGTHS = {
         "yd": [30, 30, 60], "yd_r": [30, 30, 60], "yd_th": [30, 30, 60],
-        "bh": [], "sbh": [60], "sn": [60],
+        "bh": [60], "sbh": [60], "sn": [60],
     }
 
     @pytest.mark.parametrize("method", list(FITTED_LENGTHS))

@@ -1,6 +1,10 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import alphascreen.estimation
 from alphascreen.errors import DimensionError, NoFactorStructureError
 from alphascreen.estimation import (
     PanelFits,
@@ -370,6 +374,26 @@ class TestPanelFits:
         split = chronological_split(returns, factors)
         for k in range(2):
             self.assert_same_fit(fits.halves[k], estimate_alpha(*split[k]))
+
+    def test_released_full_fit_is_made_again_from_a_new_first_pass(self):
+        sc = table1_normal_scenario()
+        returns, factors, _, _ = generate_panel(sc, replication_rng(sc.seed, 0))
+        fits = PanelFits(returns, factors)
+        assert fits.observed.centered is not None
+        fits.full
+        assert fits.observed.centered is None  # the full fit took the residuals
+        fits.release("full")
+        self.assert_same_fit(fits.full, PanelFits(returns, factors).full)
+
+    def test_threads_fit_their_own_panels_at_once(self, monkeypatch):
+        # functools.cached_property in Python 3.11 holds one lock for all
+        # instances, so a second thread waited for the first thread's fit
+        both_fitting = threading.Barrier(2, timeout=10)
+        monkeypatch.setattr(alphascreen.estimation, "fit_observed", lambda *_: both_fitting.wait())
+        x, f = make_panels(np.zeros((3, 8)), np.arange(8.0)[:, None])
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            made = list(pool.map(lambda fits: fits.observed, [PanelFits(x, f), PanelFits(x, f)]))
+        assert sorted(made) == [0, 1]
 
 
 class TestLongRunVariance:
