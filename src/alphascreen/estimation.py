@@ -260,9 +260,8 @@ def _latent_fit(
 
 
 class _cached_fit(functools.cached_property):
-    """``functools.cached_property`` without the lock that Python 3.11 holds
-    while any instance makes the value, so that a study's workers fit their
-    own panels at once.  One thread uses a :class:`PanelFits`."""
+    """``functools.cached_property`` without Python 3.11's lock shared by all
+    instances, so a study's workers fit at once; a PanelFits has one thread."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
