@@ -60,7 +60,6 @@ _EXPORTS = {
     "simulation": (
         "ArmaComponent",
         "MetricsReport",
-        "PopulationOracle",
         "SimulationScenario",
         "arma_mixture_errors",
         "figure1_hetero_scenario",

@@ -15,11 +15,11 @@ statistic providers feed it:
   loads it on first use.
 
 ``bh_from_fit`` additionally exposes the naive per-entity OLS t-test
-(no latent adjustment) as the plain-BH reference point, from the (p,)
-summaries of the observed-factor regression that starts the full fit.
+(no latent adjustment) as the plain-BH reference point, from the
+observed-factor regression that starts the full fit.
 
-``bh_from_fit`` reads an ``ObservedFit``, ``sn_from_fit`` a ``PanelFit``
-and ``sbh_from_fit`` both; each ``*_statistics`` form is a fresh
+``bh_from_fit`` reads an ``ObservedFit``, and ``sbh_from_fit`` and
+``sn_from_fit`` a ``PanelFit``; each ``*_statistics`` form is a fresh
 :class:`.estimation.PanelFits` plus its ``*_from_fit`` statistic.
 """
 
@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DegenerateNormalizerError
 from .estimation import ObservedFit, PanelFit, PanelFits
 from .fdr import _check_levels
+from .linalg import demean_columns
 from .panels import FactorPanel, ReturnPanel
 
 __all__ = [
@@ -108,7 +109,7 @@ def _bh_rejections(p_values: np.ndarray, betas: Sequence[float]) -> list[np.ndar
     """:func:`bh_procedure` at each level in ``betas``: one stable sort of
     the p-values, then one comparison per level."""
     p = np.asarray(p_values, dtype=float).ravel()
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both
         raise ValueError("p-values must lie in [0, 1]")
     _check_levels(betas)
     m = p.size
@@ -123,6 +124,13 @@ def _bh_rejections(p_values: np.ndarray, betas: Sequence[float]) -> list[np.ndar
     return rejected
 
 
+def _intercept_variance(factors: FactorPanel) -> float:
+    """Variance of an OLS intercept on ``[1, F]`` per unit residual variance,
+    ``1/n + mean(F)' (Fd'Fd)^{-1} mean(F)`` with ``Fd`` the demeaned factors."""
+    f_mean, fd = factors.values.mean(axis=0), demean_columns(factors.values)
+    return 1.0 / factors.n_periods + float(f_mean @ np.linalg.solve(fd.T @ fd, f_mean))
+
+
 def bh_from_fit(observed: ObservedFit, returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Naive per-entity t-statistics of the OLS intercept on observed factors.
 
@@ -132,11 +140,10 @@ def bh_from_fit(observed: ObservedFit, returns: ReturnPanel, factors: FactorPane
     ``observed.intercepts``, are biased and cross-sectionally dependent.
     ``returns`` and ``factors`` are the panels ``observed`` was fitted on.
     """
-    _check_residual_variation(
-        observed.rss, returns, "an entity has no OLS residual variance beyond rounding"
-    )
-    sigma2 = observed.rss / (returns.n_periods - factors.n_factors - 1)
-    z = observed.intercepts / np.sqrt(sigma2 * observed.intercept_variance)
+    rss = np.einsum("ij,ij->i", observed.centered, observed.centered)
+    _check_residual_variation(rss, returns, "an entity has no OLS residual variance beyond rounding")
+    sigma2 = rss / (returns.n_periods - factors.n_factors - 1)
+    z = observed.intercepts / np.sqrt(sigma2 * _intercept_variance(factors))
     p = _two_sided_normal_p(z)
     return PValueResult(p_values=p, statistics=z)
 
@@ -146,7 +153,7 @@ def bh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     return bh_from_fit(PanelFits(returns, factors).observed, returns, factors)
 
 
-def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> PValueResult:
+def sbh_from_fit(fit: PanelFit, returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Normal calibration of the three-step alphas of a fitted panel.
 
     The studentizer is the per-entity residual variance (sample second
@@ -154,9 +161,9 @@ def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> 
     cov(scores)^{-1} premium + mean(F)' cov(F)^{-1} mean(F)`` with
     plug-in estimates of the latent premium and score covariance,
     matching the i.i.d. asymptotic variance of the estimator when risk
-    premia are nonzero; ``1 + mean(F)' cov(F)^{-1} mean(F)`` is
-    ``n * observed.intercept_variance``.  ``returns`` is the panel the
-    fits were made with.
+    premia are nonzero; ``1 + mean(F)' cov(F)^{-1} mean(F)`` is ``n``
+    times the intercept variance of :func:`bh_from_fit`.  ``returns`` and
+    ``factors`` are the panels the fit was made with.
     """
     n = fit.n_periods
     resid = fit.residuals
@@ -171,7 +178,7 @@ def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> 
     score_cov = scores @ scores.T / n
     premium = fit.latent_premium
     inflation = (
-        float(premium @ np.linalg.solve(score_cov, premium)) + n * observed.intercept_variance
+        float(premium @ np.linalg.solve(score_cov, premium)) + n * _intercept_variance(factors)
     )
     z = math.sqrt(n) * fit.alpha_hat / np.sqrt(var_e * inflation)
     p = _two_sided_normal_p(z)
@@ -180,8 +187,7 @@ def sbh_from_fit(fit: PanelFit, observed: ObservedFit, returns: ReturnPanel) -> 
 
 def sbh_statistics(returns: ReturnPanel, factors: FactorPanel) -> PValueResult:
     """Normal calibration of the three-step alphas; see :func:`sbh_from_fit`."""
-    fits = PanelFits(returns, factors)
-    return sbh_from_fit(fits.full, fits.observed, returns)
+    return sbh_from_fit(PanelFits(returns, factors).full, returns, factors)
 
 
 # --- self-normalized calibration -------------------------------------------
@@ -235,11 +241,13 @@ def sn_pvalues(statistics: np.ndarray, mc_paths: int = SN_MC_PATHS) -> np.ndarra
     """Upper-tail p-values of self-normalized statistics under the limit law.
 
     The law is the shipped table of ``SN_MC_PATHS`` draws; ``mc_paths``
-    must equal that size.
+    must equal that size.  A NaN statistic is refused.
     """
     _check_mc_paths(mc_paths)
     table = _sn_limit_table()
     stat = np.asarray(statistics, dtype=float)
+    if np.isnan(stat).any():
+        raise ValueError("self-normalized statistics must not be NaN")
     n_ge = table.size - np.searchsorted(table, stat, side="left")
     return (1.0 + n_ge) / (table.size + 1.0)
 

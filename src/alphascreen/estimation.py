@@ -5,7 +5,9 @@ regression), extracts latent loadings from the adjusted returns by
 principal components with eigenvalue-ratio rank selection, and recovers
 the alphas by a cross-sectional regression of the average adjusted
 returns on the latent loadings.  :class:`PanelFits` composes all of one
-panel's fits: the first pass, the full fit and one fit per half.
+panel's fits: the first pass, the full fit and one fit per half.  The
+first pass (:class:`ObservedFit`) keeps only what the latent pass reads;
+the baselines derive their own summaries from it.
 
 The observed factors are removed with the oblique factor
 ``I - Fd (Fd'Fd)^{-1} F'`` (``Fd`` the column-demeaned factors), which
@@ -93,26 +95,20 @@ def regress_out_observed(
 
 class ObservedFit(NamedTuple):
     """The regression of every return series on ``[1, F]``: its (p, n)
-    residuals ``centered``, the adjusted returns demeaned over time (None
-    once the full fit has read them); its (p,) ``intercepts``, their time
-    means, and ``rss``; and ``intercept_variance``, the variance of an
-    intercept per unit residual variance, ``1/n + mean(F)' (Fd'Fd)^{-1} mean(F)``."""
+    residuals ``centered``, the adjusted returns demeaned over time, and
+    its (p,) ``intercepts``, their time means."""
 
-    centered: Optional[np.ndarray]
+    centered: np.ndarray
     intercepts: np.ndarray
-    rss: np.ndarray
-    intercept_variance: float
 
 
 @one_blas_thread()
 def fit_observed(returns: ReturnPanel, factors: FactorPanel) -> ObservedFit:
-    """The first pass of the three-step fit, kept with its ``[1, F]`` summaries."""
+    """The first pass of the three-step fit."""
     _, centered = regress_out_observed(returns, factors)
     intercepts = centered.mean(axis=1)
     centered -= intercepts[:, None]
-    f_mean, fd = factors.values.mean(axis=0), demean_columns(factors.values)
-    variance = 1.0 / returns.n_periods + float(f_mean @ np.linalg.solve(fd.T @ fd, f_mean))
-    return ObservedFit(centered, intercepts, np.einsum("ij,ij->i", centered, centered), variance)
+    return ObservedFit(centered, intercepts)
 
 
 def estimate_latent(adjusted: np.ndarray, rank: Optional[int] = None) -> LatentFit:
@@ -277,10 +273,9 @@ class PanelFits:
     fits the whole panel from that regression, and ``halves`` is the
     ``full`` fit of each chronological half.  Each is made on first use,
     and :meth:`release` lets go of one that no later method reads.  The
-    full fit drops the regression's (p, n) residuals, making the
-    regression again if a released full fit took them, and a replication
-    makes the halves first, so that no two fits hold panel-sized arrays
-    at once.
+    full fit takes the regression out of the cache, so its next use makes
+    the regression again, and a replication makes the halves first, so
+    that no two fits hold panel-sized arrays at once.
     """
 
     def __init__(self, returns: ReturnPanel, factors: FactorPanel, rank: Optional[int] = None):
@@ -294,11 +289,9 @@ class PanelFits:
 
     @_cached_fit
     def full(self) -> PanelFit:
-        if self.observed.centered is None:  # a full fit, since released, took the residuals
-            self.release("observed")
-        fit = _latent_fit(self.observed, self.returns, self.factors, self.rank)
-        self.observed = self.observed._replace(centered=None)
-        return fit
+        observed = self.observed
+        self.release("observed")  # the full fit takes the regression's (p, n) residuals
+        return _latent_fit(observed, self.returns, self.factors, self.rank)
 
     @_cached_fit
     def halves(self) -> tuple[PanelFit, PanelFit]:

@@ -152,7 +152,7 @@ def select_threshold(
     Candidate cutoffs are the magnitudes of the nonzero statistics; the
     criterion is piecewise constant between order statistics, so nothing
     is lost by the restriction.  Returns ``(+inf, empty)`` when no cutoff
-    qualifies.
+    qualifies.  A NaN statistic is refused.
     """
     return _select_thresholds(t_prod, [beta])[0]
 
@@ -164,6 +164,8 @@ def _select_thresholds(
     count of the statistics, then one comparison per level."""
     _check_levels(betas)
     t = np.asarray(t_prod, dtype=float).ravel()
+    if np.isnan(t).any():
+        raise ValueError("statistics must not be NaN")
     candidates = np.sort(np.abs(t[t != 0.0]))
     if candidates.size == 0:
         return [(math.inf, np.array([], dtype=int)) for _ in betas]

@@ -42,10 +42,11 @@ class Method(NamedTuple):
         ``select_threshold`` with its ``threshold``, or ``bh_procedure``
         with ``p_cutoff``, the largest rejected p-value (0 when none).
     fit
-        The :class:`PanelFits` entry the statistic reads: ``"halves"``,
-        ``"full"`` or ``"observed"``, the last for a method that fits no
-        latent model and so has no latent rank.  A replication runs the
-        methods fit by fit in that order.
+        The one :class:`PanelFits` entry the statistic reads: ``"halves"``,
+        ``"observed"`` or ``"full"``, ``"observed"`` for a method that fits
+        no latent model and so has no latent rank.  A replication runs the
+        methods fit by fit in that order, so the full fit can take the
+        observed regression after its readers.
     """
 
     statistic: Callable
@@ -70,7 +71,7 @@ METHODS = {
         lambda fits: bh_from_fit(fits.observed, fits.returns, fits.factors), _bh_rule, "observed"
     ),
     "sbh": Method(
-        lambda fits: sbh_from_fit(fits.full, fits.observed, fits.returns), _bh_rule, "full"
+        lambda fits: sbh_from_fit(fits.full, fits.returns, fits.factors), _bh_rule, "full"
     ),
     "sn": Method(lambda fits: sn_from_fit(fits.full, fits.returns), _bh_rule, "full"),
 }

@@ -41,7 +41,6 @@ from .panels import FactorPanel, ReturnPanel
 __all__ = [
     "ArmaComponent",
     "SimulationScenario",
-    "PopulationOracle",
     "MetricsReport",
     "garch_factors",
     "arma_mixture_errors",
@@ -345,20 +344,6 @@ class SimulationScenario:
         return cls(**d)
 
 
-@dataclass(frozen=True, eq=False)
-class PopulationOracle:
-    """Population quantities of the generated panel, for variance checks.
-
-    ``sigma_e`` is each entity's error standard deviation.  The factors
-    have mean zero, so it is also the closed-form i.i.d. asymptotic
-    standard deviation of the root-n scaled alpha estimates, whose
-    premium terms vanish.
-    """
-
-    alpha: np.ndarray
-    sigma_e: np.ndarray
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Aggregated FDR/power of one method at one target level (percent)."""
@@ -540,8 +525,8 @@ def _panel_labels(p: int, n: int, r_observed: int) -> tuple[tuple, tuple, tuple]
 @one_blas_thread()
 def generate_panel(
     scenario: SimulationScenario, rng: np.random.Generator
-) -> tuple[ReturnPanel, FactorPanel, np.ndarray, PopulationOracle]:
-    """One panel draw plus the ground truth and population oracle.
+) -> tuple[ReturnPanel, FactorPanel, np.ndarray, np.ndarray]:
+    """One panel draw, the indices of its nonzero alphas and its (p,) true alphas.
 
     Only the first ``r_observed`` factor columns are exposed; the rest
     act as latent confounders.  Draw order is fixed (loadings, factors,
@@ -564,12 +549,9 @@ def generate_panel(
 
     # Each (p, n) array is rebound or dropped once the next one is made.
     errors = _ar1_correlate(errors, scenario.error_cov_rho)
-    sigma_e = np.ones(p)
     if scenario.hetero_variances:
         lo, hi = scenario.hetero_range
-        scales = rng.uniform(lo, hi, size=p)
-        errors *= np.sqrt(scales)[:, None]
-        sigma_e = np.sqrt(scales)
+        errors *= np.sqrt(rng.uniform(lo, hi, size=p))[:, None]
 
     values = _assemble_panel(alpha, loadings, factors, errors)
     del errors
@@ -578,7 +560,7 @@ def generate_panel(
     returns = ReturnPanel(values, entity_ids, periods)
     observed = FactorPanel(factors[:, :r_o].copy(), factor_names, periods)
     truth = np.flatnonzero(alpha != 0.0)
-    return returns, observed, truth, PopulationOracle(alpha=alpha, sigma_e=sigma_e)
+    return returns, observed, truth, alpha
 
 
 # --- replication studies ----------------------------------------------------
@@ -594,15 +576,15 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
 def _replication_rows(scenario, replication, methods, betas, rank=None):
     """``(method, beta, fdp, power)`` rows of one replication, in the order
     of ``methods``.  The methods run fit by fit, the halves' first, then
-    the full fit's, then the observed regression's, and each fit is
-    released after its group."""
+    the observed regression's, then the full fit's, and each fit is
+    released after its group; the full fit takes the regression itself."""
     rng = replication_rng(scenario.seed, replication)
     returns, factors, truth, _ = generate_panel(scenario, rng)
     p = returns.n_entities
     truth_mask = _entity_mask(truth, p)
     fits = PanelFits(returns, factors, rank=rank)
     rows = {}
-    for fit in ("halves", "full", "observed"):
+    for fit in ("halves", "observed", "full"):
         for name in methods:
             method = METHODS[name]
             if method.fit != fit:
@@ -611,7 +593,8 @@ def _replication_rows(scenario, replication, methods, betas, rank=None):
             for beta, (rejected, _, _) in zip(betas, method.rule(method.statistic(fits), betas)):
                 m = _fdp_power(_entity_mask(rejected, p), truth_mask)
                 rows[name].append((name, beta, m.fdp, m.power))
-        fits.release(fit)
+        if fit != "observed":
+            fits.release(fit)
     return [row for name in methods for row in rows[name]]
 
 

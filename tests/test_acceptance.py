@@ -251,13 +251,13 @@ class TestCriterion07VarianceOracle:
         reps = 500
 
         def replicate(rep):
-            X, F, _, oracle = a.generate_panel(scenario, replication_rng(scenario.seed, rep))
-            fit = a.estimate_alpha(X, F)
-            return math.sqrt(scenario.n) * (fit.alpha_hat - oracle.alpha), oracle.sigma_e
+            X, F, _, alpha = a.generate_panel(scenario, replication_rng(scenario.seed, rep))
+            return math.sqrt(scenario.n) * (a.estimate_alpha(X, F).alpha_hat - alpha)
 
-        results = map_replications(replicate, reps)
-        deviations = np.array([deviation for deviation, _ in results])
-        oracle_sd = results[-1][1]  # mean-zero factors: no premium inflation
+        deviations = np.array(map_replications(replicate, reps))
+        # unit error SDs (the design is homoscedastic) and mean-zero factors:
+        # no premium inflation
+        oracle_sd = np.ones(scenario.p)
         sd = deviations.std(axis=0, ddof=1)
         within = float(np.mean(np.abs(sd / oracle_sd - 1.0) <= 0.10))
         bias = np.abs(deviations.mean(axis=0)) / math.sqrt(scenario.n)

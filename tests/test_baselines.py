@@ -105,6 +105,10 @@ class TestBhProcedure:
         with pytest.raises(ValueError):
             bh_procedure(np.array([-0.1]), beta=0.1)
 
+    def test_nan_pvalue_refused(self):
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            bh_procedure(np.array([np.nan, 0.001, 0.5]), beta=0.1)
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.1, float("nan")], ids=str)
     def test_level_outside_the_open_unit_interval(self, beta):
         with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\), got "):
@@ -370,6 +374,13 @@ class TestSelfNormalized:
             sn_pvalues(np.array([1.0]), mc_paths=10)
         with pytest.raises(ValueError):
             sn_pvalues(np.array([1.0]), mc_paths=2 * SN_MC_PATHS)
+
+    def test_nan_statistic_refused(self):
+        # a NaN would sort past the table and read as the most significant value
+        with pytest.raises(ValueError, match="must not be NaN"):
+            sn_pvalues(np.array([np.nan]))
+        with pytest.raises(ValueError, match="must not be NaN"):
+            sn_pvalues(np.array([1.0, np.nan]))
 
     def test_size_calibration_on_iid_rows(self):
         rng = np.random.default_rng(5)

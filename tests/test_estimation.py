@@ -379,9 +379,10 @@ class TestPanelFits:
         sc = table1_normal_scenario()
         returns, factors, _, _ = generate_panel(sc, replication_rng(sc.seed, 0))
         fits = PanelFits(returns, factors)
-        assert fits.observed.centered is not None
+        fits.observed
+        assert "observed" in vars(fits)
         fits.full
-        assert fits.observed.centered is None  # the full fit took the residuals
+        assert "observed" not in vars(fits)  # the full fit took the regression
         fits.release("full")
         self.assert_same_fit(fits.full, PanelFits(returns, factors).full)
 

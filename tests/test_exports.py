@@ -127,7 +127,7 @@ PACKAGE_EXPORTS = {
     "methods": ["METHODS"],
     "panels": ["FactorPanel", "ReturnPanel", "check_aligned", "chronological_split"],
     "simulation": [
-        "ArmaComponent", "MetricsReport", "PopulationOracle", "SimulationScenario",
+        "ArmaComponent", "MetricsReport", "SimulationScenario",
         "arma_mixture_errors", "figure1_hetero_scenario", "garch_factors", "generate_panel",
         "run_studies", "run_study_detailed", "table1_lognormal_scenario", "table1_normal_scenario",
         "table2_garch_arma_scenario",

@@ -163,6 +163,11 @@ class TestSelectThreshold:
         with pytest.raises(ValueError):
             select_threshold(np.array([1.0]), beta=1.0001)
 
+    def test_nan_statistic_refused(self):
+        # a NaN would count as a positive statistic at every cutoff
+        with pytest.raises(ValueError, match="must not be NaN"):
+            select_threshold(np.array([np.nan, 5.0, 4.0, 3.0, -0.1]), beta=0.5)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @hyp_settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, seed):
@@ -195,6 +200,10 @@ class TestSelectThreshold:
     @hyp_settings(max_examples=200, deadline=None)
     def test_threshold_equals_the_np_unique_search(self, values):
         t = np.array(values, dtype=float)
+        if np.isnan(t).any():
+            with pytest.raises(ValueError, match="must not be NaN"):
+                select_threshold(t, 0.3)
+            return
         # the search as written with np.unique
         candidates = np.unique(np.abs(t[t != 0.0]))
         t_sorted = np.sort(t)

@@ -526,7 +526,16 @@ def saved_panels(draw, kind):
     loaders read period labels as numbers) and any finite values a panel
     takes: a return panel refuses values whose sum of squares overflows,
     so its at most 28 values are drawn within 1e153 in magnitude but for
-    one cell, which reaches 1.3e154, near the largest a panel takes."""
+    one cell, which reaches 1.3e154, near the largest a panel takes.
+
+    Free draws of factor values mix magnitudes, and about two in three
+    make columns that the rank check finds dependent after demeaning.
+    Such a draw is kept but for r + 1 of its rows, drawn at random: one of
+    zeros and, per column, one that is zero but for the draw's largest
+    magnitude in that column.  Those rows alone keep the demeaned columns'
+    smallest singular value at least that magnitude over sqrt(r + 1), so
+    the check passes unless demeaning overflows.  A draw the check accepts
+    is kept whole."""
     if kind == "returns":
         n_labels, n_periods = draw(st.integers(1, 4)), draw(st.integers(4, 7))
         shape, values = (n_labels, n_periods), st.floats(-1e153, 1e153)
@@ -541,9 +550,20 @@ def saved_panels(draw, kind):
     values = np.reshape(values, shape)
     names = draw(st.lists(labels, min_size=n_labels, max_size=n_labels, unique=True))
     periods = draw(st.sets(st.integers(-10**6, 10**6), min_size=n_periods, max_size=n_periods))
+    periods = sorted(periods)
+    make = PANELS[kind][0]
     try:
-        return PANELS[kind][0](values, names, sorted(periods))
-    except ValueError:  # dependent factor columns, or values that overflow
+        return make(values, names, periods)
+    except DimensionError:  # dependent factor columns
+        largest = np.abs(values).max() or 1.0
+        rows = draw(st.permutations(range(n_periods)))[: n_labels + 1]
+        values[rows] = 0.0
+        values[rows[1:], range(n_labels)] = largest
+    except ValueError:  # values that overflow
+        assume(False)
+    try:
+        return make(values, names, periods)
+    except ValueError:  # values that overflow when demeaned
         assume(False)
 
 

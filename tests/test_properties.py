@@ -145,6 +145,89 @@ def test_decisions_unchanged_when_returns_are_rescaled(seed, factor):
     )
 
 
+# A basis change of the observed factors or a reordering of periods moves
+# the statistics by rounding only: measured at most 2.1e-14 of their
+# largest magnitude on panels of this size.
+INVARIANCE_RTOL = 1e-12
+INVARIANCE_LEVELS = (0.05, 0.1, 0.2)
+
+
+def small_panel(seed, temporal_mode):
+    scenario = SimulationScenario(n=60, p=40, pi=0.2, nu=0.8, temporal_mode=temporal_mode, seed=seed)
+    return generate_panel(scenario, replication_rng(seed, 0))[:2]
+
+
+def reordered(returns, factors, order):
+    """The panel with its periods taken in ``order`` and labelled as before."""
+    return (
+        ReturnPanel(returns.values[:, order], returns.entity_ids, returns.time_index),
+        FactorPanel(factors.values[order], factors.names, factors.time_index),
+    )
+
+
+def assert_same_to_rounding(names, panel, transformed):
+    """Each method's statistics on both panels agree within ``INVARIANCE_RTOL``
+    of their largest magnitude, and a decision differs only for an entity
+    whose p-value or ``t_prod`` is that close to the cutoff."""
+    fits, fits_t = PanelFits(*panel), PanelFits(*transformed)
+    for name in names:
+        method = METHODS[name]
+        want, got = method.statistic(fits), method.statistic(fits_t)
+        tol = INVARIANCE_RTOL * np.abs(want.statistics).max()
+        np.testing.assert_allclose(got.statistics, want.statistics, rtol=0.0, atol=tol, err_msg=name)
+        decided = getattr(want, "p_values", want.statistics)
+        for (rej, _, cut), (rej_t, _, cut_t) in zip(
+            method.rule(want, INVARIANCE_LEVELS), method.rule(got, INVARIANCE_LEVELS)
+        ):
+            moved = decided[np.setxor1d(rej, rej_t)]
+            near = INVARIANCE_RTOL * max(abs(cut), abs(cut_t))
+            assert np.all(np.minimum(abs(moved - cut), abs(moved - cut_t)) <= near), name
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["iid_normal", "garch_arma"]))
+@hyp_settings(max_examples=15, deadline=None)
+def test_methods_do_not_see_the_basis_of_the_observed_factors(seed, temporal_mode):
+    # The first pass projects on the span of [1, F], which F A shares for
+    # any invertible A: every method's statistics move by rounding only.
+    returns, factors = small_panel(seed, temporal_mode)
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((factors.n_factors,) * 2) + 3.0 * np.eye(factors.n_factors)
+    rotated = FactorPanel(factors.values @ basis, factors.names, factors.time_index)
+    assert_same_to_rounding(list(METHODS), (returns, factors), (returns, rotated))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["iid_normal", "garch_arma"]))
+@hyp_settings(max_examples=15, deadline=None)
+def test_methods_do_not_see_the_period_order_inside_each_half(seed, temporal_mode):
+    # Each half fit is a sum over its own periods.  yd_r and sn are left
+    # out: their long-run variance and partial sums read the time order.
+    returns, factors = small_panel(seed, temporal_mode)
+    rng, n, half = np.random.default_rng(seed), returns.n_periods, returns.n_periods // 2
+    order = np.concatenate([rng.permutation(half), half + rng.permutation(n - half)])
+    shuffled = reordered(returns, factors, order)
+    assert_same_to_rounding(["yd", "yd_th", "bh", "sbh"], (returns, factors), shuffled)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["iid_normal", "garch_arma"]))
+@hyp_settings(max_examples=15, deadline=None)
+def test_swapping_the_halves_swaps_t1_and_t2_exactly(seed, temporal_mode):
+    # With n even the second half moved in front is the same two half
+    # panels, fitted in the other order: t1 and t2 trade places bit for
+    # bit, so t_prod and the split decisions are unchanged.  The full-panel
+    # sums run in another order, so bh and sbh move by rounding; sn reads
+    # the time order and is left out.
+    returns, factors = small_panel(seed, temporal_mode)
+    n = returns.n_periods
+    swapped = reordered(returns, factors, np.r_[n // 2 : n, 0 : n // 2])
+    fits, fits_swapped = PanelFits(returns, factors), PanelFits(*swapped)
+    for name in ("yd", "yd_r", "yd_th"):
+        result, result_swapped = METHODS[name].statistic(fits), METHODS[name].statistic(fits_swapped)
+        assert np.array_equal(result_swapped.t1, result.t2), name
+        assert np.array_equal(result_swapped.t2, result.t1), name
+        assert np.array_equal(result_swapped.t_prod, result.t_prod), name
+    assert_same_to_rounding(["bh", "sbh"], (returns, factors), swapped)
+
+
 def brute_force_bh(p_values, beta):
     """Reject every p-value at or below p_(k), for the largest k with
     p_(k) <= k * beta / m, found by a plain loop."""

@@ -502,17 +502,26 @@ class TestGeneratePanel:
 
     def test_observed_block_and_truth(self):
         sc = SimulationScenario(n=60, p=40, pi=0.2, nu=0.4, seed=18)
-        X, F, truth, oracle = generate_panel(sc, replication_rng(sc.seed, 0))
+        X, F, truth, alpha = generate_panel(sc, replication_rng(sc.seed, 0))
         assert X.values.shape == (40, 60)
         assert F.values.shape == (60, 3)
         assert truth.tolist() == list(range(8))
-        assert np.allclose(oracle.alpha[truth], [0.4] * 4 + [-0.4] * 4)
+        assert np.allclose(alpha[truth], [0.4] * 4 + [-0.4] * 4)
+        assert np.all(np.delete(alpha, truth) == 0.0)
 
     def test_hetero_scales_sigma_e(self):
-        sc = SimulationScenario(n=60, p=200, pi=0.0, nu=0.0, hetero_variances=True, seed=20)
-        _, _, _, oracle = generate_panel(sc, replication_rng(sc.seed, 0))
-        assert np.all(oracle.sigma_e >= 1.0) and np.all(oracle.sigma_e <= np.sqrt(3.0))
-        assert oracle.sigma_e.std() > 0.05
+        # with zero loadings and alphas a panel is its errors, and the scales
+        # are drawn last, so each row of the hetero draw is the same row scaled
+        zero = dict(loading_mean=np.zeros(7), loading_cov=np.zeros((7, 7)))
+        sc = SimulationScenario(n=60, p=200, pi=0.0, nu=0.0, seed=20, **zero)
+        hetero = SimulationScenario(n=60, p=200, pi=0.0, nu=0.0, hetero_variances=True, seed=20, **zero)
+        x, _, _, _ = generate_panel(sc, replication_rng(sc.seed, 0))
+        x_hetero, _, _, _ = generate_panel(hetero, replication_rng(hetero.seed, 0))
+        ratios = x_hetero.values / x.values
+        sigma_e = ratios[:, 0]
+        assert np.allclose(ratios, sigma_e[:, None], rtol=1e-15, atol=0.0)
+        assert np.all(sigma_e >= 1.0) and np.all(sigma_e <= np.sqrt(3.0))
+        assert sigma_e.std() > 0.05
 
     def test_lognormal_standardization(self):
         rng = np.random.default_rng(21)
@@ -762,6 +771,24 @@ class TestRunStudy:
         sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
         sim._replication_rows(sc, 0, ["yd", "sn", "bh", "yd_th", "sbh"], [0.1])
         assert fitted_lengths == [30, 30, 60]
+
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_each_statistic_reads_only_the_fit_its_method_names(self, name):
+        # the runner releases a fit after the group of its Method.fit, so a
+        # statistic that read another fit would make it again or find it gone
+        class Probe:
+            def __init__(self, fits):
+                self.fits, self.read = fits, set()
+
+            def __getattr__(self, attr):
+                if attr in ("observed", "full", "halves"):
+                    self.read.add(attr)
+                return getattr(self.fits, attr)
+
+        sc = SimulationScenario(n=60, p=80, pi=0.1, nu=0.8, seed=24)
+        probe = Probe(a.PanelFits(*generate_panel(sc, replication_rng(sc.seed, 0))[:2]))
+        METHODS[name].statistic(probe)
+        assert probe.read == {METHODS[name].fit}
 
 
 def _thread_counts():
