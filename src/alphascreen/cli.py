@@ -15,14 +15,13 @@ import ctypes
 import json
 import os
 import threading
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import io
-from .io import fmt
 from .errors import AlignmentError, AlphascreenError
 from .estimation import PanelFits
 from .linalg import one_blas_thread, park_blas_workers
@@ -63,6 +62,9 @@ _TABLE_BETAS = (0.05, 0.10, 0.15)
 _TABLE_METHODS = ("yd", "yd_r", "sbh", "sn", "bh")
 # The built-in study designs; _table_scenarios holds their blocks.
 _TABLES = ("1", "2", "figure1")
+
+# report.csv's header: a MetricsReport's fields, in the order astuple gives them.
+_REPORT_HEADER = ["method", "beta", "mean_fdr", "sd_fdr", "mean_power", "sd_power", "replications"]
 
 # Replication counts, worker counts and latent ranks.
 _POSITIVE = click.IntRange(min=1)
@@ -106,13 +108,6 @@ def _outdir(path: str) -> Path:
     except OSError as exc:  # a file at the path or above it, or no permission
         raise click.UsageError(f"cannot use {path} as the output directory: {exc.strerror}") from None
     return Path(path)
-
-
-def _write_detail_csv(detail_rows, path):
-    lines = ["method,beta,replication,fdp,power"]
-    for method, beta, rep, fdp, power in detail_rows:
-        lines.append(f"{method},{fmt(beta)},{rep},{fmt(fdp)},{fmt(power)}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _keep_freed_heap_mapped() -> None:
@@ -193,8 +188,9 @@ def simulate(scenario_path, method, beta, reps, rank, seed, threads, output_dir)
         returns, factors, _, _ = generate_panel(scenario, replication_rng(scenario.seed, 0))
     except AlphascreenError as exc:
         raise click.ClickException(str(exc)) from None
-    io.write_metrics_report(reports, out / "report.csv")
-    _write_detail_csv(detail, out / "replications.csv")
+    io.write_csv(out / "report.csv", _REPORT_HEADER, zip(*map(astuple, reports)))
+    detail_header = ["method", "beta", "replication", "fdp", "power"]
+    io.write_csv(out / "replications.csv", detail_header, zip(*detail))
     io.save_returns_csv(returns, out / "panel_returns.csv")
     io.save_factors_csv(factors, out / "panel_factors.csv")
     for r in reports:
@@ -241,18 +237,13 @@ def analyze(returns_path, factors_path, method, beta, rank, output_dir):
     except AlphascreenError as exc:
         raise click.ClickException(str(exc)) from None
 
-    rej = set(np.atleast_1d(rejected).tolist())
-    lines = ["entity_id,alpha_hat,statistic,rejected"]
-    for i, eid in enumerate(returns.entity_ids):
-        lines.append(
-            f"{io._label(eid)},{fmt(alpha_hat[i])},{fmt(result.statistics[i])},{1 if i in rej else 0}"
-        )
-    lines.append(
-        f"# method={method},beta={fmt(beta)},{cutoff_name}={fmt(cutoff)},rank_hat={rank_hat},n={n},p={p}"
-    )
+    flags = np.zeros(p, dtype=int)
+    flags[rejected] = 1
     report = out / "selection.csv"
-    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    click.echo(f"{len(rej)} of {p} entities selected; report at {report}")
+    header = ["entity_id", "alpha_hat", "statistic", "rejected"]
+    meta = {"method": method, "beta": beta, cutoff_name: cutoff, "rank_hat": rank_hat, "n": n, "p": p}
+    io.write_csv(report, header, [returns.entity_ids, alpha_hat, result.statistics, flags], comment=meta)
+    click.echo(f"{np.count_nonzero(flags)} of {p} entities selected; report at {report}")
 
 
 def _table_scenarios(table: str, nus: list[float], seed):
@@ -309,19 +300,13 @@ def replicate_table(table, nu, reps, seed, threads, output_dir):
             recs = reports[k * len(_TABLE_BETAS) : (k + 1) * len(_TABLE_BETAS)]
             rows.append((label, nu_val, method, recs, _REFERENCE.get((label, nu_val, method))))
 
-    lines = [
-        "block,nu,method,beta,mean_fdr,sd_fdr,mean_power,sd_power,replications,ref_fdr,ref_power"
+    cells = [
+        (label, nu_val, *astuple(r), *((ref[j], ref[3 + j]) if ref else ("", "")))
+        for label, nu_val, _, recs, ref in rows
+        for j, r in enumerate(recs)
     ]
-    for label, nu_val, method, recs, ref in rows:
-        for j, r in enumerate(recs):
-            ref_fdr = fmt(ref[j]) if ref else ""
-            ref_power = fmt(ref[3 + j]) if ref else ""
-            lines.append(
-                f"{label},{fmt(nu_val)},{method},{fmt(r.beta)},{fmt(r.mean_fdr)},{fmt(r.sd_fdr)},"
-                f"{fmt(r.mean_power)},{fmt(r.sd_power)},{r.replications},{ref_fdr},{ref_power}"
-            )
     target = out / f"table_{table}.csv"
-    target.write_text("\n".join(lines) + "\n")
+    io.write_csv(target, ["block", "nu", *_REPORT_HEADER, "ref_fdr", "ref_power"], zip(*cells))
 
     click.echo(f"{'block':<12} {'nu':<5} {'method':<6} " + " ".join(f"FDR@{int(100 * b)}%" for b in _TABLE_BETAS) + "  " + " ".join(f"pow@{int(100 * b)}%" for b in _TABLE_BETAS))
     for label, nu_val, method, recs, ref in rows:

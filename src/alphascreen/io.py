@@ -9,7 +9,9 @@ factors file
 reports
     plain comma-separated tables; screening reports carry a trailing
     ``#``-prefixed metadata line (threshold, level, ...) that CSV readers
-    can skip with ``comment='#'``.
+    can skip with ``comment='#'``.  :func:`write_csv` writes them and the
+    panel files, in UTF-8 whatever the locale, and quotes a label that
+    starts with ``#``, so that no row reads as a comment.
 
 Reading
 -------
@@ -21,9 +23,9 @@ skipped), no field over the csv field size limit and every number cell
 in the grammar ``-?digits[.digits][e[+-]digits]``.  Anything else falls
 back to the per-cell ``csv``/``float()`` parser, which alone writes
 error messages and also reads quoted and padded cells, ``1_0`` and
-``inf``; it decodes the file as UTF-8, as the savers write it, and names
-the line of a byte that is not.  Both paths accept the same files and read the same values,
-bit for bit.
+``inf``; it decodes the file as UTF-8, as the savers write it, skips a
+leading byte order mark and names the line of a byte that is not UTF-8.
+Both paths accept the same files and read the same values, bit for bit.
 
 The byte path reads a cell as an integer mantissa M and a power of ten,
 both exact in x87's 64-bit significand, and rounds their quotient (or
@@ -49,7 +51,7 @@ __all__ = [
     "save_returns_csv",
     "load_factors_csv",
     "save_factors_csv",
-    "write_metrics_report",
+    "write_csv",
 ]
 
 
@@ -289,11 +291,11 @@ def _read_table(path, header: str):
     table = _byte_table(data, header)
     if table is None:
         try:
-            text = data.decode()
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:  # its offsets count from after a BOM
+            line = exc.object.count(b"\n", 0, exc.start) + 1
             raise ValueError(
-                f"{path}: line {line} holds the byte 0x{data[exc.start]:02x}, which is not UTF-8"
+                f"{path}: line {line} holds the byte 0x{exc.object[exc.start]:02x}, which is not UTF-8"
             ) from None
         table = _parse_table(StringIO(text, newline="").readlines(), path, header)
     columns, first_column, values = table
@@ -320,21 +322,18 @@ def load_returns_csv(path) -> ReturnPanel:
 
 def _label(value) -> str:
     """A label cell, quoted as the csv module's QUOTE_MINIMAL does when it holds
-    a comma, a quote or a line break.  A label with leading or trailing
-    whitespace is refused, because the loaders strip it."""
+    a comma, a quote or a line break, and when it starts with ``#``.  A label
+    with leading or trailing whitespace is refused: the loaders strip it."""
     text = str(value)
     if text != text.strip():
         raise ValueError(f"label {text!r} has leading or trailing whitespace, which loading strips")
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
+    if "," in text or '"' in text or "\r" in text or "\n" in text or text.startswith("#"):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def save_returns_csv(panel: ReturnPanel, path):
-    lines = ["entity_id," + ",".join(map(_label, panel.time_index))]
-    for eid, row in zip(panel.entity_ids, panel.values):
-        lines.append(_label(eid) + "," + ",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["entity_id", *panel.time_index], [panel.entity_ids, *panel.values.T])
 
 
 def load_factors_csv(path) -> FactorPanel:
@@ -345,18 +344,30 @@ def load_factors_csv(path) -> FactorPanel:
 
 
 def save_factors_csv(panel: FactorPanel, path):
-    lines = ["period," + ",".join(map(_label, panel.names))]
-    for t, row in zip(panel.time_index, panel.values):
-        lines.append(_label(t) + "," + ",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["period", *panel.names], [panel.time_index, *panel.values.T])
 
 
-def write_metrics_report(reports, path):
-    """Study-level summary, one row per (method, level) pair."""
-    lines = ["method,beta,mean_fdr,sd_fdr,mean_power,sd_power,replications"]
-    for r in reports:
-        lines.append(
-            f"{r.method},{fmt(r.beta)},{fmt(r.mean_fdr)},{fmt(r.sd_fdr)},"
-            f"{fmt(r.mean_power)},{fmt(r.sd_power)},{r.replications}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def _column(values):
+    """A column's cells; a numeric array's with no Python call per cell, as the
+    ``repr`` of a Python float is :func:`fmt` and of an int its label."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            values = values.astype(float, copy=False)  # whose tolist() gives Python floats
+        if values.dtype.kind in "iuf":
+            return map(repr, values.tolist())
+        values = values.tolist()
+    return [fmt(value) if isinstance(value, float) else _label(value) for value in values]
+
+
+def write_csv(path, header, columns, comment=None):
+    """Write the ``header`` cells, then a row per index of ``columns``: one
+    sequence of cells per column, all of one length.  A float cell is written
+    by :func:`fmt`, so that it reads back bit for bit, and any other cell by
+    :func:`_label`.  A ``comment`` dict adds a last line ``# key=value,...``.
+    The file is UTF-8 with ``\\n`` line endings, whatever the locale."""
+    rows = map(",".join, zip(*map(_column, columns), strict=True))
+    lines = [",".join(map(_label, header)), *rows]
+    if comment is not None:
+        cells = _column(list(comment.values()))
+        lines.append("# " + ",".join(map("{}={}".format, comment, cells)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -10,6 +10,7 @@ over replications themselves map them over two threads.
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from alphascreen.fdr import (
     split_from_fits,
     split_statistics,
 )
-from alphascreen.io import write_metrics_report
+from alphascreen.io import write_csv
 from alphascreen.linalg import one_blas_thread
 from alphascreen.simulation import replication_rng, run_study_detailed
 
@@ -343,7 +344,7 @@ class TestCriterion11Determinism:
             )
             assert not failures
             path = tmp_path / f"report_{workers}.csv"
-            write_metrics_report(reports, path)
+            write_csv(path, [f.name for f in fields(a.MetricsReport)], zip(*map(astuple, reports)))
             blobs.append(path.read_bytes() + repr(detail).encode())
         ok = blobs[0] == blobs[1]
         detail_line = "reports byte-identical across 1 and 2 workers"

@@ -440,7 +440,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("method", list(METHODS))
     def test_selection_quotes_ids_as_the_panel_files_do(self, runner, tmp_path, method):
         _, fpath, X, _, _ = self.make_panel_files(tmp_path)
-        ids = ["fund A, LP", 'say "hi"', "two\nlines", *X.entity_ids[3:]]
+        # "#lead" has an alpha; a reader that skips "#" lines must still see its row
+        ids = ["#lead", "fund A, LP", 'say "hi"', "two\nlines", *X.entity_ids[4:]]
         rpath = tmp_path / "quoted.csv"
         save_returns_csv(a.ReturnPanel(X.values, ids, X.time_index), rpath)
         out = tmp_path / "out"
@@ -450,8 +451,8 @@ class TestAnalyze:
              "--method", method, "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
-        with open(out / "selection.csv", newline="") as handle:
-            rows = [row for row in csv.reader(handle) if not row[0].startswith("#")]
+        with open(out / "selection.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(line for line in handle if not line.startswith("#")))
         assert all(len(row) == 4 for row in rows)
         assert [row[0] for row in rows[1:]] == ids
 

@@ -92,18 +92,28 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
-def test_only_estimation_fits_or_splits_a_panel():
-    # ``PanelFits`` composes a panel's fits; every other module reads them from it
-    fitting = {"estimate_alpha", "fit_observed", "_latent_fit", "chronological_split"}
+def modules_calling(names):
+    """The package's modules that call a function or method named in ``names``."""
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in fitting:
+                if name in names:
                     callers.add(path.stem)
-    assert callers == {"estimation"}
+    return callers
+
+
+def test_only_estimation_fits_or_splits_a_panel():
+    # ``PanelFits`` composes a panel's fits; every other module reads them from it
+    fitting = {"estimate_alpha", "fit_observed", "_latent_fit", "chronological_split"}
+    assert modules_calling(fitting) == {"estimation"}
+
+
+def test_only_io_writes_files():
+    # ``io.write_csv`` writes every table, so one module knows the format
+    assert modules_calling({"write_text", "write_bytes", "open"}) == {"io"}
 
 
 # The names the package re-exports, pinned: ``alphascreen/__init__.py``

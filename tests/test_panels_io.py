@@ -1,5 +1,10 @@
 import csv
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +18,7 @@ from alphascreen.io import (
     load_returns_csv,
     save_factors_csv,
     save_returns_csv,
+    write_csv,
 )
 from alphascreen.panels import FactorPanel, ReturnPanel, check_aligned
 
@@ -238,24 +244,43 @@ class TestCsvRoundTrip:
         save_returns_csv(panel, path)
         assert b"\ncaf\xc3\xa9," in path.read_bytes()
         assert load_returns_csv(path).entity_ids == ("a", "café")
-        path.write_bytes(b"entity_id,1,2,3,4\na,0.1,0.2,0.3,0.4\ncaf\xe9,0.1,0.2,0.3,0.4\n")
-        with pytest.raises(ValueError) as caught:
-            load_returns_csv(path)
-        assert str(caught.value) == f"{path}: line 3 holds the byte 0xe9, which is not UTF-8"
+        for bom in (b"", b"\xef\xbb\xbf"):  # the line and the byte are the same after a BOM
+            path.write_bytes(bom + b"entity_id,1,2,3,4\na,0.1,0.2,0.3,0.4\ncaf\xe9,0.1,0.2,0.3,0.4\n")
+            with pytest.raises(ValueError) as caught:
+                load_returns_csv(path)
+            assert str(caught.value) == f"{path}: line 3 holds the byte 0xe9, which is not UTF-8"
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        # as a spreadsheet's "CSV UTF-8" export writes it
+        panel = small_panel(p=3, n=5)
+        save_returns_csv(panel, tmp_path / "returns.csv")
+        save_factors_csv(FactorPanel(panel.values.T[:, :2], ["mkt", "smb"], panel.time_index),
+                         tmp_path / "factors.csv")
+        for name in ("returns.csv", "factors.csv"):
+            (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        want, got = load_returns_csv(tmp_path / "returns.csv"), load_returns_csv(tmp_path / "bom_returns.csv")
+        assert (got.entity_ids, got.time_index) == (want.entity_ids, want.time_index)
+        assert np.array_equal(got.values, want.values)
+        want, got = load_factors_csv(tmp_path / "factors.csv"), load_factors_csv(tmp_path / "bom_factors.csv")
+        assert (got.names, got.time_index) == (want.names, want.time_index)
+        assert np.array_equal(got.values, want.values)
 
     def test_labels_with_delimiters_round_trip(self, tmp_path):
-        # only the label cells that need it are quoted, as csv.QUOTE_MINIMAL does
-        values = np.random.default_rng(7).standard_normal((3, 5))
-        ids = ["a,b", 'say "hi"', "two\nlines"]
-        panel = ReturnPanel(values, ids, [1, 2, 3, 4, 5])
+        # only the label cells that need it are quoted, as csv.QUOTE_MINIMAL
+        # does, and those starting with "#", which a comment-skipping reader drops
+        values = np.random.default_rng(7).standard_normal((4, 6))
+        ids = ["a,b", 'say "hi"', "two\nlines", "#lead"]
+        panel = ReturnPanel(values, ids, [1, 2, 3, 4, 5, 6])
         save_returns_csv(panel, tmp_path / "returns.csv")
         back = load_returns_csv(tmp_path / "returns.csv")
         assert back.entity_ids == panel.entity_ids
         assert np.array_equal(back.values, values)
-        factors = FactorPanel(values.T, ["mkt,rf", "smb", '"hml"'], ["a,1", "b,2", "c,3", "d,4", "e,5"])
+        assert '\n"#lead",' in (tmp_path / "returns.csv").read_text()
+        periods = ["a,1", "b,2", "c,3", "d,4", "e,5", "f,6"]
+        factors = FactorPanel(values.T, ["mkt,rf", "smb", '"hml"', "#umd"], periods)
         save_factors_csv(factors, tmp_path / "factors.csv")
         text = (tmp_path / "factors.csv").read_text()
-        assert text.startswith('period,"mkt,rf",smb,"""hml"""\n"a,1",')
+        assert text.startswith('period,"mkt,rf",smb,"""hml""","#umd"\n"a,1",')
         back = load_factors_csv(tmp_path / "factors.csv")
         assert back.names == factors.names and back.time_index == factors.time_index
         assert np.array_equal(back.values, factors.values)
@@ -306,6 +331,65 @@ class TestCsvRoundTrip:
             for eid, row in zip(panel.entity_ids, panel.values)
         ]
         assert (tmp_path / "returns.csv").read_text() == "\n".join(expected) + "\n"
+
+
+class TestWriteCsv:
+    def test_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(
+            path,
+            ["label", "floats", "array", "float32", "ints", "a,b"],
+            [
+                ["x", 'q"t', "#c", 7],
+                [math.nan, math.inf, -0.0, np.float64(0.1)],
+                np.array([math.nan, -math.inf, -0.0, 1e-300]),
+                np.array([0.1, 1, 2, 3], dtype=np.float32),
+                np.array([1, 0, -3, 2**40]),
+                ["", 2.5, "two\nlines", " y".strip()],
+            ],
+        )
+        assert path.read_bytes() == (
+            b'label,floats,array,float32,ints,"a,b"\n'
+            b"x,nan,nan,0.10000000149011612,1,\n"
+            b'"q""t",inf,-inf,1.0,0,2.5\n'
+            b'"#c",-0.0,-0.0,2.0,-3,"two\nlines"\n'
+            b"7,0.1,1e-300,3.0,1099511627776,y\n"
+        )
+
+    def test_comment_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        comment = {"method": "yd", "beta": 0.1, "threshold": math.inf, "rank_hat": "", "n": 60}
+        write_csv(path, ["entity_id", "rejected"], [["e1"], np.array([1])], comment=comment)
+        assert path.read_text() == (
+            "entity_id,rejected\ne1,1\n# method=yd,beta=0.1,threshold=inf,rank_hat=,n=60\n"
+        )
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        for columns in ([], [np.array([]), []]):
+            write_csv(tmp_path / "t.csv", ["method", "beta"], columns)
+            assert (tmp_path / "t.csv").read_bytes() == b"method,beta\n"
+
+    def test_columns_of_unequal_length_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        code = (
+            "import locale, sys\n"
+            "from alphascreen.io import write_csv\n"
+            "print(locale.getpreferredencoding(False))\n"
+            "write_csv(sys.argv[1], ['entity_id', 'x'], [['caf\\u00e9'], [1.5]])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert "utf" not in result.stdout.lower()  # the locale's encoding is not UTF-8
+        assert (tmp_path / "t.csv").read_bytes() == "entity_id,x\ncafé,1.5\n".encode()
 
 
 HEADERS = {"entity_id": "entity_id,t1,t2,...", "period": "period,f1,..."}
